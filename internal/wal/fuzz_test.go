@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"os"
@@ -44,7 +45,9 @@ func fuzzSegment(t testing.TB) []byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		buf = appendFrame(buf, payload)
+		if buf, err = appendFrame(buf, payload); err != nil {
+			t.Fatal(err)
+		}
 	}
 	frame(record{Type: "provision", Provision: &prov})
 	for i := 0; i < 3; i++ {
@@ -88,22 +91,24 @@ func fuzzRecoverable(data []byte) bool {
 		if r.Provision == nil {
 			return nil
 		}
-		// Each provision frame rebuilds real hardware on replay, at a cost
-		// of roughly secret × N × K field operations; bound every factor
-		// (including the wear-leveling spare complement, which fabricates
-		// extra switches per copy) and the number of rebuilds so one exec
-		// stays in the milliseconds (Build with N=4096, K=512 and a
-		// 512-byte secret takes seconds).
 		provisions++
-		d := r.Provision.Design
-		if provisions > 4 || d.N < 0 || d.Copies < 0 || d.K > 1<<6 ||
-			(int64(d.N)+int64(max(r.Provision.Spares, 0)))*int64(max(d.Copies, 1)) > 1<<11 ||
-			len(r.Provision.Secret) > 1<<7 {
+		if provisions > 4 || !fuzzCheapBuild(r.Provision.Design, r.Provision.Spares, r.Provision.Secret) {
 			ok = false
 		}
 		return nil
 	})
 	return ok
+}
+
+// fuzzCheapBuild reports whether rebuilding one architecture stays in the
+// milliseconds. A rebuild costs roughly secret × N × K field operations;
+// bound every factor, including the wear-leveling spare complement, which
+// fabricates extra switches per copy (Build with N=4096, K=512 and a
+// 512-byte secret takes seconds).
+func fuzzCheapBuild(d dse.Design, spares int, secret []byte) bool {
+	return d.N >= 0 && d.Copies >= 0 && d.K <= 1<<6 &&
+		(int64(d.N)+int64(max(spares, 0)))*int64(max(d.Copies, 1)) <= 1<<11 &&
+		len(secret) <= 1<<7
 }
 
 // recoverBytes writes data as the only WAL segment of a fresh directory
@@ -225,4 +230,96 @@ func TestFuzzSeedCorpus(t *testing.T) {
 	if !errors.As(err, &ce) {
 		t.Fatalf("flipped CRC: got %v, want *CorruptionError", err)
 	}
+}
+
+// fuzzSnapshot builds a well-formed format-2 snapshot file of two small
+// architectures, one of them wear-leveled, each a few operations in.
+func fuzzSnapshot(tb testing.TB) []byte {
+	tb.Helper()
+	d := testDesign(tb)
+	reg := registry.New(1)
+	var archs []snapshotArch
+	for i := 0; i < 2; i++ {
+		arch := buildFleetArch(tb, d, i)
+		for op := 0; op < 4; op++ {
+			_, _ = arch.Access(accessEnv(op))
+		}
+		e, err := reg.Provision(arch, uint64(testSeed+i), testSecret())
+		if err != nil {
+			tb.Fatal(err)
+		}
+		archs = append(archs, captureArch(e))
+	}
+	data, err := encodeSnapshot(snapshotHeader{Format: snapshotFormat, Epoch: 2, CreatedUnixNanos: 1}, archs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+// fuzzSnapshotRecoverable is fuzzRecoverable for a snapshot file: it
+// rejects inputs whose well-formed frames would rebuild many or absurdly
+// large architectures.
+func fuzzSnapshotRecoverable(data []byte) bool {
+	if len(data) > 1<<16 {
+		return false
+	}
+	var archs []snapshotArch
+	_, _, _ = scanFrames("fuzz", data, func(payload []byte) error {
+		if len(archs) == 0 {
+			var hdr snapshotHeader
+			if json.Unmarshal(payload, &hdr) == nil {
+				archs = append(archs, hdr.Archs...)
+			}
+		}
+		if len(payload) >= 4 {
+			n := uint64(binary.LittleEndian.Uint32(payload))
+			var a snapshotArch
+			if n <= uint64(len(payload)-4) && json.Unmarshal(payload[4:4+n], &a) == nil {
+				archs = append(archs, a)
+			}
+		}
+		return nil
+	})
+	if len(archs) > 4 {
+		return false
+	}
+	for _, a := range archs {
+		if !fuzzCheapBuild(a.Design, a.Spares, a.Secret) {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzSnapshotDecode feeds arbitrary bytes to recovery as the newest
+// snapshot. The contract is the one FuzzWALFrameDecode holds for log
+// segments: recovery never panics, and bytes it accepts once recover to
+// bit-identical wear state every time.
+func FuzzSnapshotDecode(f *testing.F) {
+	valid := fuzzSnapshot(f)
+	f.Add(valid)
+	f.Add(valid[:len(valid)-9])
+	format1, err := os.ReadFile(filepath.Join("testdata", "format1", snapName(2)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(format1)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if !fuzzSnapshotRecoverable(data) {
+			t.Skip("well-formed frames declare too many or too large architectures")
+		}
+		reg1, err := recoverSnapshotBytes(t, data)
+		if err != nil {
+			return // refused cleanly; nothing was served
+		}
+		reg2, err := recoverSnapshotBytes(t, data)
+		if err != nil {
+			t.Fatalf("recovery accepted the snapshot once, refused it the second time: %v", err)
+		}
+		if s1, s2 := archStates(reg1), archStates(reg2); !reflect.DeepEqual(s1, s2) {
+			t.Fatalf("wear state diverged across identical snapshots: %+v vs %+v", s1, s2)
+		}
+	})
 }

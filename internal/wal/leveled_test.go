@@ -300,7 +300,9 @@ func wearFuzzSegment(tb testing.TB) ([]byte, int) {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		buf = appendFrame(buf, payload)
+		if buf, err = appendFrame(buf, payload); err != nil {
+			tb.Fatal(err)
+		}
 	}
 	frame(record{Type: "provision", Provision: &prov})
 	frame(record{Type: "stress", Stress: &registry.StressRecord{ID: prov.ID, TempCelsius: 400, Indices: []int{0, 1}, Pulses: 2}})

@@ -59,30 +59,6 @@ type record struct {
 	Retire    *registry.RetireRecord    `json:"x,omitempty"`
 }
 
-// snapshotArch is one architecture inside a snapshot: the provisioning
-// triple that deterministically rebuilds the hardware, plus the exact
-// mutable wear state to overlay on it.
-type snapshotArch struct {
-	ID     string     `json:"id"`
-	Seed   uint64     `json:"seed"`
-	Secret []byte     `json:"secret"`
-	Design dse.Design `json:"design"`
-	State  core.State `json:"state"`
-	// Spares and RemapEpoch pin the wear-leveling variant; both zero means
-	// the architecture is unleveled (and, per omitempty, pre-leveling
-	// snapshots keep their exact wire encoding).
-	Spares     int    `json:"spares,omitempty"`
-	RemapEpoch uint64 `json:"remap_epoch,omitempty"`
-}
-
-// snapshotFile is the single framed payload of a snap-*.snap file.
-type snapshotFile struct {
-	Format           int            `json:"format"`
-	Epoch            uint64         `json:"epoch"` // first segment NOT covered
-	CreatedUnixNanos int64          `json:"created_unix_nanos"`
-	Archs            []snapshotArch `json:"archs"`
-}
-
 // RecoveryStats summarizes what Recover did, for startup logging and the
 // recovery metrics.
 type RecoveryStats struct {
@@ -356,7 +332,10 @@ func (s *DiskStore) Append(recs []registry.Record) (registry.Ticket, error) {
 			s.mAppendErrs.Inc()
 			return nil, fmt.Errorf("wal: encoding record: %w", err)
 		}
-		req.frames = appendFrame(req.frames, payload)
+		if req.frames, err = appendFrame(req.frames, payload); err != nil {
+			s.mAppendErrs.Inc()
+			return nil, err
+		}
 		req.nRecs++
 		switch {
 		case r.Provision != nil:
@@ -574,6 +553,14 @@ func (s *DiskStore) commitGroup(batch []*commitReq) {
 	}
 	s.mGroupSyncs.Inc()
 	s.hBatchSize.Observe(float64(totalRecs))
+	// Signal before resolving, so an appender that sees its records durable
+	// also sees the threshold they crossed.
+	if over {
+		select {
+		case s.snapCh <- struct{}{}:
+		default:
+		}
+	}
 	for _, req := range batch {
 		s.mAppendProv.Add(req.nProv)
 		s.mAppendAcc.Add(req.nAcc)
@@ -581,12 +568,6 @@ func (s *DiskStore) commitGroup(batch []*commitReq) {
 		s.mAppendRemap.Add(req.nRemap)
 		s.mAppendRetire.Add(req.nRetire)
 		req.tkt.resolve(nil)
-	}
-	if over {
-		select {
-		case s.snapCh <- struct{}{}:
-		default:
-		}
 	}
 }
 
@@ -718,17 +699,14 @@ func (s *DiskStore) Recover(reg *registry.Registry) (RecoveryStats, error) {
 	replayFrom := uint64(1)
 	if len(snaps) > 0 {
 		epoch := snaps[len(snaps)-1]
-		snap, err := s.loadSnapshot(epoch)
+		hdr, err := s.restoreSnapshot(reg, epoch)
 		if err != nil {
 			return stats, err
 		}
-		if err := restoreSnapshot(reg, snap); err != nil {
-			return stats, err
-		}
 		stats.SnapshotEpoch = epoch
-		stats.SnapshotCreatedUnixNanos = snap.CreatedUnixNanos
-		stats.SnapshotArchitectures = len(snap.Archs)
-		s.gSnapUnix.Set(snap.CreatedUnixNanos / int64(1e9))
+		stats.SnapshotCreatedUnixNanos = hdr.CreatedUnixNanos
+		stats.SnapshotArchitectures = hdr.ArchCount
+		s.gSnapUnix.Set(hdr.CreatedUnixNanos / int64(1e9))
 		replayFrom = epoch
 	}
 
@@ -807,44 +785,6 @@ func (s *DiskStore) Recover(reg *registry.Registry) (RecoveryStats, error) {
 	return stats, nil
 }
 
-func (s *DiskStore) loadSnapshot(epoch uint64) (*snapshotFile, error) {
-	name := snapName(epoch)
-	data, err := s.fs.ReadFile(filepath.Join(s.dir, name))
-	if err != nil {
-		return nil, fmt.Errorf("wal: reading snapshot: %w", err)
-	}
-	var snap *snapshotFile
-	good, torn, err := scanFrames(name, data, func(payload []byte) error {
-		if snap != nil {
-			return &CorruptionError{File: name, Record: 1, Offset: -1,
-				Reason: "snapshot holds more than one frame"}
-		}
-		snap = new(snapshotFile)
-		if err := json.Unmarshal(payload, snap); err != nil {
-			return &CorruptionError{File: name, Record: 0, Offset: 0,
-				Reason: "snapshot payload is not valid JSON: " + err.Error()}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Snapshots are written to a temp file and atomically renamed, so a
-	// torn or empty snapshot cannot come from a crash — only from damage.
-	if torn > 0 || snap == nil {
-		return nil, &CorruptionError{File: name, Record: 0, Offset: good,
-			Reason: "snapshot file is incomplete"}
-	}
-	if snap.Format != 1 {
-		return nil, fmt.Errorf("wal: snapshot %s has unknown format %d", name, snap.Format)
-	}
-	if snap.Epoch != epoch {
-		return nil, &CorruptionError{File: name, Record: 0, Offset: 0,
-			Reason: fmt.Sprintf("snapshot declares epoch %d but is named for epoch %d", snap.Epoch, epoch)}
-	}
-	return snap, nil
-}
-
 // rebuildArch deterministically refabricates an architecture from its
 // provisioning parameters, choosing the wear-leveled variant when the
 // durable record pinned one.
@@ -853,26 +793,6 @@ func rebuildArch(design dse.Design, secret []byte, seed uint64, spares int, epoc
 		return core.BuildLeveled(design, secret, core.Leveling{Spares: spares, Epoch: epoch}, rng.New(seed))
 	}
 	return core.Build(design, secret, rng.New(seed))
-}
-
-// restoreSnapshot rebuilds every architecture in snap and registers it
-// under its original ID.
-func restoreSnapshot(reg *registry.Registry, snap *snapshotFile) error {
-	for i := range snap.Archs {
-		a := &snap.Archs[i]
-		arch, err := rebuildArch(a.Design, a.Secret, a.Seed, a.Spares, a.RemapEpoch)
-		if err != nil {
-			return fmt.Errorf("wal: snapshot arch %s: rebuild: %w", a.ID, err)
-		}
-		//lemonvet:allow logahead restoring state that is already durable in the snapshot; no new wear is minted
-		if err := arch.Restore(a.State); err != nil {
-			return fmt.Errorf("wal: snapshot arch %s: %w", a.ID, err)
-		}
-		if _, err := reg.Restore(a.ID, arch, a.Seed, a.Secret); err != nil {
-			return fmt.Errorf("wal: snapshot arch %s: %w", a.ID, err)
-		}
-	}
-	return nil
 }
 
 // replaySegment applies every record of one segment. Only the final
@@ -1062,20 +982,13 @@ func (s *DiskStore) Snapshot(reg *registry.Registry) error {
 
 	// Capture under the exclusive barrier: every done-callback has run, so
 	// each architecture's state agrees exactly with its log prefix.
-	snap := snapshotFile{Format: 1, Epoch: newSeq, CreatedUnixNanos: s.now()}
+	hdr := snapshotHeader{Format: snapshotFormat, Epoch: newSeq, CreatedUnixNanos: s.now()}
+	var archs []snapshotArch
 	reg.Range(func(e *registry.Entry) bool {
-		sa := snapshotArch{
-			ID: e.ID, Seed: e.Seed, Secret: e.Secret,
-			Design: e.Arch.Design(), State: e.Arch.State(),
-		}
-		if lv, ok := e.Arch.Leveling(); ok {
-			sa.Spares = lv.Spares
-			sa.RemapEpoch = lv.Epoch
-		}
-		snap.Archs = append(snap.Archs, sa)
+		archs = append(archs, captureArch(e))
 		return true
 	})
-	sort.Slice(snap.Archs, func(i, j int) bool { return snapLess(snap.Archs[i].ID, snap.Archs[j].ID) })
+	sort.Slice(archs, func(i, j int) bool { return snapLess(archs[i].ID, archs[j].ID) })
 
 	old := s.cur
 	oldSeq := s.curSeq
@@ -1093,11 +1006,17 @@ func (s *DiskStore) Snapshot(reg *registry.Registry) error {
 	if err != nil {
 		return fmt.Errorf("wal: sealing %s: %w", segName(oldSeq), err)
 	}
-	if err := s.writeSnapshotFile(&snap); err != nil {
+	// A snapshot that cannot be encoded (a frame over the cap) is refused
+	// before any file appears; the rotated segments stay authoritative.
+	data, err := encodeSnapshot(hdr, archs)
+	if err != nil {
+		return err
+	}
+	if err := s.writeSnapshotFile(hdr.Epoch, data); err != nil {
 		return err
 	}
 	s.mSnapshots.Inc()
-	s.gSnapUnix.Set(snap.CreatedUnixNanos / int64(1e9))
+	s.gSnapUnix.Set(hdr.CreatedUnixNanos / int64(1e9))
 
 	// Compact: everything before newSeq is covered by the new snapshot.
 	segs, snaps, err := s.scanDir()
@@ -1128,19 +1047,16 @@ func snapLess(a, b string) bool {
 	return a < b
 }
 
-// writeSnapshotFile durably writes snap via temp file + atomic rename.
-func (s *DiskStore) writeSnapshotFile(snap *snapshotFile) error {
-	payload, err := json.Marshal(snap)
-	if err != nil {
-		return fmt.Errorf("wal: encoding snapshot: %w", err)
-	}
-	final := filepath.Join(s.dir, snapName(snap.Epoch))
+// writeSnapshotFile durably publishes an encoded snapshot via temp file
+// + atomic rename.
+func (s *DiskStore) writeSnapshotFile(epoch uint64, data []byte) error {
+	final := filepath.Join(s.dir, snapName(epoch))
 	tmp := final + ".tmp"
 	f, err := s.fs.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: creating snapshot temp file: %w", err)
 	}
-	_, err = f.Write(appendFrame(nil, payload))
+	_, err = f.Write(data)
 	if err == nil {
 		err = f.Sync()
 	}

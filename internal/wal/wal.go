@@ -30,16 +30,30 @@
 //
 //	wal-00000001.log   frame* — segment 1 (the current segment is the
 //	wal-00000002.log   highest-numbered one; lower ones are sealed)
-//	snap-00000002.snap one frame — state at the instant segment 2 began
+//	snap-00000002.snap header frame, then one frame per architecture —
+//	                   state at the instant segment 2 began
 //
-// Every frame is [len u32le][crc32(payload) u32le][payload]; payloads
-// are JSON for debuggability (corrupted state must be diagnosable with
-// od and jq at 3am). A snapshot with epoch E captures all effects of
-// segments < E, so recovery is: load the newest snapshot, replay
-// segments ≥ E in order, truncate a torn tail on the final segment.
-// Snapshotting rotates to a fresh segment first, then writes the
-// snapshot via tmp-file + atomic rename, then deletes obsolete files —
-// a crash between any two steps leaves a recoverable directory.
+// Every frame is [len u32le][crc32(payload) u32le][payload], and no
+// payload may exceed maxRecordLen: the writer refuses what recovery
+// would refuse. Log records are JSON for debuggability (corrupted state
+// must be diagnosable with od and jq at 3am). A snapshot (format 2) is a
+// JSON header frame — format, epoch, creation time, architecture count —
+// followed by one frame per architecture: a length-prefixed JSON
+// metadata part (ID, seed, secret, design, counters, RNG, leveling
+// tables, per-copy switch counts), then the switch wear as three
+// fixed-width little-endian columns (wear as float64 bits, actuations,
+// fail cycle). Only the wear is binary, because it is nearly all of a
+// snapshot's bytes and nearly all of its JSON decode time; jq still
+// reads the header and every metadata part. Format-1 snapshots, one JSON
+// frame holding everything, are still read but never written.
+//
+// A snapshot with epoch E captures all effects of segments < E, so
+// recovery is: load the newest snapshot (its architectures rebuilt in
+// parallel, registered in snapshot order), replay segments ≥ E in
+// order, truncate a torn tail on the final segment. Snapshotting
+// rotates to a fresh segment first, then writes the snapshot via
+// tmp-file + atomic rename, then deletes obsolete files — a crash
+// between any two steps leaves a recoverable directory.
 //
 // # Torn tail vs corruption
 //
@@ -85,13 +99,18 @@ func (e *CorruptionError) Error() string {
 		e.File, e.Record, e.Offset, e.Reason)
 }
 
-// appendFrame appends one framed payload to buf and returns it.
-func appendFrame(buf, payload []byte) []byte {
+// appendFrame appends one framed payload to buf and returns it. A
+// payload over maxRecordLen is refused: scanFrames would classify its
+// frame as corruption, so every frame the WAL writes must fit the cap.
+func appendFrame(buf, payload []byte) ([]byte, error) {
+	if len(payload) > maxRecordLen {
+		return buf, fmt.Errorf("wal: %d-byte payload exceeds the %d-byte frame cap", len(payload), maxRecordLen)
+	}
 	var hdr [frameHeader]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
 	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
+	return append(buf, payload...), nil
 }
 
 // scanFrames walks the framed records in data, calling fn for each valid

@@ -19,7 +19,7 @@ const testSeed = 42
 
 func testSecret() []byte { return []byte("0123456789abcdef") }
 
-func testDesign(t *testing.T) dse.Design {
+func testDesign(t testing.TB) dse.Design {
 	t.Helper()
 	s := dse.Spec{LAB: 30, KFrac: 0.1, ContinuousT: true}
 	s.Dist.Alpha = 6
