@@ -3,10 +3,10 @@
 
 GO ?= go
 
-.PHONY: check lint vet-fixtures race bench test build fmt smoke crash chaos attack cluster bench-json bench-compare fuzz-smoke
+.PHONY: check lint vet-fixtures race repeat bench test build fmt smoke crash chaos attack cluster bench-json bench-compare fuzz-smoke
 
 ## check: everything CI runs — format, vet, lemonvet, build, tests, race, smoke
-check: lint build test race smoke crash chaos attack cluster
+check: lint build test race repeat smoke crash chaos attack cluster
 
 ## lint: gofmt (fail on diff), go vet, and the lemonvet static-analysis
 ## suite (all nine passes; -strict-suppress also fails on stale allows)
@@ -33,6 +33,11 @@ race:
 	$(GO) test -race ./internal/montecarlo/... ./internal/targeting/... ./internal/core/... ./internal/server/... ./internal/registry/... ./internal/cache/... ./internal/wal/... ./internal/fault/... ./internal/resilience/... ./internal/analysis/ ./internal/attack/... ./internal/nems/... ./internal/cluster/... ./api/...
 	$(GO) test -race -short ./...
 
+## repeat: the attack and cluster harness tests 50 times over, so an
+## interleaving-dependent failure shows up here rather than in tier-1
+repeat:
+	$(GO) test -count=50 ./internal/attack/ ./internal/cluster/
+
 ## smoke: end-to-end daemon test (build, provision, lockout, metrics, drain)
 smoke:
 	./scripts/smoke.sh
@@ -54,13 +59,14 @@ bench-compare:
 		"$${NEW:-BENCH_$$(git rev-parse --short=12 HEAD).json}"
 
 ## fuzz-smoke: short native-fuzz runs over the WAL frame and snapshot
-## decoders and the codec (the CI smoke; `go test -fuzz` for a long local run)
+## decoders and both Shamir codecs (the CI smoke; `go test -fuzz` for a
+## long local run)
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzWALFrameDecode' -fuzztime 30s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz 'FuzzSnapshotDecode' -fuzztime 15s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz 'FuzzWearRecordDecode' -fuzztime 15s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz 'FuzzShamirReconstruct' -fuzztime 15s ./internal/shamir/
-	$(GO) test -run '^$$' -fuzz 'FuzzRSDecode' -fuzztime 15s ./internal/rs/
+	$(GO) test -run '^$$' -fuzz 'FuzzShamir16Reconstruct' -fuzztime 15s ./internal/shamir16/
 
 ## crash: crash-recovery test (SIGKILL mid-budget, restart, exact wear)
 crash:

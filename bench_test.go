@@ -18,7 +18,6 @@ import (
 	"lemonade/internal/otp"
 	"lemonade/internal/reliability"
 	"lemonade/internal/rng"
-	"lemonade/internal/rs"
 	"lemonade/internal/shamir"
 	"lemonade/internal/shamir16"
 	"lemonade/internal/structure"
@@ -219,25 +218,6 @@ func BenchmarkShamirCombine(b *testing.B) {
 			b.Fatal(err)
 		}
 		sink = got
-	}
-}
-
-func BenchmarkRSEncode(b *testing.B) {
-	c, err := rs.New(16, 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	data := make([]byte, 16*64)
-	rng.New(5).Bytes(data)
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		shards, err := c.Encode(data)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sink = shards
 	}
 }
 

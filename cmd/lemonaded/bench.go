@@ -110,6 +110,10 @@ func runBenchCompare(args []string) error {
 	if err != nil {
 		return err
 	}
+	retired := bench.Retired(old, cur)
+	for _, r := range retired {
+		fmt.Fprintf(os.Stderr, "retired %s\n", r)
+	}
 	if len(regs) > 0 {
 		for _, r := range regs {
 			fmt.Fprintf(os.Stderr, "REGRESSION %s\n", r)
@@ -118,7 +122,7 @@ func runBenchCompare(args []string) error {
 			len(regs), fs.Arg(0), fs.Arg(1))
 	}
 	fmt.Fprintf(os.Stderr, "bench compare: OK — %d metrics within thresholds (%s vs %s)\n",
-		len(old.Results), fs.Arg(0), fs.Arg(1))
+		len(old.Results)-len(retired), fs.Arg(0), fs.Arg(1))
 	return nil
 }
 

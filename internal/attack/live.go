@@ -139,9 +139,11 @@ type CampaignConfig struct {
 }
 
 // CampaignReport is the outcome of one depletion campaign. Operation
-// indices come from a single atomic counter stamped across all workers,
-// so FirstTransientOp and LockoutOp order attacker and user traffic on
-// one global timeline.
+// indices are the daemon's own access attempt numbers, read back from
+// the architecture's event ring once the campaign ends, so
+// FirstTransientOp and LockoutOp sit on the order in which the server
+// applied the accesses — not the order in which clients issued them,
+// which a slow request can invert.
 type CampaignReport struct {
 	AttackerBursts  int    // stress bursts the daemon accepted
 	AttackerPulses  int    // total stress pulses landed
@@ -152,13 +154,14 @@ type CampaignReport struct {
 	UserDecodeFails int    // 422s users absorbed (conducted but unreconstructable)
 	WrongSecrets    int    // successful accesses returning wrong bytes — MUST be 0
 
-	// FirstTransientOp is the global op index of the first degradation
-	// signal a user saw; LockoutOp the first 410 anyone saw; -1 if never.
+	// FirstTransientOp is the attempt number of the first access the
+	// daemon answered with a degradation signal (503 or 422); LockoutOp
+	// the first access it answered 410; -1 if never.
 	FirstTransientOp int64
 	LockoutOp        int64
 }
 
-// DegradationWindow is the number of operations between the first
+// DegradationWindow is the number of accesses between the first
 // user-visible transient and lockout — how much warning the legitimate
 // owner gets that an attack is burning their budget. -1 when the
 // campaign never exhibited both endpoints.
@@ -171,8 +174,10 @@ func (r CampaignReport) DegradationWindow() int64 {
 
 // Campaign races cfg.Attackers stress workers against cfg.Users
 // legitimate access workers on one architecture until every worker
-// finishes (lockout, plan complete, or op budget spent). The first
-// error other than the expected refusals aborts the campaign.
+// finishes (lockout, plan complete, or op budget spent). Every worker
+// waits at a start barrier, so attackers and users really race instead
+// of the first-launched workers running ahead. The first error other
+// than the expected refusals aborts the campaign.
 func Campaign(ctx context.Context, c *api.Client, id string, cfg CampaignConfig) (CampaignReport, error) {
 	attackers := max(cfg.Attackers, 1)
 	users := max(cfg.Users, 1)
@@ -180,33 +185,22 @@ func Campaign(ctx context.Context, c *api.Client, id string, cfg CampaignConfig)
 	if maxUserOps <= 0 {
 		maxUserOps = 10000
 	}
+	// The campaign's accesses are the attempts after this one.
+	st, err := c.Status(ctx, id)
+	if err != nil {
+		return CampaignReport{FirstTransientOp: -1, LockoutOp: -1}, err
+	}
 
 	var (
-		ops            atomic.Int64 // global operation timeline
-		firstTransient atomic.Int64
-		lockout        atomic.Int64
-		bursts         atomic.Int64
-		pulses         atomic.Int64
-		remaps         atomic.Uint64
-		reveals        atomic.Int64
-		successes      atomic.Int64
-		transients     atomic.Int64
-		decodeFails    atomic.Int64
-		wrongSecrets   atomic.Int64
+		bursts       atomic.Int64
+		pulses       atomic.Int64
+		remaps       atomic.Uint64
+		reveals      atomic.Int64
+		successes    atomic.Int64
+		transients   atomic.Int64
+		decodeFails  atomic.Int64
+		wrongSecrets atomic.Int64
 	)
-	firstTransient.Store(-1)
-	lockout.Store(-1)
-	noteFirst := func(slot *atomic.Int64, op int64) {
-		for {
-			cur := slot.Load()
-			if cur >= 0 && cur <= op {
-				return
-			}
-			if slot.CompareAndSwap(cur, op) {
-				return
-			}
-		}
-	}
 	// leaked reports whether an attacker-visible payload carries the
 	// provisioned key bytes — the confidentiality invariant, checked
 	// against the JSON the attacker actually received.
@@ -219,6 +213,7 @@ func Campaign(ctx context.Context, c *api.Client, id string, cfg CampaignConfig)
 	}
 
 	var wg sync.WaitGroup
+	start := make(chan struct{})
 	var firstErr atomic.Pointer[error]
 	fail := func(err error) {
 		if err == nil || errors.Is(err, context.Canceled) {
@@ -236,12 +231,12 @@ func Campaign(ctx context.Context, c *api.Client, id string, cfg CampaignConfig)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			<-start
 			streak := 0
 			for i := 0; i < cfg.Plan.Bursts; i++ {
 				if ctx.Err() != nil {
 					return
 				}
-				op := ops.Add(1)
 				resp, err := c.Stress(ctx, id, api.StressRequest{
 					TempCelsius: cfg.Plan.Temperature(i),
 					Indices:     cfg.Plan.Indices,
@@ -257,7 +252,6 @@ func Campaign(ctx context.Context, c *api.Client, id string, cfg CampaignConfig)
 						reveals.Add(1)
 					}
 				case api.IsExhausted(err):
-					noteFirst(&lockout, op)
 					return
 				case api.IsTransient(err):
 					streak++
@@ -277,11 +271,11 @@ func Campaign(ctx context.Context, c *api.Client, id string, cfg CampaignConfig)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			<-start
 			for n := 0; n < maxUserOps; n++ {
 				if ctx.Err() != nil {
 					return
 				}
-				op := ops.Add(1)
 				resp, err := c.Access(ctx, id, api.AccessRequest{})
 				switch {
 				case err == nil:
@@ -290,14 +284,11 @@ func Campaign(ctx context.Context, c *api.Client, id string, cfg CampaignConfig)
 						wrongSecrets.Add(1)
 					}
 				case api.IsExhausted(err):
-					noteFirst(&lockout, op)
 					return
 				case api.IsTransient(err):
 					transients.Add(1)
-					noteFirst(&firstTransient, op)
 				case isDecodeFailed(err):
 					decodeFails.Add(1)
-					noteFirst(&firstTransient, op)
 				default:
 					fail(err)
 					return
@@ -305,6 +296,7 @@ func Campaign(ctx context.Context, c *api.Client, id string, cfg CampaignConfig)
 			}
 		}()
 	}
+	close(start)
 	wg.Wait()
 
 	rep := CampaignReport{
@@ -316,13 +308,47 @@ func Campaign(ctx context.Context, c *api.Client, id string, cfg CampaignConfig)
 		UserTransients:   int(transients.Load()),
 		UserDecodeFails:  int(decodeFails.Load()),
 		WrongSecrets:     int(wrongSecrets.Load()),
-		FirstTransientOp: firstTransient.Load(),
-		LockoutOp:        lockout.Load(),
+		FirstTransientOp: -1,
+		LockoutOp:        -1,
 	}
 	if p := firstErr.Load(); p != nil {
 		return rep, *p
 	}
-	return rep, ctx.Err()
+	if err := ctx.Err(); err != nil {
+		return rep, err
+	}
+	return rep, timeline(ctx, c, id, st.Attempts, &rep)
+}
+
+// timeline fills the report's FirstTransientOp and LockoutOp from the
+// architecture's event ring: the attempt numbers the daemon stamped as it
+// applied each access after attempt since. It refuses to guess when the
+// ring has already dropped some of the campaign's accesses.
+func timeline(ctx context.Context, c *api.Client, id string, since uint64, rep *CampaignReport) error {
+	evs, err := c.Events(ctx, id, 0)
+	if err != nil {
+		return err
+	}
+	if len(evs.Events) > 0 && evs.Events[0].Attempt > since+1 {
+		return fmt.Errorf("attack: event ring starts at attempt %d, campaign at %d: timeline incomplete",
+			evs.Events[0].Attempt, since+1)
+	}
+	for _, ev := range evs.Events {
+		if ev.Attempt <= since {
+			continue
+		}
+		switch ev.Outcome {
+		case "transient", "decode_failed":
+			if rep.FirstTransientOp < 0 {
+				rep.FirstTransientOp = int64(ev.Attempt)
+			}
+		case "exhausted":
+			if rep.LockoutOp < 0 {
+				rep.LockoutOp = int64(ev.Attempt)
+			}
+		}
+	}
+	return nil
 }
 
 // isDecodeFailed reports a 422: the access conducted (wear consumed) but

@@ -2,11 +2,19 @@ package attack
 
 import (
 	"context"
+	"encoding/hex"
+	"errors"
 	"net/http/httptest"
 	"testing"
 
 	"lemonade/api"
+	"lemonade/internal/core"
+	"lemonade/internal/dse"
+	"lemonade/internal/nems"
+	"lemonade/internal/reliability"
+	"lemonade/internal/rng"
 	"lemonade/internal/server"
+	"lemonade/internal/weibull"
 )
 
 // liveDaemon boots the real serving stack on an httptest listener and
@@ -39,6 +47,88 @@ func provisionLive(t *testing.T, c *api.Client, seed uint64, spares int, epoch u
 		t.Fatal(err)
 	}
 	return pr
+}
+
+// hardwareCeiling is the most reveals the leveled architecture that
+// provisionLive fabricates from (seed, spares, epoch) can ever serve,
+// whatever the interleaving of accesses and stress. A reveal needs k
+// conducting actuations inside one copy, and a switch conducts at most
+// its hidden room-temperature lifetime: environments only accelerate
+// wear, and the remap planner retires only dead switches. So copy c
+// serves at most ⌊C_c/k⌋ reveals, where C_c is the conducting-cycle
+// capacity of its n+spares switches. C_c is measured on a serial rebuild
+// of the same seed: stress every slot at room temperature, applying each
+// pending remap, until the copy's whole pool is dead; then one access
+// steps to the next copy (its conducting actuations count too).
+func hardwareCeiling(t *testing.T, pr *api.ProvisionResponse) int {
+	t.Helper()
+	design, err := dse.Explore(dse.Spec{
+		Dist:        weibull.Dist{Alpha: liveSpec.Alpha, Beta: liveSpec.Beta},
+		Criteria:    reliability.DefaultCriteria,
+		LAB:         liveSpec.LAB,
+		KFrac:       liveSpec.KFrac,
+		ContinuousT: liveSpec.ContinuousT,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if design.N != pr.Design.N || design.K != pr.Design.K || design.Copies != pr.Design.Copies {
+		t.Fatalf("rebuilt design %d-of-%d x%d, daemon provisioned %d-of-%d x%d",
+			design.K, design.N, design.Copies, pr.Design.K, pr.Design.N, pr.Design.Copies)
+	}
+	secret, err := hex.DecodeString(liveSecretHex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arch, err := core.BuildLeveled(design, secret,
+		core.Leveling{Spares: pr.Spares, Epoch: pr.RemapEpoch}, rng.New(pr.Seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	capacity := make([]int, design.Copies)
+	arch.SetObserver(func(ev core.AccessEvent) {
+		if ev.Copy < len(capacity) {
+			capacity[ev.Copy] += ev.Conducting
+		}
+	})
+	slots := make([]int, design.N)
+	for i := range slots {
+		slots[i] = i
+	}
+	for {
+		cur := arch.CurrentCopy()
+		n, err := arch.Stress(nems.RoomTemp, slots, 1)
+		if errors.Is(err, core.ErrExhausted) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		capacity[cur] += n
+		if plan, ok := arch.PendingRemap(); ok {
+			for _, p := range plan.Retire {
+				if err := arch.Retire(plan.Copy, p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := arch.ApplyRemap(plan.Copy, plan.Assign); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		if n == 0 {
+			// Nothing conducts and no rotation is due: the whole pool is
+			// dead, so one access steps on to the next copy.
+			if _, err := arch.Access(nems.RoomTemp); errors.Is(err, core.ErrExhausted) {
+				break
+			}
+		}
+	}
+	ceiling := 0
+	for _, c := range capacity {
+		ceiling += c / design.K
+	}
+	return ceiling
 }
 
 // drainAccesses performs legitimate accesses until lockout and returns
@@ -194,12 +284,9 @@ func TestCampaignDepletionInvariants(t *testing.T) {
 	if rep.WrongSecrets != 0 {
 		t.Errorf("%d reveals returned wrong bytes", rep.WrongSecrets)
 	}
-	// Reveals bounded by the leveled design: spares extend each copy's
-	// physical pool from N to N+spares switches, scaling the designed
-	// ceiling by (N+spares)/N. Concurrent slack on top: each in-flight
-	// access may land after lockout was first observed.
-	budget := pr.Design.MaxAllowedAccesses*(pr.Design.N+pr.Spares)/pr.Design.N + cfg.Users
-	if rep.UserSuccesses > budget {
+	// Reveals bounded by the seeded hardware itself: no interleaving can
+	// draw more reveals than the switches' conducting cycles allow.
+	if budget := hardwareCeiling(t, pr); rep.UserSuccesses > budget {
 		t.Errorf("reveals %d exceed leveled budget %d", rep.UserSuccesses, budget)
 	}
 	// Availability destroyed: the campaign drove the device to lockout.

@@ -37,16 +37,41 @@ type CompareOpts struct {
 // DefaultAllocCeilings are the ratcheted allocs/op ceilings for the
 // zero-alloc codec and simulation paths: each is the measured floor of
 // the pooled implementation (seed 42, N=10) with ~2× headroom for GC and
-// runtime jitter, far below the pre-pooling counts (shamir 622, rs 86,
+// runtime jitter, far below the pre-pooling counts (shamir 622,
 // montecarlo 4111 allocs/op). Lower a ceiling when a path gets cheaper;
 // raising one is a performance regression and needs the same scrutiny as
 // a failing gate.
 var DefaultAllocCeilings = map[string]float64{
-	"codec/shamir_split_combine": 32,  // measured floor 14
-	"codec/rs_encode_decode":     16,  // measured floor 1
-	"codec/rs-fast-path":         512, // measured floor 300 (BW fallback columns)
-	"montecarlo/run_parallel":    48,  // measured floor 12
-	"explore/parallel":           64,  // measured floor 22
+	"codec/shamir_split_combine": 32, // measured floor 14
+	"montecarlo/run_parallel":    48, // measured floor 12
+	"explore/parallel":           64, // measured floor 22
+}
+
+// retiredMetrics are metrics the suite once measured and dropped on
+// purpose, each with the reason. A retired metric missing from the new
+// report is not lost coverage: Compare skips it and Retired lists it, so
+// a gate against a report from before the deletion still passes. Any
+// other missing metric regresses.
+var retiredMetrics = map[string]string{
+	"codec/rs_encode_decode": "the Reed-Solomon erasure codec had no production caller and was deleted",
+	"codec/rs-fast-path":     "the Reed-Solomon syndrome fast path went with the deleted codec",
+}
+
+// Retired returns, sorted, the retired metrics that old measured and cur
+// does not, each as "name: reason".
+func Retired(old, cur *Report) []string {
+	have := make(map[string]bool, len(cur.Results))
+	for _, r := range cur.Results {
+		have[r.Name] = true
+	}
+	var out []string
+	for _, o := range old.Results {
+		if reason, ok := retiredMetrics[o.Name]; ok && !have[o.Name] {
+			out = append(out, o.Name+": "+reason)
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
 func (o CompareOpts) withDefaults() CompareOpts {
@@ -85,10 +110,11 @@ func (r Regression) String() string {
 // — the noise-aware threshold: a shift must be both relatively large
 // and outside what the two runs' own spread explains. Improvements
 // never fail. Beyond timing: a metric present in old but missing from
-// new regresses (coverage loss), allocs/op regresses past its own
-// threshold, and — when both runs used the same seed — a checksum
-// mismatch regresses unconditionally, because it means the workload
-// computed different bytes, which is a determinism bug, not noise.
+// new regresses (coverage loss) unless it is retired, allocs/op
+// regresses past its own threshold, and — when both runs used the same
+// seed — a checksum mismatch regresses unconditionally, because it
+// means the workload computed different bytes, which is a determinism
+// bug, not noise.
 func Compare(old, cur *Report, opts CompareOpts) ([]Regression, error) {
 	if old.SchemaVersion != cur.SchemaVersion {
 		return nil, fmt.Errorf("bench: schema version mismatch: old %d vs new %d",
@@ -103,6 +129,9 @@ func Compare(old, cur *Report, opts CompareOpts) ([]Regression, error) {
 	for _, o := range old.Results {
 		n, ok := newByName[o.Name]
 		if !ok {
+			if _, retired := retiredMetrics[o.Name]; retired {
+				continue
+			}
 			regs = append(regs, Regression{Metric: o.Name, Field: "coverage",
 				Detail: "metric present in old report but missing from new"})
 			continue

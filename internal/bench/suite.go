@@ -19,7 +19,6 @@ import (
 	"lemonade/internal/registry"
 	"lemonade/internal/reliability"
 	"lemonade/internal/rng"
-	"lemonade/internal/rs"
 	"lemonade/internal/server"
 	"lemonade/internal/shamir"
 	"lemonade/internal/wal"
@@ -61,8 +60,6 @@ func Suite() []Case {
 		{Name: "dse/explore_cached", Setup: setupExploreCached},
 		{Name: "explore/parallel", Setup: setupExploreParallel},
 		{Name: "codec/shamir_split_combine", Setup: setupShamir},
-		{Name: "codec/rs_encode_decode", Setup: setupRS},
-		{Name: "codec/rs-fast-path", Setup: setupRSFastPath},
 		{Name: "wal/append", Setup: setupWALAppend},
 		{Name: "wal/replay", Setup: setupWALReplay},
 		{Name: "wal/snapshot_recovery", Setup: setupWALSnapshotRecovery},
@@ -208,118 +205,6 @@ func setupShamir(env *Env) (func() ([]byte, error), func(), error) {
 				out.Write(sh.Data)
 			}
 		}
-		return out.Bytes(), nil
-	}
-	return run, nil, nil
-}
-
-// setupRS measures Reed-Solomon erasure coding at the fleet shape
-// (16-of-64): encode 1 KiB and decode it back from a pseudo-random
-// 16-shard subset. The shard arena and decode buffer are reused across
-// iterations through the Into APIs; the checksum (the encoded shards) is
-// bit-identical to the allocating Encode/Decode path.
-func setupRS(env *Env) (func() ([]byte, error), func(), error) {
-	code, err := rs.New(16, 64)
-	if err != nil {
-		return nil, nil, err
-	}
-	data := make([]byte, 16*64)
-	rng.New(env.Seed).Bytes(data)
-	seed := env.Seed
-	shards := make([][]byte, 64)
-	for i := range shards {
-		shards[i] = make([]byte, len(data)/16)
-	}
-	survivors := make([]rs.Shard, 16)
-	decoded := make([]byte, len(data))
-	// The survivor pick is a pure function of the seed — hoisting it out
-	// of the loop changes no workload bytes.
-	perm := rng.New(seed).DeriveIndex("rs-pick-", 0).Perm(64)[:16]
-	run := func() ([]byte, error) {
-		if err := code.EncodeInto(data, shards); err != nil {
-			return nil, err
-		}
-		for i, idx := range perm {
-			survivors[i] = rs.Shard{Index: idx, Data: shards[idx]}
-		}
-		n, err := code.DecodeInto(survivors, decoded)
-		if err != nil {
-			return nil, err
-		}
-		if !bytes.Equal(decoded[:n], data) {
-			return nil, fmt.Errorf("erasure round trip differs from input")
-		}
-		var out bytes.Buffer
-		out.Grow(64 * len(shards[0]))
-		for _, s := range shards {
-			out.Write(s)
-		}
-		return out.Bytes(), nil
-	}
-	return run, nil, nil
-}
-
-// setupRSFastPath measures the syndrome-checked decode: DecodeWithErrors
-// over the full shard set, where the survivor-consistency fast path
-// certifies the candidate without running Berlekamp–Welch (eight clean
-// decodes per iteration), plus one decode with two corrupted shards that
-// exercises the column-flagged BW fallback. The checksum covers every
-// recovered payload, pinning both paths' outputs.
-func setupRSFastPath(env *Env) (func() ([]byte, error), func(), error) {
-	code, err := rs.New(16, 64)
-	if err != nil {
-		return nil, nil, err
-	}
-	data := make([]byte, 16*64)
-	rng.New(env.Seed).Bytes(data)
-	shards := make([][]byte, 64)
-	for i := range shards {
-		shards[i] = make([]byte, len(data)/16)
-	}
-	if err := code.EncodeInto(data, shards); err != nil {
-		return nil, nil, err
-	}
-	clean := make([]rs.Shard, 64)
-	for i := range clean {
-		clean[i] = rs.Shard{Index: i, Data: shards[i]}
-	}
-	// Two corrupted shards (well inside the (n-k)/2 = 24 error budget),
-	// damaged only in their first four bytes: a decode column is one byte
-	// position across all shards, so only four columns fail the syndrome
-	// check and fall back to Berlekamp–Welch — the realistic mixed case,
-	// instead of a fully-corrupt decode that would drown the fast path.
-	corrupted := make([]rs.Shard, 64)
-	for i := range corrupted {
-		dup := make([]byte, len(shards[i]))
-		copy(dup, shards[i])
-		corrupted[i] = rs.Shard{Index: i, Data: dup}
-	}
-	dmg := rng.New(env.Seed).Derive("rs-damage")
-	for _, i := range []int{3, 40} {
-		for b := 0; b < 4; b++ {
-			corrupted[i].Data[b] ^= byte(1 + dmg.Intn(255))
-		}
-	}
-	run := func() ([]byte, error) {
-		var out bytes.Buffer
-		for rep := 0; rep < 8; rep++ {
-			got, err := code.DecodeWithErrors(clean)
-			if err != nil {
-				return nil, err
-			}
-			if !bytes.Equal(got, data) {
-				return nil, fmt.Errorf("rep %d: clean fast-path decode differs from input", rep)
-			}
-			out.Write(got)
-		}
-		got, err := code.DecodeWithErrors(corrupted)
-		if err != nil {
-			return nil, err
-		}
-		if !bytes.Equal(got, data) {
-			return nil, fmt.Errorf("corrupted decode differs from input")
-		}
-		out.Write(got)
 		return out.Bytes(), nil
 	}
 	return run, nil, nil

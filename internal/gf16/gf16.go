@@ -34,9 +34,6 @@ func init() {
 	}
 }
 
-// Add returns a + b (XOR); subtraction is identical.
-func Add(a, b uint16) uint16 { return a ^ b }
-
 // Mul returns a·b.
 func Mul(a, b uint16) uint16 {
 	if a == 0 || b == 0 {
@@ -57,20 +54,11 @@ func Div(a, b uint16) uint16 {
 	return expTable[int(logTable[a])+Order-int(logTable[b])]
 }
 
-// Inv returns the multiplicative inverse of a; it panics for a == 0.
-func Inv(a uint16) uint16 {
-	if a == 0 {
-		//lemonvet:allow panic inverse of zero is a caller bug, like integer /0
-		panic("gf16: zero has no inverse")
-	}
-	return expTable[Order-int(logTable[a])]
-}
-
-// checkDistinct validates the shared Interpolate/LagrangeCoeffs
-// preconditions without allocating. Small point sets use a pairwise scan;
-// large ones (shamir16 thresholds run to thousands of shares) switch to a
-// stack bitset over the 2^16 possible coordinates, trading an 8 KiB
-// stack clear for O(k) instead of O(k²).
+// checkDistinct validates the LagrangeCoeffs preconditions without
+// allocating. Small point sets use a pairwise scan; large ones (shamir16
+// thresholds run to thousands of shares) switch to a stack bitset over
+// the 2^16 possible coordinates, trading an 8 KiB stack clear for O(k)
+// instead of O(k²).
 func checkDistinct(xs []uint16, pairLen int) error {
 	if len(xs) != pairLen {
 		return fmt.Errorf("gf16: mismatched point slices (%d vs %d)", len(xs), pairLen)
@@ -97,39 +85,4 @@ func checkDistinct(xs []uint16, pairLen int) error {
 		seen[v>>3] |= bit
 	}
 	return nil
-}
-
-// Interpolate evaluates at x the unique degree-(k-1) polynomial through
-// the k points (xs[i], ys[i]); the xs must be distinct. Like the gf256
-// version, the Lagrange basis folds straight into the accumulator and the
-// success path performs no allocations.
-func Interpolate(xs, ys []uint16, x uint16) (uint16, error) {
-	if err := checkDistinct(xs, len(ys)); err != nil {
-		return 0, err
-	}
-	var acc uint16
-	for i := range xs {
-		num, den := uint16(1), uint16(1)
-		for j := range xs {
-			if j == i {
-				continue
-			}
-			num = Mul(num, x^xs[j])
-			den = Mul(den, xs[i]^xs[j])
-		}
-		acc ^= Mul(ys[i], Div(num, den))
-	}
-	return acc, nil
-}
-
-// Polynomial is a polynomial over GF(2^16), ascending degree order.
-type Polynomial []uint16
-
-// Eval evaluates the polynomial at x by Horner's rule.
-func (p Polynomial) Eval(x uint16) uint16 {
-	var y uint16
-	for i := len(p) - 1; i >= 0; i-- {
-		y = Mul(y, x) ^ p[i]
-	}
-	return y
 }

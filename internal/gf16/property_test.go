@@ -15,17 +15,17 @@ import (
 func TestPropertyInvExhaustive(t *testing.T) {
 	for a := 1; a <= Order; a++ {
 		x := uint16(a)
-		inv := Inv(x)
+		inv := Div(1, x)
 		if inv == 0 || Mul(x, inv) != 1 {
-			t.Fatalf("Inv(%d) = %d is not a multiplicative inverse", a, inv)
+			t.Fatalf("Div(1, %d) = %d is not a multiplicative inverse", a, inv)
 		}
-		if Div(1, x) != inv {
-			t.Fatalf("Div(1, %d) disagrees with Inv", a)
+		if Div(x, x) != 1 {
+			t.Fatalf("Div(%d, %d) != 1", a, a)
 		}
 		if Mul(x, 1) != x {
 			t.Fatalf("1 is not the multiplicative identity for %d", a)
 		}
-		if Add(x, x) != 0 {
+		if x^x != 0 {
 			t.Fatalf("%d is not its own additive inverse (char 2)", a)
 		}
 	}
@@ -41,19 +41,13 @@ func TestPropertyFieldLawsRandomized(t *testing.T) {
 		a := uint16(r.Intn(1 << 16))
 		b := uint16(r.Intn(1 << 16))
 		c := uint16(r.Intn(1 << 16))
-		if Add(a, b) != Add(b, a) {
-			t.Fatalf("Add not commutative at (%d, %d)", a, b)
-		}
 		if Mul(a, b) != Mul(b, a) {
 			t.Fatalf("Mul not commutative at (%d, %d)", a, b)
 		}
 		if Mul(Mul(a, b), c) != Mul(a, Mul(b, c)) {
 			t.Fatalf("Mul not associative at (%d, %d, %d)", a, b, c)
 		}
-		if Add(Add(a, b), c) != Add(a, Add(b, c)) {
-			t.Fatalf("Add not associative at (%d, %d, %d)", a, b, c)
-		}
-		if Mul(a, Add(b, c)) != Add(Mul(a, b), Mul(a, c)) {
+		if Mul(a, b^c) != Mul(a, b)^Mul(a, c) {
 			t.Fatalf("distributivity fails at (%d, %d, %d)", a, b, c)
 		}
 		if b != 0 && Mul(Div(a, b), b) != a {
@@ -63,13 +57,14 @@ func TestPropertyFieldLawsRandomized(t *testing.T) {
 }
 
 // TestPropertyInterpolateRoundTrip: a random degree-(k-1) polynomial
-// evaluated at k distinct points must interpolate back exactly — the
-// identity shamir16 reconstruction rests on.
+// evaluated at k distinct points must interpolate back exactly through
+// the Lagrange basis at x = 0 — the identity shamir16 reconstruction
+// rests on.
 func TestPropertyInterpolateRoundTrip(t *testing.T) {
 	r := rng.New(0x1611)
 	for trial := 0; trial < 200; trial++ {
 		k := 1 + r.Intn(12)
-		p := make(Polynomial, k)
+		p := make([]uint16, k)
 		for i := range p {
 			p[i] = uint16(r.Intn(1 << 16))
 		}
@@ -78,13 +73,13 @@ func TestPropertyInterpolateRoundTrip(t *testing.T) {
 		for i, v := range r.Perm(Order)[:k] {
 			xs[i] = uint16(v + 1)
 		}
-		ys := make([]uint16, k)
-		for i, x := range xs {
-			ys[i] = p.Eval(x)
-		}
-		got, err := Interpolate(xs, ys, 0)
-		if err != nil {
+		coeffs := make([]uint16, k)
+		if err := LagrangeCoeffs(xs, 0, coeffs); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
+		}
+		var got uint16
+		for i, x := range xs {
+			got ^= Mul(evalPoly(p, x), coeffs[i])
 		}
 		if got != p[0] {
 			t.Fatalf("trial %d: interpolated constant term %d, want %d", trial, got, p[0])

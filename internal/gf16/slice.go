@@ -4,15 +4,12 @@ package gf16
 // 2^32 entries here, so the constant's log is hoisted out of the loop
 // instead and each element costs one log and one exp lookup. As in gf256,
 // field arithmetic is exact, so these are bit-identical to element-wise
-// Mul/Add. dst may be the same slice as src but must not otherwise
+// Mul and XOR. dst may be the same slice as src but must not otherwise
 // overlap it; none of the kernels allocate.
 
-// AddSlice adds src into dst elementwise: dst[i] ^= src[i].
-func AddSlice(dst, src []uint16) {
-	if len(dst) != len(src) {
-		//lemonvet:allow panic mismatched kernel operand lengths are a caller bug, like out-of-range indexing
-		panic("gf16: AddSlice length mismatch")
-	}
+// addSlice adds src into dst elementwise: dst[i] ^= src[i]; the slices
+// have equal length.
+func addSlice(dst, src []uint16) {
 	for i, s := range src {
 		dst[i] ^= s
 	}
@@ -28,7 +25,7 @@ func MulSliceAdd(dst, src []uint16, c uint16) {
 	case 0:
 		return
 	case 1:
-		AddSlice(dst, src)
+		addSlice(dst, src)
 		return
 	}
 	lc := int(logTable[c])
@@ -36,51 +33,6 @@ func MulSliceAdd(dst, src []uint16, c uint16) {
 		if s != 0 {
 			dst[i] ^= expTable[lc+int(logTable[s])]
 		}
-	}
-}
-
-// MulSlice sets dst[i] = c·src[i].
-func MulSlice(dst, src []uint16, c uint16) {
-	if len(dst) != len(src) {
-		//lemonvet:allow panic mismatched kernel operand lengths are a caller bug, like out-of-range indexing
-		panic("gf16: MulSlice length mismatch")
-	}
-	switch c {
-	case 0:
-		for i := range dst {
-			dst[i] = 0
-		}
-		return
-	case 1:
-		copy(dst, src)
-		return
-	}
-	lc := int(logTable[c])
-	for i, s := range src {
-		if s == 0 {
-			dst[i] = 0
-		} else {
-			dst[i] = expTable[lc+int(logTable[s])]
-		}
-	}
-}
-
-// EvalInto evaluates, column by column, the polynomial whose degree-j
-// coefficient vector is rows[j], at x: dst[b] = Σ_j rows[j][b]·x^j.
-// Every row must have len(dst); dst must not overlap any row except
-// rows[0], which it may equal.
-func EvalInto(dst []uint16, rows [][]uint16, x uint16) {
-	if len(rows) == 0 {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return
-	}
-	MulSlice(dst, rows[0], 1)
-	pw := x
-	for j := 1; j < len(rows); j++ {
-		MulSliceAdd(dst, rows[j], pw)
-		pw = Mul(pw, x)
 	}
 }
 

@@ -49,20 +49,6 @@ func TestMulSliceAddMatchesScalar(t *testing.T) {
 	}
 }
 
-func TestMulSliceMatchesScalar(t *testing.T) {
-	src := patternWords(257, 0x1234)
-	src[0] = 0
-	dst := make([]uint16, len(src))
-	for _, c := range kernelConstants() {
-		MulSlice(dst, src, c)
-		for i := range dst {
-			if want := Mul(c, src[i]); dst[i] != want {
-				t.Fatalf("MulSlice c=%d diverges at %d: got %d want %d", c, i, dst[i], want)
-			}
-		}
-	}
-}
-
 func TestAddSliceLengths(t *testing.T) {
 	for n := 0; n <= 64; n++ {
 		dst := patternWords(n, 0xA5A5)
@@ -71,39 +57,35 @@ func TestAddSliceLengths(t *testing.T) {
 		for i := range want {
 			want[i] = dst[i] ^ src[i]
 		}
-		AddSlice(dst, src)
+		addSlice(dst, src)
 		for i := range dst {
 			if dst[i] != want[i] {
-				t.Fatalf("AddSlice diverges at n=%d i=%d", n, i)
+				t.Fatalf("addSlice diverges at n=%d i=%d", n, i)
 			}
 		}
 	}
 }
 
-func TestEvalIntoMatchesHorner(t *testing.T) {
-	const width, degree = 11, 4
-	rows := make([][]uint16, degree)
-	for j := range rows {
-		rows[j] = patternWords(width, uint16(3*j+1))
+// evalPoly evaluates the polynomial with ascending coefficients p at x by
+// Horner's rule — the independent reference the Lagrange basis must
+// reproduce.
+func evalPoly(p []uint16, x uint16) uint16 {
+	var y uint16
+	for i := len(p) - 1; i >= 0; i-- {
+		y = Mul(y, x) ^ p[i]
 	}
-	dst := make([]uint16, width)
-	for _, x := range kernelConstants() {
-		EvalInto(dst, rows, x)
-		for b := 0; b < width; b++ {
-			p := make(Polynomial, degree)
-			for j := range rows {
-				p[j] = rows[j][b]
-			}
-			if want := p.Eval(x); dst[b] != want {
-				t.Fatalf("EvalInto(x=%d) word %d = %d, want Horner %d", x, b, dst[b], want)
-			}
-		}
-	}
+	return y
 }
 
+// TestLagrangeCoeffsMatchInterpolate: through k points of a degree-(k-1)
+// polynomial, Σ ys[i]·L_i(x) must equal that polynomial at x.
 func TestLagrangeCoeffsMatchInterpolate(t *testing.T) {
 	xs := []uint16{1, 2, 3, 700, 40000, 65535}
-	ys := patternWords(len(xs), 0x1F1F)
+	p := patternWords(len(xs), 0x1F1F)
+	ys := make([]uint16, len(xs))
+	for i, x := range xs {
+		ys[i] = evalPoly(p, x)
+	}
 	coeffs := make([]uint16, len(xs))
 	for _, x := range kernelConstants() {
 		if err := LagrangeCoeffs(xs, x, coeffs); err != nil {
@@ -113,11 +95,7 @@ func TestLagrangeCoeffsMatchInterpolate(t *testing.T) {
 		for i := range xs {
 			got ^= Mul(ys[i], coeffs[i])
 		}
-		want, err := Interpolate(xs, ys, x)
-		if err != nil {
-			t.Fatalf("Interpolate(x=%d): %v", x, err)
-		}
-		if got != want {
+		if want := evalPoly(p, x); got != want {
 			t.Fatalf("coefficient reconstruction at x=%d: got %d, want %d", x, got, want)
 		}
 	}
@@ -147,10 +125,11 @@ func TestCheckDistinctBothPaths(t *testing.T) {
 	}
 }
 
-// Interpolate dropped its per-call seen-map; pin the zero-alloc success
-// path on both sides of the distinctness threshold.
+// Lagrange interpolation keeps no per-call seen-map; pin the zero-alloc
+// success path of LagrangeCoeffs on both sides of the distinctness
+// threshold.
 func TestInterpolateNoAllocs(t *testing.T) {
-	small := patternWords(8, 0)
+	small := make([]uint16, 8)
 	for i := range small {
 		small[i] = uint16(i + 1)
 	}
@@ -158,14 +137,14 @@ func TestInterpolateNoAllocs(t *testing.T) {
 	for i := range large {
 		large[i] = uint16(i + 1)
 	}
-	ysSmall := patternWords(len(small), 3)
-	ysLarge := patternWords(len(large), 4)
+	coeffsSmall := make([]uint16, len(small))
+	coeffsLarge := make([]uint16, len(large))
 	for name, f := range map[string]func(){
-		"small": func() { _, _ = Interpolate(small, ysSmall, 0) },
-		"large": func() { _, _ = Interpolate(large, ysLarge, 0) },
+		"small": func() { _ = LagrangeCoeffs(small, 0, coeffsSmall) },
+		"large": func() { _ = LagrangeCoeffs(large, 0, coeffsLarge) },
 	} {
 		if n := testing.AllocsPerRun(50, f); n != 0 {
-			t.Errorf("Interpolate %s-k allocates %v times per call, want 0", name, n)
+			t.Errorf("LagrangeCoeffs %s-k allocates %v times per call, want 0", name, n)
 		}
 	}
 }
@@ -175,9 +154,7 @@ func TestSliceKernelsLengthMismatchPanics(t *testing.T) {
 		name string
 		f    func()
 	}{
-		{"AddSlice", func() { AddSlice(make([]uint16, 3), make([]uint16, 4)) }},
 		{"MulSliceAdd", func() { MulSliceAdd(make([]uint16, 3), make([]uint16, 4), 5) }},
-		{"MulSlice", func() { MulSlice(make([]uint16, 3), make([]uint16, 4), 5) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -39,7 +39,7 @@ func TestDistributive(t *testing.T) {
 
 func TestInvAndDiv(t *testing.T) {
 	for a := 1; a < 256; a++ {
-		inv := Inv(byte(a))
+		inv := Div(1, byte(a))
 		if Mul(byte(a), inv) != 1 {
 			t.Fatalf("a * a^-1 != 1 for a=%d", a)
 		}
@@ -59,24 +59,6 @@ func TestDivPanicsOnZero(t *testing.T) {
 		}
 	}()
 	Div(3, 0)
-}
-
-func TestInvPanicsOnZero(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Inv(0) should panic")
-		}
-	}()
-	Inv(0)
-}
-
-func TestLogPanicsOnZero(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Log(0) should panic")
-		}
-	}()
-	Log(0)
 }
 
 func TestMulByBruteForce(t *testing.T) {
@@ -106,108 +88,17 @@ func TestMulByBruteForce(t *testing.T) {
 	}
 }
 
+// TestExpLogRoundTrip pins the tables Mul and Div are built on: the exp
+// table inverts the log table, and its doubled half repeats the first.
 func TestExpLogRoundTrip(t *testing.T) {
 	for a := 1; a < 256; a++ {
-		if Exp(Log(byte(a))) != byte(a) {
-			t.Fatalf("Exp(Log(%d)) != %d", a, a)
+		if expTable[logTable[a]] != byte(a) {
+			t.Fatalf("exp(log(%d)) != %d", a, a)
 		}
 	}
-	if Exp(255) != Exp(0) {
-		t.Error("Exp should be periodic with period 255")
-	}
-	if Exp(-1) != Exp(254) {
-		t.Error("negative Exp index mishandled")
-	}
-}
-
-func TestPow(t *testing.T) {
-	if Pow(0, 0) != 1 {
-		t.Error("0^0 convention should be 1")
-	}
-	if Pow(0, 5) != 0 {
-		t.Error("0^5 should be 0")
-	}
-	for a := 1; a < 20; a++ {
-		want := byte(1)
-		for n := 0; n < 10; n++ {
-			if got := Pow(byte(a), n); got != want {
-				t.Fatalf("Pow(%d,%d) = %d, want %d", a, n, got, want)
-			}
-			want = Mul(want, byte(a))
+	for i := 255; i < len(expTable); i++ {
+		if expTable[i] != expTable[i-255] {
+			t.Fatalf("expTable[%d] does not repeat expTable[%d]", i, i-255)
 		}
-	}
-}
-
-func TestPolynomialEval(t *testing.T) {
-	// p(x) = 5 + 3x + x^2 over GF(256)
-	p := Polynomial{5, 3, 1}
-	if got := p.Eval(0); got != 5 {
-		t.Errorf("p(0) = %d, want 5", got)
-	}
-	x := byte(7)
-	want := byte(5) ^ Mul(3, x) ^ Mul(x, x)
-	if got := p.Eval(x); got != want {
-		t.Errorf("p(7) = %d, want %d", got, want)
-	}
-}
-
-func TestPolynomialDegree(t *testing.T) {
-	if (Polynomial{0, 0, 0}).Degree() != -1 {
-		t.Error("zero polynomial degree should be -1")
-	}
-	if (Polynomial{1, 0, 4, 0}).Degree() != 2 {
-		t.Error("trailing zeros should not raise the degree")
-	}
-	if (Polynomial{}).Degree() != -1 {
-		t.Error("empty polynomial degree should be -1")
-	}
-}
-
-func TestInterpolateRecoversPolynomial(t *testing.T) {
-	p := Polynomial{42, 17, 99, 3} // degree 3
-	xs := []byte{1, 2, 3, 4}
-	ys := make([]byte, len(xs))
-	for i, x := range xs {
-		ys[i] = p.Eval(x)
-	}
-	// evaluate at a fresh point through interpolation
-	for _, at := range []byte{0, 5, 77, 200} {
-		got, err := Interpolate(xs, ys, at)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != p.Eval(at) {
-			t.Errorf("interpolated p(%d) = %d, want %d", at, got, p.Eval(at))
-		}
-	}
-}
-
-func TestInterpolateErrors(t *testing.T) {
-	if _, err := Interpolate([]byte{1, 2}, []byte{3}, 0); err == nil {
-		t.Error("mismatched slices should error")
-	}
-	if _, err := Interpolate(nil, nil, 0); err == nil {
-		t.Error("empty input should error")
-	}
-	if _, err := Interpolate([]byte{1, 1}, []byte{2, 3}, 0); err == nil {
-		t.Error("duplicate x should error")
-	}
-}
-
-func TestInterpolateProperty(t *testing.T) {
-	// For random degree<=3 polynomials and 4 distinct points, interpolation
-	// at any x equals direct evaluation.
-	f := func(c0, c1, c2, c3, at byte) bool {
-		p := Polynomial{c0, c1, c2, c3}
-		xs := []byte{10, 20, 30, 40}
-		ys := make([]byte, 4)
-		for i, x := range xs {
-			ys[i] = p.Eval(x)
-		}
-		got, err := Interpolate(xs, ys, at)
-		return err == nil && got == p.Eval(at)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
 	}
 }

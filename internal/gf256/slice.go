@@ -3,7 +3,7 @@ package gf256
 import "encoding/binary"
 
 // This file is the slice-at-a-time kernel layer: the same field arithmetic
-// as Mul/Add, applied to whole []byte operands through precomputed
+// as Mul and XOR, applied to whole []byte operands through precomputed
 // multiplication rows. Field operations are exact (no rounding), so any
 // algebraic regrouping of the scalar loops is bit-identical to the scalar
 // path — the property the exhaustive kernel tests in slice_test.go and the
@@ -12,15 +12,12 @@ import "encoding/binary"
 // Aliasing contract: dst may be the same slice as src (in-place update),
 // but must not otherwise overlap it. None of the kernels allocate.
 
-// AddSlice adds src into dst elementwise: dst[i] ^= src[i]. Addition in
-// GF(2^8) is XOR, so the kernel batches 8 bytes per step through 64-bit
-// words — bitwise XOR is endianness- and grouping-independent, so the
-// word path is bit-identical to the byte path.
-func AddSlice(dst, src []byte) {
-	if len(dst) != len(src) {
-		//lemonvet:allow panic mismatched kernel operand lengths are a caller bug, like out-of-range indexing
-		panic("gf256: AddSlice length mismatch")
-	}
+// addSlice adds src into dst elementwise: dst[i] ^= src[i]; the slices
+// have equal length. Addition in GF(2^8) is XOR, so the kernel batches 8
+// bytes per step through 64-bit words — bitwise XOR is endianness- and
+// grouping-independent, so the word path is bit-identical to the byte
+// path.
+func addSlice(dst, src []byte) {
 	n := len(dst) &^ 7
 	for i := 0; i < n; i += 8 {
 		binary.LittleEndian.PutUint64(dst[i:],
@@ -33,7 +30,7 @@ func AddSlice(dst, src []byte) {
 
 // MulSliceAdd multiply-accumulates a constant into dst: dst[i] ^= c·src[i]
 // for every i. c = 0 is a no-op; c = 1 degenerates to the word-batched
-// AddSlice; every other constant walks its precomputed multiplication row
+// addSlice; every other constant walks its precomputed multiplication row
 // (one table lookup per byte).
 func MulSliceAdd(dst, src []byte, c byte) {
 	if len(dst) != len(src) {
@@ -44,73 +41,12 @@ func MulSliceAdd(dst, src []byte, c byte) {
 	case 0:
 		return
 	case 1:
-		AddSlice(dst, src)
+		addSlice(dst, src)
 		return
 	}
 	row := &mulTable[c]
 	for i, s := range src {
 		dst[i] ^= row[s]
-	}
-}
-
-// MulSlice sets dst[i] = c·src[i] for every i. c = 0 zeroes dst; c = 1
-// copies.
-func MulSlice(dst, src []byte, c byte) {
-	if len(dst) != len(src) {
-		//lemonvet:allow panic mismatched kernel operand lengths are a caller bug, like out-of-range indexing
-		panic("gf256: MulSlice length mismatch")
-	}
-	switch c {
-	case 0:
-		for i := range dst {
-			dst[i] = 0
-		}
-		return
-	case 1:
-		copy(dst, src)
-		return
-	}
-	row := &mulTable[c]
-	for i, s := range src {
-		dst[i] = row[s]
-	}
-}
-
-// EvalInto evaluates, column by column, the polynomial whose degree-j
-// coefficient vector is rows[j], at the point x:
-//
-//	dst[b] = rows[0][b] ⊕ rows[1][b]·x ⊕ rows[2][b]·x² ⊕ ...
-//
-// This is the columnar form of Polynomial.Eval — Shamir's Split is exactly
-// this with rows[0] the secret and the higher rows random — evaluated with
-// one MulSliceAdd pass per row instead of one Horner loop per byte. Every
-// row must have len(dst); dst must not overlap any row except rows[0],
-// which it may equal. dst is overwritten, not accumulated into.
-func EvalInto(dst []byte, rows [][]byte, x byte) {
-	if len(rows) == 0 {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return
-	}
-	MulSlice(dst, rows[0], 1)
-	pw := x
-	for j := 1; j < len(rows); j++ {
-		MulSliceAdd(dst, rows[j], pw)
-		pw = Mul(pw, x)
-	}
-}
-
-// EvalManyInto evaluates the polynomial at each point of xs, writing
-// p.Eval(xs[i]) into dst[i] — the alloc-free multi-point companion of
-// Eval for callers holding one scratch arena per goroutine.
-func (p Polynomial) EvalManyInto(dst []byte, xs []byte) {
-	if len(dst) != len(xs) {
-		//lemonvet:allow panic mismatched kernel operand lengths are a caller bug, like out-of-range indexing
-		panic("gf256: EvalManyInto length mismatch")
-	}
-	for i, x := range xs {
-		dst[i] = p.Eval(x)
 	}
 }
 
@@ -120,8 +56,8 @@ func (p Polynomial) EvalManyInto(dst []byte, xs []byte) {
 //
 // so that the degree-(k-1) polynomial through (xs[i], ys[i]) evaluates at
 // x as Σ ys[i]·coeffs[i]. The basis is accumulated directly in scalars —
-// no intermediate basis polynomials — which is what lets CombineInto and
-// DecodeInto reconstruct whole share slices with k MulSliceAdd passes.
+// no intermediate basis polynomials — which is what lets shamir's
+// CombineInto reconstruct whole share slices with k MulSliceAdd passes.
 // The xs must be distinct and len(coeffs) must equal len(xs).
 func LagrangeCoeffs(xs []byte, x byte, coeffs []byte) error {
 	if err := checkDistinct(xs, len(coeffs)); err != nil {

@@ -7,7 +7,7 @@ import (
 
 // The slice kernels claim bit-identity with the scalar field ops. The
 // field has only 256 elements, so that claim is checked exhaustively:
-// every (c, byte) pair for the multiply kernels, and every alignment ×
+// every (c, byte) pair for the multiply kernel, and every alignment ×
 // length combination in 0..64 for the word-batched XOR path.
 
 // patternBytes fills a deterministic, alignment-revealing byte pattern
@@ -42,26 +42,8 @@ func TestMulSliceAddExhaustive(t *testing.T) {
 	}
 }
 
-func TestMulSliceExhaustive(t *testing.T) {
-	src := make([]byte, 256)
-	for i := range src {
-		src[i] = byte(i)
-	}
-	dst := make([]byte, 256)
-	want := make([]byte, 256)
-	for c := 0; c < 256; c++ {
-		copy(dst, patternBytes(256, byte(c)))
-		for i := range want {
-			want[i] = Mul(byte(c), src[i])
-		}
-		MulSlice(dst, src, byte(c))
-		if !bytes.Equal(dst, want) {
-			t.Fatalf("MulSlice c=%d diverges from scalar Mul", c)
-		}
-	}
-}
-
-// TestAddSliceAlignments drives the 8-byte word batching across every
+// TestAddSliceAlignments drives addSlice's 8-byte word batching (the
+// c = 1 path of MulSliceAdd) across every
 // (offset, length) pair with offset in 0..7 and length in 0..64, so the
 // word loop, the byte tail, and their boundary are all exercised at every
 // alignment of dst and src relative to the word size.
@@ -78,9 +60,9 @@ func TestAddSliceAlignments(t *testing.T) {
 				for i := range want {
 					want[i] = dst[i] ^ src[i]
 				}
-				AddSlice(dst, src)
+				addSlice(dst, src)
 				if !bytes.Equal(dst, want) {
-					t.Fatalf("AddSlice diverges at dOff=%d sOff=%d n=%d", dOff, sOff, n)
+					t.Fatalf("addSlice diverges at dOff=%d sOff=%d n=%d", dOff, sOff, n)
 				}
 			}
 		}
@@ -118,21 +100,12 @@ func TestSliceKernelsInPlaceAliasing(t *testing.T) {
 		if !bytes.Equal(s, want) {
 			t.Fatalf("in-place MulSliceAdd diverges at c=%d", c)
 		}
-
-		s = patternBytes(33, c)
-		for i := range want {
-			want[i] = Mul(c, s[i])
-		}
-		MulSlice(s, s, c)
-		if !bytes.Equal(s, want) {
-			t.Fatalf("in-place MulSlice diverges at c=%d", c)
-		}
 	}
 	s := patternBytes(40, 9)
-	AddSlice(s, s)
+	addSlice(s, s)
 	for i, v := range s {
 		if v != 0 {
-			t.Fatalf("in-place AddSlice should zero; byte %d = %d", i, v)
+			t.Fatalf("in-place addSlice should zero; byte %d = %d", i, v)
 		}
 	}
 }
@@ -142,10 +115,7 @@ func TestSliceKernelsLengthMismatchPanics(t *testing.T) {
 		name string
 		f    func()
 	}{
-		{"AddSlice", func() { AddSlice(make([]byte, 3), make([]byte, 4)) }},
 		{"MulSliceAdd", func() { MulSliceAdd(make([]byte, 3), make([]byte, 4), 5) }},
-		{"MulSlice", func() { MulSlice(make([]byte, 3), make([]byte, 4), 5) }},
-		{"EvalManyInto", func() { Polynomial{1}.EvalManyInto(make([]byte, 3), make([]byte, 4)) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -159,56 +129,28 @@ func TestSliceKernelsLengthMismatchPanics(t *testing.T) {
 	}
 }
 
-// TestEvalIntoMatchesHorner: the columnar power-sum accumulation must
-// agree with per-byte Horner evaluation for every evaluation point.
-func TestEvalIntoMatchesHorner(t *testing.T) {
-	const width, degree = 19, 5
-	rows := make([][]byte, degree)
-	for j := range rows {
-		rows[j] = patternBytes(width, byte(3*j+1))
+// evalPoly evaluates the polynomial with ascending coefficients p at x by
+// Horner's rule — the independent reference the Lagrange basis must
+// reproduce.
+func evalPoly(p []byte, x byte) byte {
+	var y byte
+	for i := len(p) - 1; i >= 0; i-- {
+		y = Mul(y, x) ^ p[i]
 	}
-	dst := make([]byte, width)
-	for x := 0; x < 256; x++ {
-		EvalInto(dst, rows, byte(x))
-		for b := 0; b < width; b++ {
-			p := make(Polynomial, degree)
-			for j := range rows {
-				p[j] = rows[j][b]
-			}
-			if want := p.Eval(byte(x)); dst[b] != want {
-				t.Fatalf("EvalInto(x=%d) byte %d = %d, want Horner %d", x, b, dst[b], want)
-			}
-		}
-	}
-	EvalInto(dst, nil, 7)
-	for i, v := range dst {
-		if v != 0 {
-			t.Fatalf("EvalInto with no rows should zero dst; byte %d = %d", i, v)
-		}
-	}
+	return y
 }
 
-func TestEvalManyIntoMatchesEval(t *testing.T) {
-	p := Polynomial(patternBytes(9, 0x5A))
-	xs := make([]byte, 256)
-	for i := range xs {
-		xs[i] = byte(i)
-	}
-	dst := make([]byte, 256)
-	p.EvalManyInto(dst, xs)
-	for i, x := range xs {
-		if want := p.Eval(x); dst[i] != want {
-			t.Fatalf("EvalManyInto at x=%d: got %d, want %d", x, dst[i], want)
-		}
-	}
-}
-
-// TestLagrangeCoeffsMatchInterpolate: Σ ys[i]·L_i(x) must equal the
-// scalar Interpolate for every evaluation point, including the nodes
-// themselves (where the basis collapses to a unit vector).
+// TestLagrangeCoeffsMatchInterpolate: through k points of a degree-(k-1)
+// polynomial, Σ ys[i]·L_i(x) must equal that polynomial at every
+// evaluation point, including the nodes themselves (where the basis
+// collapses to a unit vector).
 func TestLagrangeCoeffsMatchInterpolate(t *testing.T) {
 	xs := []byte{1, 2, 3, 7, 90, 255}
-	ys := patternBytes(len(xs), 0x1F)
+	p := patternBytes(len(xs), 0x1F)
+	ys := make([]byte, len(xs))
+	for i, x := range xs {
+		ys[i] = evalPoly(p, x)
+	}
 	coeffs := make([]byte, len(xs))
 	for x := 0; x < 256; x++ {
 		if err := LagrangeCoeffs(xs, byte(x), coeffs); err != nil {
@@ -218,11 +160,7 @@ func TestLagrangeCoeffsMatchInterpolate(t *testing.T) {
 		for i := range xs {
 			got ^= Mul(ys[i], coeffs[i])
 		}
-		want, err := Interpolate(xs, ys, byte(x))
-		if err != nil {
-			t.Fatalf("Interpolate(x=%d): %v", x, err)
-		}
-		if got != want {
+		if want := evalPoly(p, byte(x)); got != want {
 			t.Fatalf("coefficient reconstruction at x=%d: got %d, want %d", x, got, want)
 		}
 	}
@@ -253,23 +191,17 @@ func TestLagrangeCoeffsErrors(t *testing.T) {
 	}
 }
 
-// The kernels and the reworked Interpolate promise zero allocations on
-// the success path — the property the codec layer's alloc gates build on.
+// The kernels promise zero allocations on the success path — the
+// property the codec layer's alloc gates build on.
 func TestSliceKernelsNoAllocs(t *testing.T) {
 	dst := patternBytes(1024, 1)
 	src := patternBytes(1024, 2)
 	xs := []byte{1, 2, 3, 4, 5}
-	ys := []byte{9, 8, 7, 6, 5}
 	coeffs := make([]byte, 5)
-	rows := [][]byte{patternBytes(64, 1), patternBytes(64, 2), patternBytes(64, 3)}
-	rowDst := make([]byte, 64)
 	for name, f := range map[string]func(){
-		"AddSlice":       func() { AddSlice(dst, src) },
-		"MulSliceAdd":    func() { MulSliceAdd(dst, src, 29) },
-		"MulSlice":       func() { MulSlice(dst, src, 29) },
-		"EvalInto":       func() { EvalInto(rowDst, rows, 17) },
-		"LagrangeCoeffs": func() { _ = LagrangeCoeffs(xs, 0, coeffs) },
-		"Interpolate":    func() { _, _ = Interpolate(xs, ys, 0) },
+		"MulSliceAdd (c=1)": func() { MulSliceAdd(dst, src, 1) },
+		"MulSliceAdd":       func() { MulSliceAdd(dst, src, 29) },
+		"LagrangeCoeffs":    func() { _ = LagrangeCoeffs(xs, 0, coeffs) },
 	} {
 		if n := testing.AllocsPerRun(100, f); n != 0 {
 			t.Errorf("%s allocates %v times per call, want 0", name, n)

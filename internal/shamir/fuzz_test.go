@@ -30,7 +30,7 @@ func FuzzShamirReconstruct(f *testing.F) {
 		}
 		subset := make([]Share, k)
 		for i, idx := range r.Perm(n)[:k] {
-			subset[i] = shares[idx].Clone()
+			subset[i] = Share{X: shares[idx].X, Data: bytes.Clone(shares[idx].Data)}
 		}
 
 		switch mode % 4 {

@@ -27,13 +27,6 @@ type Share struct {
 	Data []byte // q_i(X) for each secret byte i
 }
 
-// Clone returns a deep copy of the share.
-func (s Share) Clone() Share {
-	d := make([]byte, len(s.Data))
-	copy(d, s.Data)
-	return Share{X: s.X, Data: d}
-}
-
 var (
 	// ErrTooFewShares is returned by Combine when fewer than the threshold
 	// number of distinct shares are supplied.

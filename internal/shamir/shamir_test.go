@@ -148,15 +148,6 @@ func TestCombineValidation(t *testing.T) {
 	}
 }
 
-func TestShareClone(t *testing.T) {
-	s := Share{X: 3, Data: []byte{1, 2, 3}}
-	c := s.Clone()
-	c.Data[0] = 99
-	if s.Data[0] != 1 {
-		t.Error("Clone aliases the original data")
-	}
-}
-
 func TestK1IsReplication(t *testing.T) {
 	// With k=1 the polynomial is constant: every share equals the secret.
 	r := rng.New(7)

@@ -54,9 +54,10 @@ func (s *scratch) rowBuf(rows, width int) [][]uint16 {
 	return rs
 }
 
-// toWordsInto packs bytes big-endian into dst (grown as needed), mirroring
-// toWords without the allocation. Even-index bytes assign the whole word,
-// so reused buffers carry no stale low bytes.
+// toWordsInto packs bytes big-endian into dst (grown as needed), padding
+// odd lengths with a zero low byte, and reports whether it padded.
+// Even-index bytes assign the whole word, so reused buffers carry no
+// stale low bytes.
 func toWordsInto(dst []uint16, b []byte) ([]uint16, bool) {
 	dst = growWords(dst, (len(b)+1)/2)
 	for i := 0; i < len(b); i++ {

@@ -141,19 +141,32 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWordPacking pins toWordsInto's big-endian packing, zero low-byte
+// pad and padding flag, into both a fresh and a dirty reused buffer.
 func TestWordPacking(t *testing.T) {
 	for n := 1; n <= 9; n++ {
 		b := make([]byte, n)
 		for i := range b {
 			b[i] = byte(i + 1)
 		}
-		words, padded := toWords(b)
-		got := fromWords(words, padded)
-		if !bytes.Equal(got, b) {
-			t.Errorf("word packing round trip failed for n=%d", n)
-		}
-		if padded != (n%2 != 0) {
-			t.Errorf("padding flag wrong for n=%d", n)
+		dirty := []uint16{0xFFFF, 0xFFFF, 0xFFFF, 0xFFFF, 0xFFFF}
+		for _, dst := range [][]uint16{nil, dirty} {
+			words, padded := toWordsInto(dst, b)
+			if padded != (n%2 != 0) {
+				t.Errorf("padding flag wrong for n=%d", n)
+			}
+			if len(words) != (n+1)/2 {
+				t.Fatalf("n=%d packed into %d words, want %d", n, len(words), (n+1)/2)
+			}
+			for i, w := range words {
+				want := uint16(b[2*i]) << 8
+				if 2*i+1 < n {
+					want |= uint16(b[2*i+1])
+				}
+				if w != want {
+					t.Errorf("n=%d word %d = %#04x, want %#04x", n, i, w, want)
+				}
+			}
 		}
 	}
 }
