@@ -150,7 +150,7 @@ func (cc *ClusterClient) Provision(ctx context.Context, req ClusterProvision) (*
 	if err != nil {
 		return nil, fmt.Errorf("api: %w", err)
 	}
-	shares, err := shamir.Split(secret, req.ShareK, req.ShareN, rng.New(req.Seed).Derive("cluster/split"))
+	shares, err := shamir.Narrow.Split(secret, req.ShareK, req.ShareN, rng.New(req.Seed).Derive("cluster/split"))
 	if err != nil {
 		return nil, fmt.Errorf("api: cluster: %w", err)
 	}
@@ -335,7 +335,7 @@ func (cc *ClusterClient) Access(ctx context.Context, id string, req AccessReques
 			return nil, rctx.Err()
 		}
 	}
-	secret, err := combineShares(won, geo.K)
+	secret, err := shamir.Narrow.Combine(won, geo.K)
 	if err != nil {
 		return nil, &Error{StatusCode: http.StatusUnprocessableEntity, Message: "cluster: decode failed: " + err.Error()}
 	}
@@ -376,27 +376,6 @@ func decodeShareHex(shareHex string) (shamir.Share, error) {
 		return shamir.Share{}, err
 	}
 	return shamir.Share{X: x, Data: data}, nil
-}
-
-// combineShares reconstructs the secret from k shares, validating that
-// the shares agree on length first (a malformed node response must
-// surface as a decode failure, not a panic or a garbled secret).
-func combineShares(shares []shamir.Share, k int) ([]byte, error) {
-	if len(shares) < k {
-		return nil, fmt.Errorf("need %d shares, have %d", k, len(shares))
-	}
-	width := len(shares[0].Data)
-	for _, s := range shares {
-		if len(s.Data) != width {
-			return nil, fmt.Errorf("inconsistent share lengths (%d vs %d)", width, len(s.Data))
-		}
-	}
-	dst := make([]byte, width)
-	n, err := shamir.CombineInto(shares[:k], k, dst)
-	if err != nil {
-		return nil, err
-	}
-	return dst[:n], nil
 }
 
 // classifyClusterFailure folds the per-share failures of one Access

@@ -1,6 +1,7 @@
 package api
 
 import (
+	"bytes"
 	"context"
 	"encoding/hex"
 	"encoding/json"
@@ -375,5 +376,47 @@ func TestClusterSharedSleepIsShared(t *testing.T) {
 	if !sawRetry || !sawHedge {
 		t.Fatalf("shared sleep saw retry=%v hedge=%v (waits: %v) — both paths must flow through it",
 			sawRetry, sawHedge, slept)
+	}
+}
+
+// TestClusterMalformedShareIs422 pins the decode-failure mapping for an
+// owner that answers with a bad share: one whose length disagrees with
+// the others, or one carrying another owner's X. Either fails the access
+// as a 422 *Error — no panic, no garbled secret.
+func TestClusterMalformedShareIs422(t *testing.T) {
+	const id = "arch-000001"
+	for _, tc := range []struct {
+		name  string
+		forge func(own, other shamir.Share) shamir.Share
+	}{
+		{"length", func(own, _ shamir.Share) shamir.Share {
+			return shamir.Share{X: own.X, Data: append(bytes.Clone(own.Data), 0)}
+		}},
+		{"stolen-x", func(own, other shamir.Share) shamir.Share {
+			return shamir.Share{X: other.X, Data: own.Data}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nodes, owners, urls := fakeCluster(t, id, []byte{1, 2, 3, 4, 5, 6, 7, 8}, 2, 3)
+			bad := tc.forge(nodes[owners[1]].shares[1], nodes[owners[0]].shares[0])
+			nodes[owners[1]].behave = func(w http.ResponseWriter, r *http.Request, req ClusterAccessRequest) {
+				json.NewEncoder(w).Encode(ClusterAccessResponse{
+					Node:     owners[1],
+					ShareHex: hex.EncodeToString(cluster.EncodeShare(bad.X, bad.Data)),
+				})
+			}
+			cc, err := NewClusterClient(urls, 42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := cc.RegisterCluster(id, 2, 3); err != nil {
+				t.Fatal(err)
+			}
+			res, err := cc.Access(context.Background(), id, AccessRequest{})
+			var apiErr *Error
+			if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusUnprocessableEntity {
+				t.Fatalf("Access = %+v, %v; want a 422 *Error", res, err)
+			}
+		})
 	}
 }

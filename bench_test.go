@@ -19,7 +19,6 @@ import (
 	"lemonade/internal/reliability"
 	"lemonade/internal/rng"
 	"lemonade/internal/shamir"
-	"lemonade/internal/shamir16"
 	"lemonade/internal/structure"
 	"lemonade/internal/timeline"
 	"lemonade/internal/weibull"
@@ -187,40 +186,6 @@ func BenchmarkParallelReliability(b *testing.B) {
 	}
 }
 
-func BenchmarkShamirSplit(b *testing.B) {
-	r := rng.New(3)
-	secret := make([]byte, 32)
-	r.Bytes(secret)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		shares, err := shamir.Split(secret, 15, 141, r)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sink = shares
-	}
-}
-
-func BenchmarkShamirCombine(b *testing.B) {
-	r := rng.New(4)
-	secret := make([]byte, 32)
-	r.Bytes(secret)
-	shares, err := shamir.Split(secret, 15, 141, r)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		got, err := shamir.Combine(shares[:15], 15)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sink = got
-	}
-}
-
 func BenchmarkArchitectureAccess(b *testing.B) {
 	design, err := dse.Explore(dse.Spec{
 		Dist:        weibull.MustNew(12, 8),
@@ -336,7 +301,7 @@ func BenchmarkShamir16WideSplit(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		shares, err := shamir16.Split(secret, 150, 1500, r)
+		shares, err := shamir.Wide.Split(secret, 150, 1500, r)
 		if err != nil {
 			b.Fatal(err)
 		}

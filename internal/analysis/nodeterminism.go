@@ -32,10 +32,9 @@ var forbiddenTimeFuncs = map[string]bool{
 // sync.Pool is conditionally allowed: whether Get returns a cached object
 // or nil depends on GC timing and scheduling, so a pool is only
 // deterministic behind the fallback seam — a New function, which makes
-// the hit and miss paths structurally identical (the codec packages'
-// scratch pools are the pattern: every pooled buffer is re-sliced and
-// fully overwritten before it is read). A pool declared without New is
-// flagged.
+// the hit and miss paths structurally identical, provided every pooled
+// buffer is re-sliced and fully overwritten before it is read. A pool
+// declared without New is flagged.
 var NoDeterminism = &Analyzer{
 	Name: "nodeterminism",
 	Doc:  "forbid math/rand imports, time.Now/Since/Until, and sync.Pool without a New fallback in simulation packages",

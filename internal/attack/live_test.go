@@ -4,7 +4,11 @@ import (
 	"context"
 	"encoding/hex"
 	"errors"
+	"flag"
+	"fmt"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"lemonade/api"
@@ -49,18 +53,8 @@ func provisionLive(t *testing.T, c *api.Client, seed uint64, spares int, epoch u
 	return pr
 }
 
-// hardwareCeiling is the most reveals the leveled architecture that
-// provisionLive fabricates from (seed, spares, epoch) can ever serve,
-// whatever the interleaving of accesses and stress. A reveal needs k
-// conducting actuations inside one copy, and a switch conducts at most
-// its hidden room-temperature lifetime: environments only accelerate
-// wear, and the remap planner retires only dead switches. So copy c
-// serves at most ⌊C_c/k⌋ reveals, where C_c is the conducting-cycle
-// capacity of its n+spares switches. C_c is measured on a serial rebuild
-// of the same seed: stress every slot at room temperature, applying each
-// pending remap, until the copy's whole pool is dead; then one access
-// steps to the next copy (its conducting actuations count too).
-func hardwareCeiling(t *testing.T, pr *api.ProvisionResponse) int {
+// liveDesign is the design the daemon explores for liveSpec.
+func liveDesign(t *testing.T) dse.Design {
 	t.Helper()
 	design, err := dse.Explore(dse.Spec{
 		Dist:        weibull.Dist{Alpha: liveSpec.Alpha, Beta: liveSpec.Beta},
@@ -72,16 +66,29 @@ func hardwareCeiling(t *testing.T, pr *api.ProvisionResponse) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if design.N != pr.Design.N || design.K != pr.Design.K || design.Copies != pr.Design.Copies {
-		t.Fatalf("rebuilt design %d-of-%d x%d, daemon provisioned %d-of-%d x%d",
-			design.K, design.N, design.Copies, pr.Design.K, pr.Design.N, pr.Design.Copies)
-	}
+	return design
+}
+
+// hardwareCeiling is the most reveals the leveled architecture that
+// provisionLive fabricates from (seed, spares, epoch) can ever serve,
+// whatever the interleaving of accesses and stress. A reveal needs k
+// conducting actuations inside one copy, and a switch conducts at most
+// its hidden room-temperature lifetime: environments only accelerate
+// wear, and the remap planner retires only dead switches. So copy c
+// serves at most ⌊C_c/k⌋ reveals, where C_c is the conducting-cycle
+// capacity of its n+spares switches. C_c is measured on a serial rebuild
+// of the same seed: stress every slot at room temperature, applying each
+// pending remap, until the copy's whole pool is dead; then one access
+// steps to the next copy (its conducting actuations count too).
+func hardwareCeiling(t *testing.T, seed uint64, spares int, epoch uint64) int {
+	t.Helper()
+	design := liveDesign(t)
 	secret, err := hex.DecodeString(liveSecretHex)
 	if err != nil {
 		t.Fatal(err)
 	}
 	arch, err := core.BuildLeveled(design, secret,
-		core.Leveling{Spares: pr.Spares, Epoch: pr.RemapEpoch}, rng.New(pr.Seed))
+		core.Leveling{Spares: spares, Epoch: epoch}, rng.New(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +293,11 @@ func TestCampaignDepletionInvariants(t *testing.T) {
 	}
 	// Reveals bounded by the seeded hardware itself: no interleaving can
 	// draw more reveals than the switches' conducting cycles allow.
-	if budget := hardwareCeiling(t, pr); rep.UserSuccesses > budget {
+	if d := liveDesign(t); d.N != pr.Design.N || d.K != pr.Design.K || d.Copies != pr.Design.Copies {
+		t.Fatalf("rebuilt design %d-of-%d x%d, daemon provisioned %d-of-%d x%d",
+			d.K, d.N, d.Copies, pr.Design.K, pr.Design.N, pr.Design.Copies)
+	}
+	if budget := hardwareCeiling(t, pr.Seed, pr.Spares, pr.RemapEpoch); rep.UserSuccesses > budget {
 		t.Errorf("reveals %d exceed leveled budget %d", rep.UserSuccesses, budget)
 	}
 	// Availability destroyed: the campaign drove the device to lockout.
@@ -307,6 +318,29 @@ func TestCampaignDepletionInvariants(t *testing.T) {
 	// Post-lockout, the answer stays 410 forever.
 	if _, err := c.Access(context.Background(), pr.ID, api.AccessRequest{}); !api.IsExhausted(err) {
 		t.Errorf("post-campaign access = %v, want exhausted", err)
+	}
+}
+
+var updateCeiling = flag.Bool("update", false, "rewrite scripts/testdata/attack-ceiling")
+
+// TestChaosAttackCeiling pins the hardware ceiling of the exact provision
+// `scripts/chaos.sh attack` makes (liveSpec, liveSecretHex, seed 42,
+// 4 spares, remap epoch 8) in the file that script gates its reveal
+// count on.
+func TestChaosAttackCeiling(t *testing.T) {
+	got := fmt.Sprintf("%d\n", hardwareCeiling(t, 42, 4, 8))
+	path := filepath.Join("..", "..", "scripts", "testdata", "attack-ceiling")
+	if *updateCeiling {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing ceiling file (run with -update to create): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("chaos.sh attack ceiling = %q, %s holds %q", got, path, want)
 	}
 }
 

@@ -190,10 +190,10 @@ func setupShamir(env *Env) (func() ([]byte, error), func(), error) {
 		var out bytes.Buffer
 		for rep := 0; rep < 4; rep++ {
 			r := rng.New(seed).DeriveIndex("shamir-", rep)
-			if err := shamir.SplitInto(secret, shares, 15, 141, r); err != nil {
+			if err := shamir.Narrow.SplitInto(secret, shares, 15, 141, r); err != nil {
 				return nil, err
 			}
-			n, err := shamir.CombineInto(shares[len(shares)-15:], 15, combined)
+			n, err := shamir.Narrow.CombineInto(shares[len(shares)-15:], 15, combined)
 			if err != nil {
 				return nil, err
 			}

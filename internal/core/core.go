@@ -27,7 +27,6 @@ import (
 	"lemonade/internal/nems"
 	"lemonade/internal/rng"
 	"lemonade/internal/shamir"
-	"lemonade/internal/shamir16"
 )
 
 // Typed sentinels. Callers classify access failures with errors.Is; the
@@ -140,16 +139,26 @@ func (d replicaDecoder) combine(conducting []int) ([]byte, error) {
 	return out, nil
 }
 
-// narrowDecoder: GF(256) Shamir shares, switch i guards share i. The
-// share-selection scratch is reused across accesses; decoders are only
-// invoked with the architecture lock held, so reuse cannot race.
-type narrowDecoder struct {
-	shares []shamir.Share
+// shamirDecoder: Shamir shares over GF(2^8) or GF(2^16), switch i guards
+// share i. The share-selection scratch is reused across accesses;
+// decoders are only invoked with the architecture lock held, so reuse
+// cannot race.
+type shamirDecoder[E shamir.Elem] struct {
+	scheme *shamir.Scheme[E]
+	shares []shamir.ShareOf[E]
 	k      int
-	got    []shamir.Share // scratch, reused under the architecture lock
+	got    []shamir.ShareOf[E] // scratch, reused under the architecture lock
 }
 
-func (d *narrowDecoder) combine(conducting []int) ([]byte, error) {
+func newShamirDecoder[E shamir.Elem](s *shamir.Scheme[E], secret []byte, k, n int, r *rng.RNG) (decoder, error) {
+	shares, err := s.Split(secret, k, n, r)
+	if err != nil {
+		return nil, fmt.Errorf("core: encoding secret: %w", err)
+	}
+	return &shamirDecoder[E]{scheme: s, shares: shares, k: k, got: make([]shamir.ShareOf[E], 0, k)}, nil
+}
+
+func (d *shamirDecoder[E]) combine(conducting []int) ([]byte, error) {
 	got := d.got[:0]
 	for _, i := range conducting {
 		got = append(got, d.shares[i])
@@ -158,38 +167,10 @@ func (d *narrowDecoder) combine(conducting []int) ([]byte, error) {
 		}
 	}
 	d.got = got
-	// The output is the one allocation an access must make: the secret is
-	// handed to the caller, so it cannot come from a reused buffer.
-	out := make([]byte, len(d.shares[0].Data))
-	n, err := shamir.CombineInto(got, d.k, out)
-	if err != nil {
-		return nil, err
-	}
-	return out[:n], nil
-}
-
-// wideDecoder: GF(2^16) Shamir shares for structures wider than 255.
-type wideDecoder struct {
-	shares []shamir16.Share
-	k      int
-	got    []shamir16.Share // scratch, reused under the architecture lock
-}
-
-func (d *wideDecoder) combine(conducting []int) ([]byte, error) {
-	got := d.got[:0]
-	for _, i := range conducting {
-		got = append(got, d.shares[i])
-		if len(got) == d.k {
-			break
-		}
-	}
-	d.got = got
-	out := make([]byte, 2*len(d.shares[0].Data))
-	n, err := shamir16.CombineInto(got, d.k, out)
-	if err != nil {
-		return nil, err
-	}
-	return out[:n], nil
+	// Combine's output is the one allocation an access must make: the
+	// secret is handed to the caller, so it cannot come from a reused
+	// buffer.
+	return d.scheme.Combine(got, d.k)
 }
 
 // archCopy is one serially-used copy: n logical slots, each guarding one
@@ -283,9 +264,9 @@ func build(design dse.Design, secret []byte, lv *Leveling, r *rng.RNG) (*Archite
 	if design.N < 1 || design.K < 1 || design.Copies < 1 {
 		return nil, fmt.Errorf("core: degenerate design %v", design)
 	}
-	if design.K > 1 && design.N > shamir16.MaxShares {
+	if design.K > 1 && design.N > shamir.Wide.MaxShares() {
 		return nil, fmt.Errorf("core: encoded structure size n=%d exceeds the GF(2^16) share space (%d)",
-			design.N, shamir16.MaxShares)
+			design.N, shamir.Wide.MaxShares())
 	}
 	// One (k, n) sharing serves every copy: copy c's switch i guards share
 	// i. Reuse is safe — each copy exposes the same share set, so the
@@ -293,23 +274,19 @@ func build(design dse.Design, secret []byte, lv *Leveling, r *rng.RNG) (*Archite
 	// the share storage proportional to one structure (the paper's §4.3.2
 	// area accounting).
 	var dec decoder
+	var err error
 	switch {
 	case design.K == 1:
 		dup := make([]byte, len(secret))
 		copy(dup, secret)
 		dec = replicaDecoder{secret: dup}
-	case design.N <= shamir.MaxShares:
-		shares, err := shamir.Split(secret, design.K, design.N, r)
-		if err != nil {
-			return nil, fmt.Errorf("core: encoding secret: %w", err)
-		}
-		dec = &narrowDecoder{shares: shares, k: design.K, got: make([]shamir.Share, 0, design.K)}
+	case design.N <= shamir.Narrow.MaxShares():
+		dec, err = newShamirDecoder(shamir.Narrow, secret, design.K, design.N, r)
 	default:
-		shares, err := shamir16.Split(secret, design.K, design.N, r)
-		if err != nil {
-			return nil, fmt.Errorf("core: encoding secret: %w", err)
-		}
-		dec = &wideDecoder{shares: shares, k: design.K, got: make([]shamir16.Share, 0, design.K)}
+		dec, err = newShamirDecoder(shamir.Wide, secret, design.K, design.N, r)
+	}
+	if err != nil {
+		return nil, err
 	}
 	a := &Architecture{design: design, copies: make([]*archCopy, design.Copies), r: r, leveling: lv}
 	phys := design.N

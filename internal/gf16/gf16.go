@@ -3,7 +3,7 @@
 //
 // The connection designs at low β need parallel structures with thousands
 // of devices per copy; Shamir sharing over GF(2^8) caps out at 255 shares.
-// This field supports up to 65,535 shares (see package shamir16).
+// This field supports up to 65,535 shares (package shamir's Wide scheme).
 package gf16
 
 import "fmt"
@@ -55,10 +55,10 @@ func Div(a, b uint16) uint16 {
 }
 
 // checkDistinct validates the LagrangeCoeffs preconditions without
-// allocating. Small point sets use a pairwise scan; large ones (shamir16
-// thresholds run to thousands of shares) switch to a stack bitset over
-// the 2^16 possible coordinates, trading an 8 KiB stack clear for O(k)
-// instead of O(k²).
+// allocating. Small point sets use a pairwise scan; large ones (wide
+// Shamir thresholds run to thousands of shares) switch to a stack bitset
+// over the 2^16 possible coordinates, trading an 8 KiB stack clear for
+// O(k) instead of O(k²).
 func checkDistinct(xs []uint16, pairLen int) error {
 	if len(xs) != pairLen {
 		return fmt.Errorf("gf16: mismatched point slices (%d vs %d)", len(xs), pairLen)

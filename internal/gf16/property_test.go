@@ -58,8 +58,8 @@ func TestPropertyFieldLawsRandomized(t *testing.T) {
 
 // TestPropertyInterpolateRoundTrip: a random degree-(k-1) polynomial
 // evaluated at k distinct points must interpolate back exactly through
-// the Lagrange basis at x = 0 — the identity shamir16 reconstruction
-// rests on.
+// the Lagrange basis at x = 0 — the identity wide Shamir
+// reconstruction rests on.
 func TestPropertyInterpolateRoundTrip(t *testing.T) {
 	r := rng.New(0x1611)
 	for trial := 0; trial < 200; trial++ {

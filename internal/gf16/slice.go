@@ -36,6 +36,16 @@ func MulSliceAdd(dst, src []uint16, c uint16) {
 	}
 }
 
+// MulPowersAdd adds Σ_j x^(j+1)·row_j into dst, rows laid out back to
+// back as in gf256: shamir's per-share evaluation.
+func MulPowersAdd(dst, rows []uint16, x uint16) {
+	pw := x
+	for n := len(dst); n > 0 && len(rows) > 0; rows = rows[n:] {
+		MulSliceAdd(dst, rows[:n], pw)
+		pw = Mul(pw, x)
+	}
+}
+
 // LagrangeCoeffs fills coeffs[i] with L_i(x) = Π_{j≠i}(x⊕xs[j])/(xs[i]⊕xs[j]),
 // the scalar weights that reconstruct whole share slices via MulSliceAdd.
 // The xs must be distinct and len(coeffs) must equal len(xs).

@@ -50,6 +50,17 @@ func MulSliceAdd(dst, src []byte, c byte) {
 	}
 }
 
+// MulPowersAdd adds Σ_j x^(j+1)·row_j into dst, where rows holds rows
+// row_0, row_1, … of len(dst) elements back to back: shamir's per-share
+// evaluation of every secret byte's polynomial, one MulSliceAdd per row.
+func MulPowersAdd(dst, rows []byte, x byte) {
+	pw := x
+	for n := len(dst); n > 0 && len(rows) > 0; rows = rows[n:] {
+		MulSliceAdd(dst, rows[:n], pw)
+		pw = Mul(pw, x)
+	}
+}
+
 // LagrangeCoeffs fills coeffs[i] with the Lagrange basis scalar
 //
 //	L_i(x) = Π_{j≠i} (x ⊕ xs[j]) / (xs[i] ⊕ xs[j])

@@ -44,8 +44,8 @@ func (p Params) Validate() error {
 	if p.Height < 1 || p.Height > 62 {
 		return fmt.Errorf("otp: height must be in [1, 62], got %d", p.Height)
 	}
-	if p.Copies < 1 || p.Copies > shamir.MaxShares {
-		return fmt.Errorf("otp: copies must be in [1, %d], got %d", shamir.MaxShares, p.Copies)
+	if p.Copies < 1 || p.Copies > shamir.Narrow.MaxShares() {
+		return fmt.Errorf("otp: copies must be in [1, %d], got %d", shamir.Narrow.MaxShares(), p.Copies)
 	}
 	if p.K < 1 || p.K > p.Copies {
 		return fmt.Errorf("otp: k must be in [1, copies], got %d", p.K)
@@ -240,7 +240,7 @@ func Fabricate(p Params, path int, r *rng.RNG) (*Pad, []byte, error) {
 		if j == path {
 			realKey = key
 		}
-		shares, err := shamir.Split(key, p.K, p.Copies, r)
+		shares, err := shamir.Narrow.Split(key, p.K, p.Copies, r)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -284,7 +284,7 @@ func (pad *Pad) Retrieve(path int, env nems.Environment) ([]byte, RetrievalStats
 	if len(shares) < pad.params.K {
 		return nil, stats, fmt.Errorf("%w: %d of %d needed", ErrRetrievalFailed, len(shares), pad.params.K)
 	}
-	key, err := shamir.Combine(shares, pad.params.K)
+	key, err := shamir.Narrow.Combine(shares, pad.params.K)
 	if err != nil {
 		return nil, stats, err
 	}

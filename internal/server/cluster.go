@@ -7,7 +7,6 @@ import (
 
 	"lemonade/internal/cluster"
 	"lemonade/internal/core"
-	"lemonade/internal/nems"
 	"lemonade/internal/rng"
 )
 
@@ -147,27 +146,13 @@ func (s *Server) handleClusterAccess(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusNotFound, ErrorResponse{Error: "unknown share"})
 		return
 	}
-	env := nems.RoomTemp
-	if req.TempCelsius != 0 {
-		env = nems.Environment{TempCelsius: req.TempCelsius}
-	}
-	ctx, done, ok := s.accessEnvelope(w, r)
-	if !ok {
-		return
-	}
-	defer done()
-	payload, err := e.Access(ctx, env)
-	total, okCount := e.Arch.Accesses()
-	s.countAccessOutcome(err)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, ClusterAccessResponse{
-		Node:       s.cluster.Self(),
-		ShareHex:   hex.EncodeToString(payload),
-		Attempts:   total,
-		Successful: okCount,
+	s.serveAccess(w, r, e, req.TempCelsius, func(payload []byte, total, okCount uint64) any {
+		return ClusterAccessResponse{
+			Node:       s.cluster.Self(),
+			ShareHex:   hex.EncodeToString(payload),
+			Attempts:   total,
+			Successful: okCount,
+		}
 	})
 }
 

@@ -12,6 +12,7 @@ import (
 	"lemonade/internal/core"
 	"lemonade/internal/dse"
 	"lemonade/internal/nems"
+	"lemonade/internal/registry"
 	"lemonade/internal/rng"
 )
 
@@ -192,28 +193,45 @@ func (s *Server) handleAccess(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 		return
 	}
-	env := nems.RoomTemp
-	if req.TempCelsius != 0 {
-		env = nems.Environment{TempCelsius: req.TempCelsius}
-	}
+	s.serveAccess(w, r, e, req.TempCelsius, func(secret []byte, total, okCount uint64) any {
+		return AccessResponse{
+			SecretHex:  hex.EncodeToString(secret),
+			Attempts:   total,
+			Successful: okCount,
+			Copy:       e.Arch.CurrentCopy(),
+		}
+	})
+}
+
+// serveAccess is the access body both access routes share: one
+// wearout-consuming access of e at the request temperature, inside the
+// resilience envelope, with its outcome counted. On success it writes
+// 200 with the body built from the revealed payload and e's access
+// counters; on failure it writes the mapped error.
+func (s *Server) serveAccess(w http.ResponseWriter, r *http.Request, e *registry.Entry, tempC float64,
+	body func(payload []byte, total, okCount uint64) any) {
 	ctx, done, ok := s.accessEnvelope(w, r)
 	if !ok {
 		return
 	}
 	defer done()
-	secret, err := e.Access(ctx, env)
+	payload, err := e.Access(ctx, tempEnv(tempC))
 	total, okCount := e.Arch.Accesses()
 	s.countAccessOutcome(err)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, AccessResponse{
-		SecretHex:  hex.EncodeToString(secret),
-		Attempts:   total,
-		Successful: okCount,
-		Copy:       e.Arch.CurrentCopy(),
-	})
+	s.writeJSON(w, http.StatusOK, body(payload, total, okCount))
+}
+
+// tempEnv is the environment a request's temperature selects; zero (the
+// field's absence) means room temperature.
+func tempEnv(tempC float64) nems.Environment {
+	if tempC == 0 {
+		return nems.RoomTemp
+	}
+	return nems.Environment{TempCelsius: tempC}
 }
 
 // accessEnvelope applies the access path's resilience envelope: a
@@ -303,16 +321,12 @@ func (s *Server) handleStress(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	env := nems.RoomTemp
-	if req.TempCelsius != 0 {
-		env = nems.Environment{TempCelsius: req.TempCelsius}
-	}
 	ctx, done, ok := s.accessEnvelope(w, r)
 	if !ok {
 		return
 	}
 	defer done()
-	conducted, err := e.Stress(ctx, env, req.Indices, pulses)
+	conducted, err := e.Stress(ctx, tempEnv(req.TempCelsius), req.Indices, pulses)
 	if err != nil {
 		s.writeError(w, err)
 		return

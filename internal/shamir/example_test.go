@@ -15,13 +15,13 @@ func ExampleSplit() {
 	if err != nil {
 		panic(err)
 	}
-	secret, err := shamir.Combine(shares[1:4], 3) // any 3 of the 5
+	secret, err := shamir.Narrow.Combine(shares[1:4], 3) // any 3 of the 5
 	if err != nil {
 		panic(err)
 	}
 	fmt.Printf("%s\n", secret)
 
-	_, err = shamir.Combine(shares[:2], 3) // 2 are never enough
+	_, err = shamir.Narrow.Combine(shares[:2], 3) // 2 are never enough
 	fmt.Println(err != nil)
 	// Output:
 	// storage key

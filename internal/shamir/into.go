@@ -3,75 +3,120 @@ package shamir
 import (
 	"errors"
 	"fmt"
-	"sync"
 
-	"lemonade/internal/gf256"
 	"lemonade/internal/rng"
 )
 
-// scratch is the per-call working set of SplitInto/CombineInto: the random
-// coefficient rows for a split, and the survivor bookkeeping for a combine.
-// Instances cycle through scratchPool; every field is length-set and fully
-// written before it is read, so whether a call gets a recycled or a fresh
-// instance never influences output bytes.
-type scratch struct {
-	arena  []byte
-	rows   [][]byte
-	xs     []byte
-	coeffs []byte
+// scratch is the per-call working set of SplitInto/CombineInto: the packed
+// secret and random coefficient rows for a split, and the survivor
+// bookkeeping for a combine. Instances cycle through the scheme's free
+// list; every buffer is length-set and fully written before it is read,
+// and the seen bitset is cleared after each use, so whether a call gets a
+// recycled or a fresh instance never influences output bytes.
+type scratch[E Elem] struct {
+	rows   []E // the k-1 coefficient rows, back to back
+	words  []E
+	xs     []E
+	coeffs []E
 	dist   []int
+	seen   [1 << 16 / 8]byte // X-coordinate bitset, one bit per possible X
 }
 
-// scratchPool recycles scratch across calls. The New field is the
-// deterministic fallback lemonvet's nodeterminism pass insists on: a pool
-// miss constructs a zero-value scratch whose buffers are grown on demand,
-// making Get-hit and Get-miss behaviorally identical.
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+// getScratch takes an idle working set off the free list, or makes a
+// fresh one. A free list rather than a sync.Pool: a pool drops entries at
+// every GC (and, under the race detector, at random), which would put
+// allocations back on the steady-state path.
+func (s *Scheme[E]) getScratch() *scratch[E] {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n := len(s.free); n > 0 {
+		sc := s.free[n-1]
+		s.free = s.free[:n-1]
+		return sc
+	}
+	return new(scratch[E])
+}
 
-// growBytes returns b resized to n bytes, reusing its backing array when
-// the capacity allows. Contents are unspecified; callers overwrite fully.
-func growBytes(b []byte, n int) []byte {
+// putScratch returns sc to the free list.
+func (s *Scheme[E]) putScratch(sc *scratch[E]) {
+	s.mu.Lock()
+	s.free = append(s.free, sc)
+	s.mu.Unlock()
+}
+
+// grow returns b resized to n elements, reusing its backing array when the
+// capacity allows. Contents are unspecified; callers overwrite fully.
+func grow[T any](b []T, n int) []T {
 	if cap(b) >= n {
 		return b[:n]
 	}
-	return make([]byte, n)
+	return make([]T, n)
 }
 
-func growInts(b []int, n int) []int {
-	if cap(b) >= n {
-		return b[:n]
+// firstDistinct returns the indexes of the first k shares with distinct X
+// (fewer when the shares run out), or an error on an x = 0 share.
+func (sc *scratch[E]) firstDistinct(shares []ShareOf[E], k int) ([]int, error) {
+	dist := grow(sc.dist, k)[:0]
+	var err error
+	for si := range shares {
+		x := shares[si].X
+		if x == 0 {
+			err = errors.New("shamir: share with x=0 is invalid")
+			break
+		}
+		bit := byte(1) << (x & 7)
+		if sc.seen[x>>3]&bit != 0 {
+			continue
+		}
+		sc.seen[x>>3] |= bit
+		dist = append(dist, si)
+		if len(dist) == k {
+			break
+		}
 	}
-	return make([]int, n)
+	for _, si := range dist {
+		x := shares[si].X
+		sc.seen[x>>3] &^= 1 << (x & 7)
+	}
+	sc.dist = dist
+	return dist, err
 }
 
-// rowBuf carves rows slices of width bytes each out of the arena.
-func (s *scratch) rowBuf(rows, width int) [][]byte {
-	s.arena = growBytes(s.arena, rows*width)
-	if cap(s.rows) < rows {
-		s.rows = make([][]byte, rows)
+// pack packs b big-endian into elements of width bytes (grown as needed),
+// padding the last element with zero low bytes, and reports whether it
+// padded.
+func pack[E Elem](dst []E, b []byte, width int) ([]E, bool) {
+	dst = grow(dst, (len(b)+width-1)/width)
+	clear(dst)
+	for i, c := range b {
+		dst[i/width] |= E(c) << (8 * (width - 1 - i%width))
 	}
-	rs := s.rows[:rows]
-	for i := range rs {
-		rs[i] = s.arena[i*width : (i+1)*width]
+	return dst, len(b)%width != 0
+}
+
+// unpack is pack's inverse: it fills dst with the big-endian bytes of
+// words, stopping where dst ends (before any pad byte).
+func unpack[E Elem](dst []byte, words []E, width int) {
+	for i := range dst {
+		dst[i] = byte(words[i/width] >> (8 * (width - 1 - i%width)))
 	}
-	return rs
 }
 
 // SplitInto is the destination-buffer form of Split: it encodes secret into
 // shares, which must have length n. Share Data arrays are reused when they
 // have capacity and reallocated otherwise; X coordinates are (re)assigned
 // to 1..n. It draws from r in exactly Split's order — one coefficient per
-// (secret byte, degree) pair, degree-major within each byte — so Split and
-// SplitInto emit bit-identical shares from equal RNG states.
-func SplitInto(secret []byte, shares []Share, k, n int, r *rng.RNG) error {
+// (secret element, degree) pair, degree-major within each element — so
+// Split and SplitInto emit bit-identical shares from equal RNG states.
+func (s *Scheme[E]) SplitInto(secret []byte, shares []ShareOf[E], k, n int, r *rng.RNG) error {
 	if k < 1 {
 		return fmt.Errorf("shamir: threshold k must be >= 1, got %d", k)
 	}
 	if n < k {
 		return fmt.Errorf("shamir: n (%d) must be >= k (%d)", n, k)
 	}
-	if n > MaxShares {
-		return fmt.Errorf("shamir: n must be <= %d, got %d", MaxShares, n)
+	if n > s.MaxShares() {
+		return fmt.Errorf("shamir: n must be <= %d, got %d", s.MaxShares(), n)
 	}
 	if len(secret) == 0 {
 		return errors.New("shamir: empty secret")
@@ -79,92 +124,82 @@ func SplitInto(secret []byte, shares []Share, k, n int, r *rng.RNG) error {
 	if len(shares) != n {
 		return fmt.Errorf("shamir: destination holds %d shares, need n=%d", len(shares), n)
 	}
+	sc := s.getScratch()
+	defer s.putScratch(sc)
+	var padded bool
+	sc.words, padded = pack(sc.words, secret, s.width())
+	words := sc.words
 	for i := range shares {
-		shares[i].X = byte(i + 1)
-		shares[i].Data = growBytes(shares[i].Data, len(secret))
+		shares[i].X = E(i + 1)
+		shares[i].Data = grow(shares[i].Data, len(words))
+		shares[i].Padded = padded
 	}
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
-	// Random coefficients land in per-degree rows (rows[j-1][b] is the
-	// degree-j coefficient of secret byte b) so each share is produced by
-	// k-1 MulSliceAdd passes instead of a per-byte Horner loop. The
-	// power-sum Σ c_j·x^j it computes equals Horner's evaluation exactly —
-	// field arithmetic has no rounding to reorder.
-	rows := sc.rowBuf(k-1, len(secret))
-	for b := range secret {
+	// Random coefficients land in per-degree rows (row j-1 holds the
+	// degree-j coefficient of every secret element), so each share is
+	// produced by one MulPowersAdd — k-1 slice passes instead of a
+	// per-element Horner loop.
+	sc.rows = grow(sc.rows, (k-1)*len(words))
+	for w := range words {
 		for j := 1; j < k; j++ {
-			rows[j-1][b] = byte(r.Intn(256))
+			sc.rows[(j-1)*len(words)+w] = E(r.Intn(1 << s.bits))
 		}
 	}
 	for i := range shares {
 		d := shares[i].Data
-		copy(d, secret)
-		x := shares[i].X
-		pw := x
-		for j := 0; j < k-1; j++ {
-			gf256.MulSliceAdd(d, rows[j], pw)
-			pw = gf256.Mul(pw, x)
-		}
+		copy(d, words)
+		s.mulPowersAdd(d, sc.rows, shares[i].X)
 	}
 	return nil
 }
 
 // CombineInto reconstructs the secret from at least k distinct shares into
-// dst, returning the number of bytes written (the shares' data length).
-// dst must be at least that long and must not alias any share's Data.
-// Share selection matches Combine: the first k distinct X win, later
+// dst, returning the number of bytes written (the shares' data length in
+// bytes, less the pad byte of a Padded share). dst must be at least that
+// long. Share selection matches Combine: the first k distinct X win, later
 // duplicates are ignored, x = 0 is rejected on sight.
-func CombineInto(shares []Share, k int, dst []byte) (int, error) {
+func (s *Scheme[E]) CombineInto(shares []ShareOf[E], k int, dst []byte) (int, error) {
 	if k < 1 {
 		return 0, fmt.Errorf("shamir: threshold k must be >= 1, got %d", k)
 	}
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
-	dist := growInts(sc.dist, k)[:0]
-	var seen [MaxShares + 1]bool
-	for si := range shares {
-		x := shares[si].X
-		if x == 0 {
-			return 0, errors.New("shamir: share with x=0 is invalid")
-		}
-		if seen[x] {
-			continue
-		}
-		seen[x] = true
-		dist = append(dist, si)
-		if len(dist) == k {
-			break
-		}
+	sc := s.getScratch()
+	defer s.putScratch(sc)
+	dist, err := sc.firstDistinct(shares, k)
+	if err != nil {
+		return 0, err
 	}
-	sc.dist = dist
 	if len(dist) < k {
 		return 0, fmt.Errorf("%w: have %d distinct, need %d", ErrTooFewShares, len(dist), k)
 	}
-	length := len(shares[dist[0]].Data)
+	words := len(shares[dist[0]].Data)
+	padded := shares[dist[0]].Padded
 	for _, si := range dist {
-		if len(shares[si].Data) != length {
+		if len(shares[si].Data) != words || shares[si].Padded != padded {
 			return 0, ErrInconsistent
 		}
 	}
-	if len(dst) < length {
-		return 0, fmt.Errorf("shamir: dst holds %d bytes, need %d", len(dst), length)
+	outLen := s.width() * words
+	if padded && outLen > 0 {
+		outLen--
 	}
-	sc.xs = growBytes(sc.xs, k)
-	sc.coeffs = growBytes(sc.coeffs, k)
+	if len(dst) < outLen {
+		return 0, fmt.Errorf("shamir: dst holds %d bytes, need %d", len(dst), outLen)
+	}
+	sc.xs = grow(sc.xs, k)
+	sc.coeffs = grow(sc.coeffs, k)
 	for i, si := range dist {
 		sc.xs[i] = shares[si].X
 	}
 	// The secret is q(0) = Σ_i L_i(0)·share_i — k scalar Lagrange weights,
 	// then one MulSliceAdd sweep per share.
-	if err := gf256.LagrangeCoeffs(sc.xs, 0, sc.coeffs); err != nil {
+	if err := s.lagrangeCoeffs(sc.xs, 0, sc.coeffs); err != nil {
 		return 0, err
 	}
-	out := dst[:length]
-	for i := range out {
-		out[i] = 0
-	}
+	out := grow(sc.words, words)
+	sc.words = out
+	clear(out)
 	for i, si := range dist {
-		gf256.MulSliceAdd(out, shares[si].Data, sc.coeffs[i])
+		s.mulSliceAdd(out, shares[si].Data, sc.coeffs[i])
 	}
-	return length, nil
+	unpack(dst[:outLen], out, s.width())
+	return outLen, nil
 }

@@ -2,109 +2,133 @@ package shamir
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"lemonade/internal/rng"
 )
 
 func TestSplitIntoMatchesSplit(t *testing.T) {
-	secret := make([]byte, 48)
-	for i := range secret {
-		secret[i] = byte(i * 5)
-	}
-	want, err := Split(secret, 6, 19, rng.New(77))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Destination with stale X values and a mix of nil, short, and
-	// oversized dirty Data buffers.
-	shares := make([]Share, 19)
-	for i := range shares {
-		shares[i].X = 0xEE
-		if i%2 == 0 {
-			shares[i].Data = bytes.Repeat([]byte{0xDB}, 8+i*7)
+	t.Run("narrow", func(t *testing.T) { testSplitIntoMatchesSplit(t, Narrow, []int{48}) })
+	t.Run("wide", func(t *testing.T) { testSplitIntoMatchesSplit(t, Wide, []int{1, 2, 31, 64}) })
+}
+
+func testSplitIntoMatchesSplit[E Elem](t *testing.T, s *Scheme[E], lens []int) {
+	for _, secretLen := range lens {
+		secret := make([]byte, secretLen)
+		for i := range secret {
+			secret[i] = byte(i * 5)
 		}
-	}
-	if err := SplitInto(secret, shares, 6, 19, rng.New(77)); err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if shares[i].X != want[i].X || !bytes.Equal(shares[i].Data, want[i].Data) {
-			t.Fatalf("share %d differs between Split and SplitInto", i)
+		want, err := s.Split(secret, 6, 19, rng.New(77))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Destination with stale X and Padded values and a mix of nil,
+		// short, and oversized dirty Data buffers.
+		shares := make([]ShareOf[E], 19)
+		for i := range shares {
+			shares[i].X = 0xEE
+			shares[i].Padded = true
+			if i%2 == 0 {
+				shares[i].Data = make([]E, 3+i*7)
+				for j := range shares[i].Data {
+					shares[i].Data[j] = 0xDB
+				}
+			}
+		}
+		if err := s.SplitInto(secret, shares, 6, 19, rng.New(77)); err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if shares[i].X != want[i].X || shares[i].Padded != want[i].Padded || !slices.Equal(shares[i].Data, want[i].Data) {
+				t.Fatalf("len=%d: share %d differs between Split and SplitInto", secretLen, i)
+			}
 		}
 	}
 }
 
 func TestCombineIntoMatchesCombine(t *testing.T) {
-	secret := make([]byte, 31)
-	for i := range secret {
-		secret[i] = byte(i*11 + 3)
-	}
-	shares, err := Split(secret, 5, 12, rng.New(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pick := []Share{shares[11], shares[3], shares[11], shares[7], shares[0], shares[9], shares[2]}
-	want, err := Combine(pick, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want, secret) {
-		t.Fatal("Combine did not round-trip")
-	}
-	dst := bytes.Repeat([]byte{0xDB}, len(secret)+9)
-	n, err := CombineInto(pick, 5, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(want) || !bytes.Equal(dst[:n], want) {
-		t.Fatalf("CombineInto differs from Combine (n=%d)", n)
-	}
-	for i := n; i < len(dst); i++ {
-		if dst[i] != 0xDB {
-			t.Fatalf("CombineInto wrote past its return length at %d", i)
+	t.Run("narrow", func(t *testing.T) { testCombineIntoMatchesCombine(t, Narrow, []int{31}) })
+	t.Run("wide", func(t *testing.T) { testCombineIntoMatchesCombine(t, Wide, []int{1, 2, 31, 64}) })
+}
+
+func testCombineIntoMatchesCombine[E Elem](t *testing.T, s *Scheme[E], lens []int) {
+	for _, secretLen := range lens {
+		secret := make([]byte, secretLen)
+		for i := range secret {
+			secret[i] = byte(i*11 + 3)
+		}
+		shares, err := s.Split(secret, 5, 12, rng.New(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pick := []ShareOf[E]{shares[11], shares[3], shares[11], shares[7], shares[0], shares[9], shares[2]}
+		want, err := s.Combine(pick, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(want, secret) {
+			t.Fatalf("len=%d: Combine did not round-trip", secretLen)
+		}
+		dst := bytes.Repeat([]byte{0xDB}, len(secret)+9)
+		n, err := s.CombineInto(pick, 5, dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != len(want) || !bytes.Equal(dst[:n], want) {
+			t.Fatalf("len=%d: CombineInto differs from Combine (n=%d)", secretLen, n)
+		}
+		for i := n; i < len(dst); i++ {
+			if dst[i] != 0xDB {
+				t.Fatalf("len=%d: CombineInto wrote past its return length at %d", secretLen, i)
+			}
 		}
 	}
 }
 
 func TestIntoErrors(t *testing.T) {
 	secret := []byte{1, 2, 3}
-	if err := SplitInto(secret, make([]Share, 4), 2, 5, rng.New(1)); err == nil {
+	if err := Narrow.SplitInto(secret, make([]Share, 4), 2, 5, rng.New(1)); err == nil {
 		t.Error("SplitInto accepted a destination shorter than n")
 	}
 	shares, err := Split(secret, 3, 5, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CombineInto(shares, 3, make([]byte, 2)); err == nil {
+	if _, err := Narrow.CombineInto(shares, 3, make([]byte, 2)); err == nil {
 		t.Error("CombineInto accepted a too-short dst")
 	}
-	if _, err := CombineInto(shares[:2], 3, make([]byte, 3)); err == nil {
+	if _, err := Narrow.CombineInto(shares[:2], 3, make([]byte, 3)); err == nil {
 		t.Error("CombineInto accepted too few shares")
 	}
 }
 
 func TestIntoNoAllocsSteadyState(t *testing.T) {
-	secret := make([]byte, 64)
+	// The wide secret has odd length, which exercises the padding path.
+	t.Run("narrow", func(t *testing.T) { testIntoNoAllocs(t, Narrow, 64, 8, 24) })
+	t.Run("wide", func(t *testing.T) { testIntoNoAllocs(t, Wide, 33, 6, 50) })
+}
+
+func testIntoNoAllocs[E Elem](t *testing.T, s *Scheme[E], secretLen, k, n int) {
+	secret := make([]byte, secretLen)
 	for i := range secret {
 		secret[i] = byte(i)
 	}
-	const k, n = 8, 24
-	shares := make([]Share, n)
+	shares := make([]ShareOf[E], n)
 	r := rng.New(99)
-	if err := SplitInto(secret, shares, k, n, r); err != nil {
+	if err := s.SplitInto(secret, shares, k, n, r); err != nil {
 		t.Fatal(err)
 	}
 	dst := make([]byte, len(secret))
 	if a := testing.AllocsPerRun(200, func() {
-		if err := SplitInto(secret, shares, k, n, r); err != nil {
+		if err := s.SplitInto(secret, shares, k, n, r); err != nil {
 			t.Fatal(err)
 		}
 	}); a >= 1 {
 		t.Errorf("SplitInto steady state allocates %v times per call", a)
 	}
 	if a := testing.AllocsPerRun(200, func() {
-		if _, err := CombineInto(shares, k, dst); err != nil {
+		if _, err := s.CombineInto(shares, k, dst); err != nil {
 			t.Fatal(err)
 		}
 	}); a >= 1 {
@@ -130,7 +154,7 @@ func FuzzSplitCombineInto(f *testing.F) {
 			t.Skip()
 		}
 		shares := make([]Share, n)
-		if err := SplitInto(secret, shares, k, n, rng.New(seed)); err != nil {
+		if err := Narrow.SplitInto(secret, shares, k, n, rng.New(seed)); err != nil {
 			t.Fatal(err)
 		}
 		for i := range want {
@@ -144,9 +168,9 @@ func FuzzSplitCombineInto(f *testing.F) {
 			pick = append(pick, shares[(i+int(seed))%n])
 		}
 		pick = append(pick, pick[0])
-		wantSecret, wantErr := Combine(pick, k)
+		wantSecret, wantErr := Narrow.Combine(pick, k)
 		dst := make([]byte, len(secret))
-		gotN, gotErr := CombineInto(pick, k, dst)
+		gotN, gotErr := Narrow.CombineInto(pick, k, dst)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("Combine err=%v, CombineInto err=%v", wantErr, gotErr)
 		}

@@ -1,5 +1,5 @@
-// Package shamir implements Shamir's (k, n) threshold secret-sharing scheme
-// over GF(2^8), the redundant-encoding mechanism of §4.1.4 of the paper.
+// Package shamir implements Shamir's (k, n) threshold secret-sharing
+// scheme, the redundant-encoding mechanism of §4.1.4 of the paper.
 //
 // A secret byte string is encoded into n component shares such that any k
 // shares reconstruct the secret exactly, while k-1 or fewer shares reveal
@@ -7,44 +7,102 @@
 // read-destructive memory behind a NEMS structure; device failures show up
 // as share *erasures*, which the scheme tolerates by design.
 //
+// The algorithm is written once, generic over the field element, and runs
+// over two fields: Narrow shares over GF(2^8) (up to 255 shares, one
+// element per secret byte) and Wide over GF(2^16) (up to 65,535 shares, as
+// the wide parallel structures of the paper's low-β designs need; secrets
+// are packed into 16-bit words). The per-field arithmetic kernels stay in
+// packages gf256 and gf16.
+//
 // Share x-coordinates are 1..n (x = 0 would leak the secret directly, since
 // the secret is the constant coefficient q(0)).
 package shamir
 
 import (
 	"errors"
+	"sync"
 
+	"lemonade/internal/gf16"
+	"lemonade/internal/gf256"
 	"lemonade/internal/rng"
 )
 
-// MaxShares is the largest supported n: the field has 255 usable nonzero
-// x-coordinates.
-const MaxShares = 255
+// Elem is a field element: a GF(2^8) byte or a GF(2^16) word.
+type Elem interface{ uint8 | uint16 }
 
-// Share is one component of a split secret.
-type Share struct {
-	X    byte   // evaluation point, 1..n
-	Data []byte // q_i(X) for each secret byte i
+// ShareOf is one component of a secret split over the field of E.
+type ShareOf[E Elem] struct {
+	X    E   // evaluation point, 1..n
+	Data []E // q_i(X) for each secret element i
+	// Padded records that the secret did not fill its last element, whose
+	// low byte is then padding. Only Wide shares of odd-length secrets
+	// set it.
+	Padded bool
 }
+
+// Share is a Narrow (GF(2^8)) share: one Data byte per secret byte.
+type Share = ShareOf[uint8]
+
+// Scheme is Shamir sharing over one field. The generic code calls the
+// field's kernels once per share or per degree, never per element, so the
+// per-element loops run inside the monomorphic gf256/gf16 kernels.
+type Scheme[E Elem] struct {
+	bits           int // element width
+	mulSliceAdd    func(dst, src []E, c E)
+	mulPowersAdd   func(dst, rows []E, x E)
+	lagrangeCoeffs func(xs []E, x E, coeffs []E) error
+
+	mu   sync.Mutex
+	free []*scratch[E] // idle working sets, reused by later calls
+}
+
+// The two schemes. core picks Narrow for structures up to 255 devices and
+// Wide beyond.
+var (
+	Narrow = &Scheme[uint8]{
+		bits:           8,
+		mulSliceAdd:    gf256.MulSliceAdd,
+		mulPowersAdd:   gf256.MulPowersAdd,
+		lagrangeCoeffs: gf256.LagrangeCoeffs,
+	}
+	Wide = &Scheme[uint16]{
+		bits:           16,
+		mulSliceAdd:    gf16.MulSliceAdd,
+		mulPowersAdd:   gf16.MulPowersAdd,
+		lagrangeCoeffs: gf16.LagrangeCoeffs,
+	}
+)
 
 var (
 	// ErrTooFewShares is returned by Combine when fewer than the threshold
 	// number of distinct shares are supplied.
 	ErrTooFewShares = errors.New("shamir: not enough shares to reconstruct")
-	// ErrInconsistent is returned when shares disagree on length.
-	ErrInconsistent = errors.New("shamir: shares have inconsistent lengths")
+	// ErrInconsistent is returned when shares disagree on length or
+	// padding.
+	ErrInconsistent = errors.New("shamir: shares have inconsistent shapes")
 )
 
-// Split encodes secret into n shares with threshold k. Every byte of the
-// secret is embedded as the constant term of an independent random
+// MaxShares is the largest supported n: the field's nonzero x-coordinates.
+func (s *Scheme[E]) MaxShares() int { return 1<<s.bits - 1 }
+
+// width is the number of secret bytes one element carries.
+func (s *Scheme[E]) width() int { return s.bits / 8 }
+
+// Split is Narrow.Split.
+func Split(secret []byte, k, n int, r *rng.RNG) ([]Share, error) {
+	return Narrow.Split(secret, k, n, r)
+}
+
+// Split encodes secret into n shares with threshold k. Every secret
+// element is embedded as the constant term of an independent random
 // polynomial of degree k-1 (Eq 7 of the paper), evaluated at x = 1..n.
 // It is the allocating wrapper around SplitInto.
-func Split(secret []byte, k, n int, r *rng.RNG) ([]Share, error) {
-	var shares []Share
-	if k >= 1 && n >= k && n <= MaxShares {
-		shares = make([]Share, n)
+func (s *Scheme[E]) Split(secret []byte, k, n int, r *rng.RNG) ([]ShareOf[E], error) {
+	var shares []ShareOf[E]
+	if k >= 1 && n >= k && n <= s.MaxShares() {
+		shares = make([]ShareOf[E], n)
 	}
-	if err := SplitInto(secret, shares, k, n, r); err != nil {
+	if err := s.SplitInto(secret, shares, k, n, r); err != nil {
 		return nil, err
 	}
 	return shares, nil
@@ -56,12 +114,12 @@ func Split(secret []byte, k, n int, r *rng.RNG) ([]Share, error) {
 // succeeded. It is the allocating wrapper around CombineInto; the first
 // share's length sizes the destination, which CombineInto's consistency
 // check then holds every used share to.
-func Combine(shares []Share, k int) ([]byte, error) {
+func (s *Scheme[E]) Combine(shares []ShareOf[E], k int) ([]byte, error) {
 	var dst []byte
 	if len(shares) > 0 {
-		dst = make([]byte, len(shares[0].Data))
+		dst = make([]byte, s.width()*len(shares[0].Data))
 	}
-	n, err := CombineInto(shares, k, dst)
+	n, err := s.CombineInto(shares, k, dst)
 	if err != nil {
 		return nil, err
 	}
