@@ -1,12 +1,16 @@
-# Local developer workflow; `make check` runs exactly what CI runs
-# (.github/workflows/ci.yml), so a green check here is a green CI.
+# Local developer workflow; `make check` runs what CI runs
+# (.github/workflows/ci.yml), so a green check here is a green CI. The one
+# exception is CI's lemonbench job: its merge-base gate needs a checkout of
+# the base commit, so it runs only in CI (locally: `make bench-json` on each
+# commit, then `make bench-compare`).
 
 GO ?= go
 
-.PHONY: check lint vet-fixtures race repeat bench test build fmt smoke crash chaos attack cluster bench-json bench-compare fuzz-smoke
+.PHONY: check lint vet-fixtures race repeat test build fmt smoke crash chaos attack cluster bench-json bench-compare fuzz-smoke
 
-## check: everything CI runs — format, vet, lemonvet, build, tests, race, smoke
-check: lint build test race repeat smoke crash chaos attack cluster
+## check: everything CI runs — format, vet, lemonvet, build, tests, fuzz
+## smokes, race, smoke
+check: lint build test fuzz-smoke race repeat smoke crash chaos attack cluster
 
 ## lint: gofmt (fail on diff), go vet, and the lemonvet static-analysis
 ## suite (all nine passes; -strict-suppress also fails on stale allows)
@@ -41,10 +45,6 @@ repeat:
 ## smoke: end-to-end daemon test (build, provision, lockout, metrics, drain)
 smoke:
 	./scripts/smoke.sh
-
-## bench: the repo benchmarks, including the DeriveIndex hot path
-bench:
-	$(GO) test -bench . -benchmem -run '^$$' ./internal/rng/ ./internal/montecarlo/ .
 
 ## bench-json: lemonbench macro suite -> BENCH_<gitsha>.json at the repo root
 bench-json:

@@ -41,15 +41,11 @@ func main() {
 			continue
 		}
 		matched = true
+		if *csvDir == "" {
+			fmt.Print(figures.Text(e.Gen(), *plot))
+			continue
+		}
 		for i, block := range e.Gen() {
-			if *csvDir == "" {
-				if fig, ok := block.(figures.Figure); ok && *plot {
-					fmt.Println(fig.Plot(72, 20))
-					continue
-				}
-				fmt.Println(block.Render())
-				continue
-			}
 			name := figures.Slug(e.ID)
 			if i > 0 {
 				name = fmt.Sprintf("%s-%d", name, i+1)
@@ -60,9 +56,6 @@ func main() {
 				os.Exit(1)
 			}
 			fmt.Println("wrote", path)
-		}
-		if *csvDir == "" {
-			fmt.Println(strings.Repeat("-", 72))
 		}
 	}
 	if !matched {

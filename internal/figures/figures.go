@@ -1,6 +1,6 @@
 // Package figures regenerates every table and figure of the paper's
 // evaluation as plain data (series of points or rows of cells). The same
-// generators back the cmd/experiments binary, the root benchmark suite and
+// generators back the cmd/experiments binary, experiments_output.txt and
 // EXPERIMENTS.md: one generator per paper exhibit, named after it.
 package figures
 
@@ -83,4 +83,18 @@ func (t Table) Render() string {
 		fmt.Fprintf(&b, "note: %s\n", t.Notes)
 	}
 	return b.String()
+}
+
+// Text lays out one exhibit's blocks as experiments_output.txt records them:
+// each block's text and a newline, then a 72-dash rule. plot charts figures.
+func Text(blocks []Renderable, plot bool) string {
+	var b strings.Builder
+	for _, r := range blocks {
+		if f, ok := r.(Figure); ok && plot {
+			b.WriteString(f.Plot(72, 20) + "\n")
+		} else {
+			b.WriteString(r.Render() + "\n")
+		}
+	}
+	return b.String() + strings.Repeat("-", 72) + "\n"
 }

@@ -44,22 +44,6 @@ func TestDeriveIndexDistinctStreams(t *testing.T) {
 	}
 }
 
-func BenchmarkDeriveSprintf(b *testing.B) {
-	parent := New(1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = parent.Derive(fmt.Sprintf("trial-%d", i))
-	}
-}
-
-func BenchmarkDeriveIndex(b *testing.B) {
-	parent := New(1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = parent.DeriveIndex("trial-", i)
-	}
-}
-
 // TestDeriveIndexNoAlloc asserts the hot-loop derivation does not allocate.
 func TestDeriveIndexNoAlloc(t *testing.T) {
 	parent := New(1)

@@ -43,37 +43,3 @@ func TestExploreCacheSpeedup(t *testing.T) {
 			float64(coldDur)/float64(warmDur), coldDur, warmDur)
 	}
 }
-
-// BenchmarkExploreCold measures the uncached design search: a fresh
-// server (hence a cold cache) per iteration.
-func BenchmarkExploreCold(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := New(Config{})
-		spec, err := specFromWire(heavySpec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := s.explore(spec); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkExploreCached measures the repeated identical explore that the
-// cache serves. Compare against BenchmarkExploreCold for the speedup.
-func BenchmarkExploreCached(b *testing.B) {
-	s := New(Config{})
-	spec, err := specFromWire(heavySpec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, _, err := s.explore(spec); err != nil { // warm the cache
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := s.explore(spec); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
