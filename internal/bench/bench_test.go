@@ -35,6 +35,7 @@ func TestSuiteCoversHotPaths(t *testing.T) {
 		"dse/explore_cached",
 		"explore/parallel",
 		"codec/shamir_split_combine",
+		"codec/shamir_wide_combine",
 		"wal/append",
 		"wal/replay",
 		"wal/snapshot_recovery",

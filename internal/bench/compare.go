@@ -43,6 +43,7 @@ type CompareOpts struct {
 // a failing gate.
 var DefaultAllocCeilings = map[string]float64{
 	"codec/shamir_split_combine": 32, // measured floor 14
+	"codec/shamir_wide_combine":  8,  // measured floor 3
 	"montecarlo/run_parallel":    48, // measured floor 12
 	"explore/parallel":           64, // measured floor 22
 }

@@ -60,6 +60,7 @@ func Suite() []Case {
 		{Name: "dse/explore_cached", Setup: setupExploreCached},
 		{Name: "explore/parallel", Setup: setupExploreParallel},
 		{Name: "codec/shamir_split_combine", Setup: setupShamir},
+		{Name: "codec/shamir_wide_combine", Setup: setupShamirWide},
 		{Name: "wal/append", Setup: setupWALAppend},
 		{Name: "wal/replay", Setup: setupWALReplay},
 		{Name: "wal/snapshot_recovery", Setup: setupWALSnapshotRecovery},
@@ -204,6 +205,45 @@ func setupShamir(env *Env) (func() ([]byte, error), func(), error) {
 				out.WriteByte(sh.X)
 				out.Write(sh.Data)
 			}
+		}
+		return out.Bytes(), nil
+	}
+	return run, nil, nil
+}
+
+// setupShamirWide measures the wide access path's combine: a 16-byte
+// secret split once 114-of-1131 over GF(2^16) — the wide-memory
+// structure's shape — then combined from 16 seeded k-subsets of the
+// shares per iteration, so the k Lagrange weights are rebuilt for each
+// subset as on every successful wide access. The checksum is the
+// combined secrets.
+func setupShamirWide(env *Env) (func() ([]byte, error), func(), error) {
+	const k, n, subsets = 114, 1131, 16
+	secret := make([]byte, 16)
+	rng.New(env.Seed).Bytes(secret)
+	shares, err := shamir.Wide.Split(secret, k, n, rng.New(env.Seed).Derive("shamir-wide"))
+	if err != nil {
+		return nil, nil, err
+	}
+	picks := make([][]shamir.ShareOf[uint16], subsets)
+	for i := range picks {
+		picks[i] = make([]shamir.ShareOf[uint16], k)
+		for j, si := range rng.New(env.Seed).DeriveIndex("shamir-wide-", i).Perm(n)[:k] {
+			picks[i][j] = shares[si]
+		}
+	}
+	combined := make([]byte, len(secret))
+	run := func() ([]byte, error) {
+		var out bytes.Buffer
+		for i, pick := range picks {
+			m, err := shamir.Wide.CombineInto(pick, k, combined)
+			if err != nil {
+				return nil, err
+			}
+			if !bytes.Equal(combined[:m], secret) {
+				return nil, fmt.Errorf("subset %d: combined secret differs from input", i)
+			}
+			out.Write(combined[:m])
 		}
 		return out.Bytes(), nil
 	}

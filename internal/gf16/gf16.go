@@ -55,10 +55,11 @@ func Div(a, b uint16) uint16 {
 }
 
 // checkDistinct validates the LagrangeCoeffs preconditions without
-// allocating. Small point sets use a pairwise scan; large ones (wide
-// Shamir thresholds run to thousands of shares) switch to a stack bitset
-// over the 2^16 possible coordinates, trading an 8 KiB stack clear for
-// O(k) instead of O(k²).
+// allocating: pairLen coefficients paired with the xs, at least one point,
+// and every x nonzero and distinct. Small point sets use a pairwise scan;
+// large ones (wide Shamir thresholds run to thousands of shares) switch to
+// a stack bitset over the 2^16 possible coordinates, trading an 8 KiB
+// stack clear for O(k) instead of O(k²).
 func checkDistinct(xs []uint16, pairLen int) error {
 	if len(xs) != pairLen {
 		return fmt.Errorf("gf16: mismatched point slices (%d vs %d)", len(xs), pairLen)
@@ -68,6 +69,9 @@ func checkDistinct(xs []uint16, pairLen int) error {
 	}
 	if len(xs) <= 32 {
 		for i := 0; i < len(xs); i++ {
+			if xs[i] == 0 {
+				return fmt.Errorf("gf16: x coordinate 0 has no log")
+			}
 			for j := i + 1; j < len(xs); j++ {
 				if xs[i] == xs[j] {
 					return fmt.Errorf("gf16: duplicate x coordinate %d", xs[i])
@@ -78,6 +82,9 @@ func checkDistinct(xs []uint16, pairLen int) error {
 	}
 	var seen [1 << 16 / 8]byte
 	for _, v := range xs {
+		if v == 0 {
+			return fmt.Errorf("gf16: x coordinate 0 has no log")
+		}
 		bit := byte(1) << (v & 7)
 		if seen[v>>3]&bit != 0 {
 			return fmt.Errorf("gf16: duplicate x coordinate %d", v)

@@ -59,11 +59,15 @@ func TestPropertyFieldLawsRandomized(t *testing.T) {
 // TestPropertyInterpolateRoundTrip: a random degree-(k-1) polynomial
 // evaluated at k distinct points must interpolate back exactly through
 // the Lagrange basis at x = 0 — the identity wide Shamir
-// reconstruction rests on.
+// reconstruction rests on. Every tenth trial takes k past 32, onto
+// checkDistinct's bitset path and the wide thresholds Wide serves.
 func TestPropertyInterpolateRoundTrip(t *testing.T) {
 	r := rng.New(0x1611)
 	for trial := 0; trial < 200; trial++ {
 		k := 1 + r.Intn(12)
+		if trial%10 == 9 {
+			k = 33 + r.Intn(400)
+		}
 		p := make([]uint16, k)
 		for i := range p {
 			p[i] = uint16(r.Intn(1 << 16))
@@ -74,7 +78,7 @@ func TestPropertyInterpolateRoundTrip(t *testing.T) {
 			xs[i] = uint16(v + 1)
 		}
 		coeffs := make([]uint16, k)
-		if err := LagrangeCoeffs(xs, 0, coeffs); err != nil {
+		if err := LagrangeCoeffs(xs, coeffs); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		var got uint16

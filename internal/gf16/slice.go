@@ -46,23 +46,37 @@ func MulPowersAdd(dst, rows []uint16, x uint16) {
 	}
 }
 
-// LagrangeCoeffs fills coeffs[i] with L_i(x) = Π_{j≠i}(x⊕xs[j])/(xs[i]⊕xs[j]),
-// the scalar weights that reconstruct whole share slices via MulSliceAdd.
-// The xs must be distinct and len(coeffs) must equal len(xs).
-func LagrangeCoeffs(xs []uint16, x uint16, coeffs []uint16) error {
+// LagrangeCoeffs fills coeffs[i] with the weight L_i(0) of share i in the
+// value at 0 of the polynomial through the xs — the secret, for Shamir.
+// In characteristic 2, L_i(0) = (Π_j xs[j] / xs[i]) / Π_{j≠i}(xs[i]⊕xs[j]),
+// so the weights are computed as discrete logs:
+//
+//	log L_i(0) = Σ_j log xs[j] − log xs[i] − Σ_j log(xs[i]⊕xs[j])  (mod Order)
+//
+// One O(k) sum gives every numerator and each denominator is a row of k
+// table lookups and integer adds: the diagonal term j = i adds
+// logTable[0], which is 0 because init never writes it. Field arithmetic
+// is exact, so these are the same weights as the pairwise Mul/Div product.
+// The xs must be distinct and nonzero (0 has no log) and len(coeffs) must
+// equal len(xs).
+func LagrangeCoeffs(xs, coeffs []uint16) error {
 	if err := checkDistinct(xs, len(coeffs)); err != nil {
 		return err
 	}
-	for i := range xs {
-		num, den := uint16(1), uint16(1)
-		for j := range xs {
-			if j == i {
-				continue
-			}
-			num = Mul(num, x^xs[j])
-			den = Mul(den, xs[i]^xs[j])
+	num := 0
+	for _, x := range xs {
+		num += int(logTable[x])
+	}
+	for i, xi := range xs {
+		den := 0
+		for _, xj := range xs {
+			den += int(logTable[xi^xj])
 		}
-		coeffs[i] = Div(num, den)
+		e := (num - int(logTable[xi]) - den) % Order
+		if e < 0 {
+			e += Order
+		}
+		coeffs[i] = expTable[e]
 	}
 	return nil
 }

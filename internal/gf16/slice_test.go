@@ -1,7 +1,10 @@
 package gf16
 
 import (
+	"slices"
 	"testing"
+
+	"lemonade/internal/rng"
 )
 
 // The gf16 kernels can't be swept over every (c, element) pair — 2^32
@@ -78,25 +81,84 @@ func evalPoly(p []uint16, x uint16) uint16 {
 }
 
 // TestLagrangeCoeffsMatchInterpolate: through k points of a degree-(k-1)
-// polynomial, Σ ys[i]·L_i(x) must equal that polynomial at x.
+// polynomial, Σ ys[i]·L_i(0) must equal that polynomial's constant term,
+// for every polynomial of a salt sweep.
 func TestLagrangeCoeffsMatchInterpolate(t *testing.T) {
 	xs := []uint16{1, 2, 3, 700, 40000, 65535}
-	p := patternWords(len(xs), 0x1F1F)
 	ys := make([]uint16, len(xs))
-	for i, x := range xs {
-		ys[i] = evalPoly(p, x)
-	}
 	coeffs := make([]uint16, len(xs))
-	for _, x := range kernelConstants() {
-		if err := LagrangeCoeffs(xs, x, coeffs); err != nil {
-			t.Fatalf("LagrangeCoeffs(x=%d): %v", x, err)
+	if err := LagrangeCoeffs(xs, coeffs); err != nil {
+		t.Fatal(err)
+	}
+	for _, salt := range kernelConstants() {
+		p := patternWords(len(xs), salt)
+		for i, x := range xs {
+			ys[i] = evalPoly(p, x)
 		}
 		var got uint16
 		for i := range xs {
 			got ^= Mul(ys[i], coeffs[i])
 		}
-		if want := evalPoly(p, x); got != want {
-			t.Fatalf("coefficient reconstruction at x=%d: got %d, want %d", x, got, want)
+		if got != p[0] {
+			t.Fatalf("salt %d: reconstructed constant term %d, want %d", salt, got, p[0])
+		}
+	}
+}
+
+// refLagrangeCoeffs is the pairwise product the log-domain kernel
+// replaced, kept as its reference: L_i(0) = Π_{j≠i} xs[j]/(xs[i]⊕xs[j]),
+// one Mul per factor.
+func refLagrangeCoeffs(xs, coeffs []uint16) {
+	for i := range xs {
+		num, den := uint16(1), uint16(1)
+		for j := range xs {
+			if j == i {
+				continue
+			}
+			num = Mul(num, xs[j])
+			den = Mul(den, xs[i]^xs[j])
+		}
+		coeffs[i] = Div(num, den)
+	}
+}
+
+// TestLagrangeCoeffsMatchReference: the log-domain weights equal the
+// pairwise-Mul reference on seeded random k-subsets of 1..n, from single
+// points through the wide-memory shape (114 of 1131) to k = 1000, with
+// and without the top coordinate 65535. x = 0 has no discrete log, so
+// the same sets with one coordinate zeroed must be refused rather than
+// silently mis-weighted.
+func TestLagrangeCoeffsMatchReference(t *testing.T) {
+	cases := []struct{ k, n int }{
+		{1, 1}, {2, 2}, {2, 65535}, {3, 10}, {12, 40}, {32, 32}, {33, 100},
+		{114, 1131}, {200, 65535}, {1000, 1131}, {1000, 65535},
+	}
+	r := rng.New(0x1a6)
+	for _, c := range cases {
+		for trial := 0; trial < 8; trial++ {
+			xs := make([]uint16, c.k)
+			for i, v := range r.Perm(c.n)[:c.k] {
+				xs[i] = uint16(v + 1)
+			}
+			if trial%2 == 0 && !slices.Contains(xs, 65535) {
+				xs[0] = 65535
+			}
+			want := make([]uint16, c.k)
+			refLagrangeCoeffs(xs, want)
+			got := make([]uint16, c.k)
+			if err := LagrangeCoeffs(xs, got); err != nil {
+				t.Fatalf("k=%d n=%d trial %d: %v", c.k, c.n, trial, err)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("k=%d n=%d trial %d: coeffs[%d] (x=%d) = %d, reference %d",
+						c.k, c.n, trial, i, xs[i], got[i], want[i])
+				}
+			}
+			xs[c.k/2] = 0
+			if err := LagrangeCoeffs(xs, got); err == nil {
+				t.Fatalf("k=%d n=%d trial %d: x = 0 not rejected", c.k, c.n, trial)
+			}
 		}
 	}
 }
@@ -140,8 +202,8 @@ func TestInterpolateNoAllocs(t *testing.T) {
 	coeffsSmall := make([]uint16, len(small))
 	coeffsLarge := make([]uint16, len(large))
 	for name, f := range map[string]func(){
-		"small": func() { _ = LagrangeCoeffs(small, 0, coeffsSmall) },
-		"large": func() { _ = LagrangeCoeffs(large, 0, coeffsLarge) },
+		"small": func() { _ = LagrangeCoeffs(small, coeffsSmall) },
+		"large": func() { _ = LagrangeCoeffs(large, coeffsLarge) },
 	} {
 		if n := testing.AllocsPerRun(50, f); n != 0 {
 			t.Errorf("LagrangeCoeffs %s-k allocates %v times per call, want 0", name, n)

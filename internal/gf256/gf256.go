@@ -64,9 +64,10 @@ func Div(a, b byte) byte {
 }
 
 // checkDistinct validates the LagrangeCoeffs preconditions: pairLen
-// coefficients paired with the xs, at least one point, and all xs
-// distinct. The pairwise scan is O(k²) but allocation-free;
-// k ≤ 255 in this field, so it beats building a seen-set.
+// coefficients paired with the xs, at least one point, and all xs nonzero
+// (0 has no log) and distinct. The pairwise scan is O(k²) but
+// allocation-free; k ≤ 255 in this field, so it beats building a
+// seen-set.
 func checkDistinct(xs []byte, pairLen int) error {
 	if len(xs) != pairLen {
 		return fmt.Errorf("gf256: mismatched point slices (%d vs %d)", len(xs), pairLen)
@@ -75,6 +76,9 @@ func checkDistinct(xs []byte, pairLen int) error {
 		return fmt.Errorf("gf256: no points to interpolate")
 	}
 	for i := 0; i < len(xs); i++ {
+		if xs[i] == 0 {
+			return fmt.Errorf("gf256: x coordinate 0 has no log")
+		}
 		for j := i + 1; j < len(xs); j++ {
 			if xs[i] == xs[j] {
 				return fmt.Errorf("gf256: duplicate x coordinate %d", xs[i])

@@ -61,29 +61,40 @@ func MulPowersAdd(dst, rows []byte, x byte) {
 	}
 }
 
-// LagrangeCoeffs fills coeffs[i] with the Lagrange basis scalar
+// LagrangeCoeffs fills coeffs[i] with the Lagrange basis scalar at 0,
 //
-//	L_i(x) = Π_{j≠i} (x ⊕ xs[j]) / (xs[i] ⊕ xs[j])
+//	L_i(0) = Π_{j≠i} xs[j] / (xs[i] ⊕ xs[j])
 //
-// so that the degree-(k-1) polynomial through (xs[i], ys[i]) evaluates at
-// x as Σ ys[i]·coeffs[i]. The basis is accumulated directly in scalars —
-// no intermediate basis polynomials — which is what lets shamir's
-// CombineInto reconstruct whole share slices with k MulSliceAdd passes.
-// The xs must be distinct and len(coeffs) must equal len(xs).
-func LagrangeCoeffs(xs []byte, x byte, coeffs []byte) error {
+// so that the degree-(k-1) polynomial through (xs[i], ys[i]) has constant
+// term Σ ys[i]·coeffs[i] — the secret, for Shamir. The basis is
+// accumulated directly in scalars, which is what lets shamir's CombineInto
+// reconstruct whole share slices with k MulSliceAdd passes. As in gf16's
+// mirror kernel, the weights are computed as discrete logs:
+//
+//	log L_i(0) = Σ_j log xs[j] − log xs[i] − Σ_j log(xs[i]⊕xs[j])  (mod 255)
+//
+// The diagonal term j = i adds logTable[0], which is 0 only because init
+// never writes it (0 has no log); the row loop relies on that instead of
+// skipping j = i. The xs must be distinct and nonzero and len(coeffs)
+// must equal len(xs).
+func LagrangeCoeffs(xs, coeffs []byte) error {
 	if err := checkDistinct(xs, len(coeffs)); err != nil {
 		return err
 	}
-	for i := range xs {
-		num, den := byte(1), byte(1)
-		for j := range xs {
-			if j == i {
-				continue
-			}
-			num = Mul(num, x^xs[j])
-			den = Mul(den, xs[i]^xs[j])
+	num := 0
+	for _, x := range xs {
+		num += int(logTable[x])
+	}
+	for i, xi := range xs {
+		den := 0
+		for _, xj := range xs {
+			den += int(logTable[xi^xj])
 		}
-		coeffs[i] = Div(num, den)
+		e := (num - int(logTable[xi]) - den) % 255
+		if e < 0 {
+			e += 255
+		}
+		coeffs[i] = expTable[e]
 	}
 	return nil
 }

@@ -3,6 +3,8 @@ package gf256
 import (
 	"bytes"
 	"testing"
+
+	"lemonade/internal/rng"
 )
 
 // The slice kernels claim bit-identity with the scalar field ops. The
@@ -141,52 +143,93 @@ func evalPoly(p []byte, x byte) byte {
 }
 
 // TestLagrangeCoeffsMatchInterpolate: through k points of a degree-(k-1)
-// polynomial, Σ ys[i]·L_i(x) must equal that polynomial at every
-// evaluation point, including the nodes themselves (where the basis
-// collapses to a unit vector).
+// polynomial, Σ ys[i]·L_i(0) must equal that polynomial's constant term,
+// for every polynomial of a 256-salt sweep.
 func TestLagrangeCoeffsMatchInterpolate(t *testing.T) {
 	xs := []byte{1, 2, 3, 7, 90, 255}
-	p := patternBytes(len(xs), 0x1F)
 	ys := make([]byte, len(xs))
-	for i, x := range xs {
-		ys[i] = evalPoly(p, x)
-	}
 	coeffs := make([]byte, len(xs))
-	for x := 0; x < 256; x++ {
-		if err := LagrangeCoeffs(xs, byte(x), coeffs); err != nil {
-			t.Fatalf("LagrangeCoeffs(x=%d): %v", x, err)
+	if err := LagrangeCoeffs(xs, coeffs); err != nil {
+		t.Fatal(err)
+	}
+	for salt := 0; salt < 256; salt++ {
+		p := patternBytes(len(xs), byte(salt))
+		for i, x := range xs {
+			ys[i] = evalPoly(p, x)
 		}
 		var got byte
 		for i := range xs {
 			got ^= Mul(ys[i], coeffs[i])
 		}
-		if want := evalPoly(p, byte(x)); got != want {
-			t.Fatalf("coefficient reconstruction at x=%d: got %d, want %d", x, got, want)
+		if got != p[0] {
+			t.Fatalf("salt %d: reconstructed constant term %d, want %d", salt, got, p[0])
 		}
 	}
-	// At a node the basis must be exactly the unit vector for that node.
-	if err := LagrangeCoeffs(xs, xs[2], coeffs); err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range coeffs {
-		want := byte(0)
-		if i == 2 {
-			want = 1
+}
+
+// refLagrangeCoeffs is the pairwise product the log-domain kernel
+// replaced, kept as its reference: L_i(0) = Π_{j≠i} xs[j]/(xs[i]⊕xs[j]),
+// one Mul per factor.
+func refLagrangeCoeffs(xs, coeffs []byte) {
+	for i := range xs {
+		num, den := byte(1), byte(1)
+		for j := range xs {
+			if j == i {
+				continue
+			}
+			num = Mul(num, xs[j])
+			den = Mul(den, xs[i]^xs[j])
 		}
-		if c != want {
-			t.Fatalf("basis at node: coeffs[%d] = %d, want %d", i, c, want)
+		coeffs[i] = Div(num, den)
+	}
+}
+
+// TestLagrangeCoeffsMatchReference: the log-domain weights equal the
+// pairwise-Mul reference on seeded random k-subsets of 1..n, up to the
+// full field (k = n = 255), with and without the top coordinate 255.
+func TestLagrangeCoeffsMatchReference(t *testing.T) {
+	cases := []struct{ k, n int }{
+		{1, 1}, {2, 2}, {2, 255}, {3, 10}, {15, 141}, {100, 200}, {254, 255}, {255, 255},
+	}
+	r := rng.New(0x1a6)
+	for _, c := range cases {
+		for trial := 0; trial < 8; trial++ {
+			xs := make([]byte, c.k)
+			for i, v := range r.Perm(c.n)[:c.k] {
+				xs[i] = byte(v + 1)
+			}
+			if trial%2 == 0 && !bytes.Contains(xs, []byte{255}) {
+				xs[0] = 255
+			}
+			want := make([]byte, c.k)
+			refLagrangeCoeffs(xs, want)
+			got := make([]byte, c.k)
+			if err := LagrangeCoeffs(xs, got); err != nil {
+				t.Fatalf("k=%d n=%d trial %d: %v", c.k, c.n, trial, err)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("k=%d n=%d trial %d: coeffs[%d] (x=%d) = %d, reference %d",
+						c.k, c.n, trial, i, xs[i], got[i], want[i])
+				}
+			}
 		}
 	}
 }
 
 func TestLagrangeCoeffsErrors(t *testing.T) {
-	if err := LagrangeCoeffs([]byte{1, 2, 1}, 0, make([]byte, 3)); err == nil {
+	if err := LagrangeCoeffs([]byte{1, 2, 1}, make([]byte, 3)); err == nil {
 		t.Fatal("duplicate xs not rejected")
 	}
-	if err := LagrangeCoeffs([]byte{1, 2}, 0, make([]byte, 3)); err == nil {
+	// x = 0 has no discrete log, so a point there would be silently
+	// mis-weighted; the kernel refuses it instead.
+	if err := LagrangeCoeffs([]byte{1, 0, 2}, make([]byte, 3)); err == nil {
+		t.Fatal("x = 0 not rejected")
+	}
+	if err := LagrangeCoeffs([]byte{1, 2}, make([]byte, 3)); err == nil {
 		t.Fatal("length mismatch not rejected")
 	}
-	if err := LagrangeCoeffs(nil, 0, nil); err == nil {
+	if err := LagrangeCoeffs(nil, nil); err == nil {
 		t.Fatal("empty point set not rejected")
 	}
 }
@@ -201,7 +244,7 @@ func TestSliceKernelsNoAllocs(t *testing.T) {
 	for name, f := range map[string]func(){
 		"MulSliceAdd (c=1)": func() { MulSliceAdd(dst, src, 1) },
 		"MulSliceAdd":       func() { MulSliceAdd(dst, src, 29) },
-		"LagrangeCoeffs":    func() { _ = LagrangeCoeffs(xs, 0, coeffs) },
+		"LagrangeCoeffs":    func() { _ = LagrangeCoeffs(xs, coeffs) },
 	} {
 		if n := testing.AllocsPerRun(100, f); n != 0 {
 			t.Errorf("%s allocates %v times per call, want 0", name, n)

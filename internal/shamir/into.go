@@ -191,7 +191,7 @@ func (s *Scheme[E]) CombineInto(shares []ShareOf[E], k int, dst []byte) (int, er
 	}
 	// The secret is q(0) = Σ_i L_i(0)·share_i — k scalar Lagrange weights,
 	// then one MulSliceAdd sweep per share.
-	if err := s.lagrangeCoeffs(sc.xs, 0, sc.coeffs); err != nil {
+	if err := s.lagrangeCoeffs(sc.xs, sc.coeffs); err != nil {
 		return 0, err
 	}
 	out := grow(sc.words, words)

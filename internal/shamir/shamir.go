@@ -50,7 +50,7 @@ type Scheme[E Elem] struct {
 	bits           int // element width
 	mulSliceAdd    func(dst, src []E, c E)
 	mulPowersAdd   func(dst, rows []E, x E)
-	lagrangeCoeffs func(xs []E, x E, coeffs []E) error
+	lagrangeCoeffs func(xs, coeffs []E) error
 
 	mu   sync.Mutex
 	free []*scratch[E] // idle working sets, reused by later calls
