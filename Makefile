@@ -28,8 +28,11 @@ vet-fixtures:
 build:
 	$(GO) build ./...
 
+## test: the module's tests, then the e2ebench module's vet and tests —
+## it is a separate module, so `go build ./...` never compiles it
 test:
 	$(GO) test ./...
+	cd e2ebench && $(GO) vet ./... && $(GO) test ./...
 
 ## race: race detector over the concurrency-sensitive packages, then the
 ## whole module in short mode (matches the CI race matrix entry)

@@ -14,31 +14,15 @@ import (
 	"time"
 )
 
-// Retry policy: WithRetryOn503 sets HOW MANY times a 503 is retried;
-// WithRetryBackoff sets HOW LONG to wait between attempts when the
-// server is silent. A server-sent Retry-After header always takes
-// precedence over the computed backoff — the server knows its drain
-// better than any client-side schedule. Without WithRetryBackoff the
-// client waits only when the server sends Retry-After (the original
-// fixed behavior), so existing callers are unchanged.
-
 // Error is the typed failure returned by every Client method when the
-// server answered with a non-2xx status. It preserves the HTTP status,
-// the decoded error body, and the server's Retry-After hint, so callers
-// can branch on semantics (IsExhausted, IsTransient, IsNotFound) instead
-// of string-matching.
+// server answered with a non-2xx status. It preserves the HTTP status
+// and the decoded error body, so callers can branch on semantics
+// (IsExhausted, IsTransient) instead of string-matching.
 type Error struct {
 	StatusCode int
 	Message    string
 	Field      string // offending field, for validation failures
 	Retry      bool   // server says retrying may succeed
-	// RetryAfter is the parsed Retry-After header, 0 if absent or
-	// unparseable. Both RFC 9110 forms are understood: delta-seconds
-	// ("Retry-After: 3") and HTTP-date ("Retry-After: Fri, 08 Aug 2026
-	// 17:00:00 GMT"); the date form is resolved against the response's
-	// own Date header, so server/client clock skew cancels out. Callers
-	// never need to re-parse headers.
-	RetryAfter time.Duration
 }
 
 func (e *Error) Error() string {
@@ -66,44 +50,12 @@ func IsTransient(err error) bool {
 	return errors.As(err, &ae) && ae.StatusCode == http.StatusServiceUnavailable
 }
 
-// IsNotFound reports whether err is an unknown-architecture failure.
-func IsNotFound(err error) bool {
-	var ae *Error
-	return errors.As(err, &ae) && ae.StatusCode == http.StatusNotFound
-}
-
 // Client is a typed client for the lemonaded HTTP API. Create with
 // NewClient; the zero value is not usable. Methods are safe for
 // concurrent use.
 type Client struct {
 	base  string
 	httpc *http.Client
-	// retry503 is how many times a 503 response is retried (0 = no
-	// retries). Waits honor the server's Retry-After header.
-	retry503 int
-	// backoffBase/backoffMax, when set, schedule the wait before retry
-	// attempt k as jittered exponential backoff capped at backoffMax —
-	// used only when the server sent no Retry-After (see backoff).
-	backoffBase time.Duration
-	backoffMax  time.Duration
-	// sleep waits for d or until ctx is done, whichever is first,
-	// returning ctx.Err() in the latter case. Injectable so retry tests
-	// run instantly.
-	sleep func(ctx context.Context, d time.Duration) error
-}
-
-// sleepCtx is the production sleep: a timer race against the context, so
-// a server-suggested Retry-After can never outlive the caller's
-// deadline.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 // Option customizes a Client.
@@ -116,51 +68,6 @@ func WithHTTPClient(h *http.Client) Option { return func(c *Client) { c.httpc = 
 // WithTimeout sets a per-request timeout on the client's *http.Client.
 // Apply it after WithHTTPClient if both are used.
 func WithTimeout(d time.Duration) Option { return func(c *Client) { c.httpc.Timeout = d } }
-
-// WithRetryOn503 makes every request retry up to n times when the server
-// answers 503 (transient access failure or shutdown drain), sleeping for
-// the server's Retry-After between attempts. Combine with
-// WithRetryBackoff to also wait when the server sends no Retry-After.
-func WithRetryOn503(n int) Option { return func(c *Client) { c.retry503 = n } }
-
-// WithRetryBackoff schedules the wait between 503 retries when the
-// server sends no Retry-After header: attempt k (0-based) waits
-// min(max, base<<k) shrunk by a jitter that is a pure function of k —
-// deterministic given the attempt count, so retry traces replay exactly,
-// yet de-synchronized across successive attempts. A server-sent
-// Retry-After always overrides the computed wait. The option sets only
-// the schedule; pair it with WithRetryOn503(n) to enable retries at all.
-func WithRetryBackoff(base, max time.Duration) Option {
-	return func(c *Client) { c.backoffBase, c.backoffMax = base, max }
-}
-
-// backoff computes the attempt-k wait for WithRetryBackoff: exponential
-// growth base<<k capped at backoffMax, then scaled into [1/2, 1) of that
-// ceiling by a splitmix64-style hash of k. No global RNG is consulted —
-// two clients configured alike back off identically, which keeps retry
-// tests and recorded traces deterministic.
-func (c *Client) backoff(attempt int) time.Duration {
-	if c.backoffBase <= 0 {
-		return 0
-	}
-	d := c.backoffMax
-	if attempt < 62 {
-		if exp := c.backoffBase << uint(attempt); exp > 0 && exp < d {
-			d = exp
-		}
-	}
-	if d <= 1 {
-		return d
-	}
-	// splitmix64 finalizer on the attempt number: well-mixed bits from a
-	// trivially small domain, with no process-global state.
-	z := uint64(attempt) + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	half := uint64(d) / 2
-	return time.Duration(half + z%(uint64(d)-half))
-}
 
 // NewClient returns a client for the daemon at base (e.g.
 // "http://127.0.0.1:8080").
@@ -175,7 +82,6 @@ func NewClient(base string, opts ...Option) (*Client, error) {
 	c := &Client{
 		base:  strings.TrimRight(base, "/"),
 		httpc: &http.Client{},
-		sleep: sleepCtx,
 	}
 	for _, o := range opts {
 		o(c)
@@ -222,33 +128,6 @@ func (c *Client) Stress(ctx context.Context, id string, req StressRequest) (*Str
 	return &out, nil
 }
 
-// List pages through the fleet in deterministic ID order. An empty
-// afterID starts from the beginning; limit <= 0 lets the server choose.
-//
-// The response is returned faithfully: in particular NextAfterID is
-// preserved even when Architectures is empty. A server (or a filtering
-// proxy in front of one) may legally emit an empty page mid-pagination
-// with the cursor still set, so "page is empty" does NOT mean "done" —
-// loop until NextAfterID is empty, never until a page has no rows.
-func (c *Client) List(ctx context.Context, afterID string, limit int) (*ListResponse, error) {
-	q := url.Values{}
-	if afterID != "" {
-		q.Set("after_id", afterID)
-	}
-	if limit > 0 {
-		q.Set("limit", strconv.Itoa(limit))
-	}
-	path := "/v1/architectures"
-	if len(q) > 0 {
-		path += "?" + q.Encode()
-	}
-	var out ListResponse
-	if err := c.do(ctx, http.MethodGet, path, nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // Events returns an architecture's recent access events, oldest first.
 // max <= 0 means all buffered events.
 func (c *Client) Events(ctx context.Context, id string, max int) (*EventsResponse, error) {
@@ -258,28 +137,6 @@ func (c *Client) Events(ctx context.Context, id string, max int) (*EventsRespons
 	}
 	var out EventsResponse
 	if err := c.do(ctx, http.MethodGet, path, nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// Explore runs (or recalls) a design-space search.
-func (c *Client) Explore(ctx context.Context, req SpecRequest) (*ExploreResponse, error) {
-	var out ExploreResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/dse/explore", req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// Frontier enumerates feasible designs; limit <= 0 returns all.
-func (c *Client) Frontier(ctx context.Context, req SpecRequest, limit int) (*FrontierResponse, error) {
-	path := "/v1/dse/frontier"
-	if limit > 0 {
-		path += "?limit=" + strconv.Itoa(limit)
-	}
-	var out FrontierResponse
-	if err := c.do(ctx, http.MethodPost, path, req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -307,21 +164,6 @@ func (c *Client) ClusterAccess(ctx context.Context, req ClusterAccessRequest) (*
 	return &out, nil
 }
 
-// ClusterRing fetches the node's placement configuration, for verifying
-// that a client and its nodes agree on ring membership and seed.
-func (c *Client) ClusterRing(ctx context.Context) (*RingResponse, error) {
-	var out RingResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/cluster/ring", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// Healthy checks the liveness endpoint.
-func (c *Client) Healthy(ctx context.Context) error {
-	return c.do(ctx, http.MethodGet, "/healthz", nil, nil)
-}
-
 // MetricsText fetches the raw Prometheus exposition, for scripted
 // assertions on counters.
 func (c *Client) MetricsText(ctx context.Context) (string, error) {
@@ -344,102 +186,32 @@ func (c *Client) MetricsText(ctx context.Context) (string, error) {
 	return string(body), nil
 }
 
-// do executes one API call: marshal, send, retry 503s if configured,
-// decode into out (skipped when out is nil). The request body is
-// marshaled once and replayed on each attempt.
+// do executes one API call: marshal, send, decode into out (skipped
+// when out is nil).
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
-	var body []byte
+	var rd io.Reader
 	if in != nil {
-		var err error
-		if body, err = json.Marshal(in); err != nil {
+		body, err := json.Marshal(in)
+		if err != nil {
 			return fmt.Errorf("api: encoding request: %w", err)
 		}
-	}
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		retryable, err := c.once(ctx, method, path, body, out)
-		if err == nil {
-			return nil
-		}
-		lastErr = err
-		if !retryable || attempt >= c.retry503 {
-			return lastErr
-		}
-		// Server-sent Retry-After wins; the configured backoff schedule
-		// fills in only when the server was silent.
-		var wait time.Duration
-		var ae *Error
-		if errors.As(err, &ae) && ae.RetryAfter > 0 {
-			wait = ae.RetryAfter
-		} else {
-			wait = c.backoff(attempt)
-		}
-		if wait > 0 {
-			// The wait is capped by the request context: a server
-			// suggesting Retry-After: 3600 against a 50ms deadline gives
-			// up in 50ms, not an hour.
-			if serr := c.sleep(ctx, wait); serr != nil {
-				return serr
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-	}
-}
-
-// parseRetryAfter turns a Retry-After header into a wait. RFC 9110
-// allows two forms: delta-seconds ("3") and HTTP-date ("Fri, 08 Aug 2026
-// 17:00:00 GMT"). The date form is resolved against the response's own
-// Date header — both stamps come from the server's clock, so their
-// difference is skew-free, and no wall clock is read here (the lemonvet
-// determinism contract covers this package). Go's net/http sets Date on
-// every response automatically; if it is missing or unparseable the date
-// form is ignored rather than guessed. Unparseable or already-elapsed
-// values yield 0.
-func parseRetryAfter(ra, date string) time.Duration {
-	if secs, err := strconv.Atoi(ra); err == nil {
-		if secs < 0 {
-			return 0
-		}
-		return time.Duration(secs) * time.Second
-	}
-	when, err := http.ParseTime(ra)
-	if err != nil {
-		return 0
-	}
-	ref, err := http.ParseTime(date)
-	if err != nil {
-		return 0
-	}
-	if wait := when.Sub(ref); wait > 0 {
-		return wait
-	}
-	return 0
-}
-
-// once performs a single HTTP exchange; retryable reports whether the
-// failure was a 503 the caller may retry.
-func (c *Client) once(ctx context.Context, method, path string, body []byte, out any) (retryable bool, err error) {
-	var rd io.Reader
-	if body != nil {
 		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
-		return false, fmt.Errorf("api: building request: %w", err)
+		return fmt.Errorf("api: building request: %w", err)
 	}
-	if body != nil {
+	if in != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.httpc.Do(req)
 	if err != nil {
-		return false, fmt.Errorf("api: %s %s: %w", method, path, err)
+		return fmt.Errorf("api: %s %s: %w", method, path, err)
 	}
 	defer func() { _ = resp.Body.Close() }()
 	payload, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return false, fmt.Errorf("api: reading response: %w", err)
+		return fmt.Errorf("api: reading response: %w", err)
 	}
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		ae := &Error{StatusCode: resp.StatusCode}
@@ -449,16 +221,13 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 		} else {
 			ae.Message = strings.TrimSpace(string(payload))
 		}
-		if ra := resp.Header.Get("Retry-After"); ra != "" {
-			ae.RetryAfter = parseRetryAfter(ra, resp.Header.Get("Date"))
-		}
-		return resp.StatusCode == http.StatusServiceUnavailable, ae
+		return ae
 	}
 	if out == nil {
-		return false, nil
+		return nil
 	}
 	if err := json.Unmarshal(payload, out); err != nil {
-		return false, fmt.Errorf("api: decoding %s %s response: %w", method, path, err)
+		return fmt.Errorf("api: decoding %s %s response: %w", method, path, err)
 	}
-	return false, nil
+	return nil
 }

@@ -3,12 +3,10 @@ package api
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func newTestClient(t *testing.T, h http.Handler, opts ...Option) (*Client, *httptest.Server) {
@@ -51,15 +49,6 @@ func TestTypedRoundTrip(t *testing.T) {
 		w.WriteHeader(http.StatusCreated)
 		_ = json.NewEncoder(w).Encode(ProvisionResponse{ID: "arch-000001", Seed: req.Seed})
 	})
-	mux.HandleFunc("GET /v1/architectures", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Get("after_id") != "arch-000001" || r.URL.Query().Get("limit") != "2" {
-			t.Errorf("list query = %v", r.URL.Query())
-		}
-		_ = json.NewEncoder(w).Encode(ListResponse{
-			Architectures: []ArchitectureSummary{{ID: "arch-000002", Alive: true}},
-			NextAfterID:   "arch-000002",
-		})
-	})
 	mux.HandleFunc("GET /v1/architectures/{id}/events", func(w http.ResponseWriter, r *http.Request) {
 		if r.PathValue("id") != "arch-000001" || r.URL.Query().Get("max") != "5" {
 			t.Errorf("events request: id=%q query=%v", r.PathValue("id"), r.URL.Query())
@@ -79,14 +68,6 @@ func TestTypedRoundTrip(t *testing.T) {
 	}
 	if prov.ID != "arch-000001" {
 		t.Errorf("provision ID = %q", prov.ID)
-	}
-
-	list, err := c.List(context.Background(), "arch-000001", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(list.Architectures) != 1 || list.NextAfterID != "arch-000002" {
-		t.Errorf("list = %+v", list)
 	}
 
 	evs, err := c.Events(context.Background(), "arch-000001", 5)
@@ -115,13 +96,14 @@ func TestErrorClassification(t *testing.T) {
 	c, _ := newTestClient(t, mux)
 
 	err := c.do(context.Background(), http.MethodGet, "/gone", nil, nil)
-	if !IsExhausted(err) || IsTransient(err) || IsNotFound(err) {
-		t.Errorf("410: IsExhausted=%t IsTransient=%t IsNotFound=%t", IsExhausted(err), IsTransient(err), IsNotFound(err))
-	}
-	if !IsNotFound(c.do(context.Background(), http.MethodGet, "/missing", nil, nil)) {
-		t.Error("404 not classified as not-found")
+	if !IsExhausted(err) || IsTransient(err) {
+		t.Errorf("410: IsExhausted=%t IsTransient=%t", IsExhausted(err), IsTransient(err))
 	}
 	var ae *Error
+	err = c.do(context.Background(), http.MethodGet, "/missing", nil, nil)
+	if !asAPIError(err, &ae) || ae.StatusCode != http.StatusNotFound || IsExhausted(err) || IsTransient(err) {
+		t.Errorf("404 error = %v", err)
+	}
 	err = c.do(context.Background(), http.MethodGet, "/bad", nil, nil)
 	if !asAPIError(err, &ae) || ae.Field != "alpha" || ae.StatusCode != http.StatusBadRequest {
 		t.Errorf("400 error = %v", err)
@@ -136,200 +118,8 @@ func asAPIError(err error, target **Error) bool {
 	return ok
 }
 
-// TestRetryOn503 pins the retry loop: n failures then success, sleeping
-// for the server's Retry-After between attempts.
-func TestRetryOn503(t *testing.T) {
-	var calls atomic.Int64
-	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) <= 2 {
-			w.Header().Set("Retry-After", "3")
-			w.WriteHeader(http.StatusServiceUnavailable)
-			_ = json.NewEncoder(w).Encode(ErrorResponse{Error: "transient", Retry: true})
-			return
-		}
-		_ = json.NewEncoder(w).Encode(AccessResponse{SecretHex: "ff", Attempts: 3})
-	})
-	c, _ := newTestClient(t, h, WithRetryOn503(3))
-	var slept []time.Duration
-	c.sleep = func(_ context.Context, d time.Duration) error {
-		slept = append(slept, d)
-		return nil
-	}
-
-	out, err := c.Access(context.Background(), "arch-000001", AccessRequest{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.SecretHex != "ff" || calls.Load() != 3 {
-		t.Errorf("after retries: resp=%+v calls=%d", out, calls.Load())
-	}
-	want := []time.Duration{3 * time.Second, 3 * time.Second}
-	if len(slept) != 2 || slept[0] != want[0] || slept[1] != want[1] {
-		t.Errorf("slept %v, want %v (honoring Retry-After)", slept, want)
-	}
-}
-
-// TestRetryBackoffDeterministic pins WithRetryBackoff: with no server
-// Retry-After, attempt k waits a jittered share of min(max, base<<k) —
-// and because the jitter is a pure function of k, two identically
-// configured clients produce the exact same schedule.
-func TestRetryBackoffDeterministic(t *testing.T) {
-	var calls atomic.Int64
-	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		w.WriteHeader(http.StatusServiceUnavailable) // no Retry-After
-		_ = json.NewEncoder(w).Encode(ErrorResponse{Error: "transient", Retry: true})
-	})
-	const base, max = 10 * time.Millisecond, 80 * time.Millisecond
-	c, _ := newTestClient(t, h, WithRetryOn503(5), WithRetryBackoff(base, max))
-	var slept []time.Duration
-	c.sleep = func(_ context.Context, d time.Duration) error {
-		slept = append(slept, d)
-		return nil
-	}
-
-	if _, err := c.Access(context.Background(), "arch-000001", AccessRequest{}); !IsTransient(err) {
-		t.Fatalf("err = %v, want transient", err)
-	}
-	if calls.Load() != 6 || len(slept) != 5 {
-		t.Fatalf("calls=%d slept=%v, want 6 calls and 5 waits", calls.Load(), slept)
-	}
-	for k, d := range slept {
-		ceil := max
-		if exp := base << uint(k); exp < ceil {
-			ceil = exp
-		}
-		if d < ceil/2 || d >= ceil {
-			t.Errorf("attempt %d slept %v, want within [%v, %v)", k, d, ceil/2, ceil)
-		}
-		if want := c.backoff(k); d != want {
-			t.Errorf("attempt %d slept %v, want the deterministic %v", k, d, want)
-		}
-	}
-	// A second identically configured client computes the same schedule.
-	c2, err := NewClient("http://example.com", WithRetryBackoff(base, max))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, d := range slept {
-		if want := c2.backoff(k); d != want {
-			t.Errorf("attempt %d: clients disagree (%v vs %v)", k, d, want)
-		}
-	}
-}
-
-// TestRetryAfterOverridesBackoff: a server-sent Retry-After beats the
-// configured backoff schedule.
-func TestRetryAfterOverridesBackoff(t *testing.T) {
-	var calls atomic.Int64
-	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		w.Header().Set("Retry-After", "7")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		_ = json.NewEncoder(w).Encode(ErrorResponse{Error: "transient", Retry: true})
-	})
-	c, _ := newTestClient(t, h, WithRetryOn503(2), WithRetryBackoff(time.Millisecond, time.Second))
-	var slept []time.Duration
-	c.sleep = func(_ context.Context, d time.Duration) error {
-		slept = append(slept, d)
-		return nil
-	}
-	if _, err := c.Access(context.Background(), "arch-000001", AccessRequest{}); !IsTransient(err) {
-		t.Fatalf("err = %v, want transient", err)
-	}
-	if len(slept) != 2 || slept[0] != 7*time.Second || slept[1] != 7*time.Second {
-		t.Errorf("slept %v, want two 7s waits from Retry-After", slept)
-	}
-}
-
-// TestRetryAfterHTTPDate: the HTTP-date form of Retry-After parses
-// relative to the response's own Date header, so clock skew between
-// server and client cancels out.
-func TestRetryAfterHTTPDate(t *testing.T) {
-	// The server's absolute clock is irrelevant — only the delta between
-	// its Date and Retry-After stamps matters, so skew cancels out.
-	serverNow := time.Date(2026, time.August, 8, 12, 0, 0, 0, time.UTC)
-	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Date", serverNow.Format(http.TimeFormat))
-		w.Header().Set("Retry-After", serverNow.Add(7*time.Second).Format(http.TimeFormat))
-		w.WriteHeader(http.StatusServiceUnavailable)
-		_ = json.NewEncoder(w).Encode(ErrorResponse{Error: "draining", Retry: true})
-	})
-	c, _ := newTestClient(t, h)
-	err := c.do(context.Background(), http.MethodGet, "/v1/architectures", nil, nil)
-	var ae *Error
-	if !errors.As(err, &ae) {
-		t.Fatalf("err = %v, want *Error", err)
-	}
-	if ae.RetryAfter != 7*time.Second {
-		t.Errorf("RetryAfter = %v, want 7s (HTTP-date relative to Date header)", ae.RetryAfter)
-	}
-
-	date := serverNow.Format(http.TimeFormat)
-	if d := parseRetryAfter("not-a-date", date); d != 0 {
-		t.Errorf("unparseable Retry-After = %v, want 0", d)
-	}
-	if d := parseRetryAfter("-3", date); d != 0 {
-		t.Errorf("negative delta-seconds = %v, want 0", d)
-	}
-	past := serverNow.Add(-time.Hour).Format(http.TimeFormat)
-	if d := parseRetryAfter(past, date); d != 0 {
-		t.Errorf("already-elapsed HTTP-date = %v, want 0", d)
-	}
-	future := serverNow.Add(time.Minute).Format(http.TimeFormat)
-	if d := parseRetryAfter(future, ""); d != 0 {
-		t.Errorf("HTTP-date with no Date reference = %v, want 0 (never guessed)", d)
-	}
-}
-
-// TestListEmptyPageKeepsCursor is the pagination regression test: an
-// empty page mid-pagination must still surface the server's
-// next_after_id, or a paginating caller silently drops the rest of the
-// fleet.
-func TestListEmptyPageKeepsCursor(t *testing.T) {
-	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Get("after_id") != "arch-000003" {
-			t.Errorf("after_id = %q", r.URL.Query().Get("after_id"))
-		}
-		_, _ = w.Write([]byte(`{"architectures":[],"next_after_id":"arch-000007"}`))
-	})
-	c, _ := newTestClient(t, h)
-	list, err := c.List(context.Background(), "arch-000003", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(list.Architectures) != 0 {
-		t.Errorf("architectures = %+v, want empty page", list.Architectures)
-	}
-	if list.NextAfterID != "arch-000007" {
-		t.Errorf("NextAfterID = %q, want %q preserved on an empty page", list.NextAfterID, "arch-000007")
-	}
-}
-
-// TestRetryBudgetExhausted: once retries run out the 503 surfaces as a
-// transient typed error.
-func TestRetryBudgetExhausted(t *testing.T) {
-	var calls atomic.Int64
-	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		w.Header().Set("Retry-After", "0")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		_ = json.NewEncoder(w).Encode(ErrorResponse{Error: "transient", Retry: true})
-	})
-	c, _ := newTestClient(t, h, WithRetryOn503(2))
-	c.sleep = func(context.Context, time.Duration) error { return nil }
-
-	_, err := c.Access(context.Background(), "arch-000001", AccessRequest{})
-	if !IsTransient(err) {
-		t.Fatalf("err = %v, want transient", err)
-	}
-	if calls.Load() != 3 {
-		t.Errorf("server saw %d calls, want 3 (1 + 2 retries)", calls.Load())
-	}
-}
-
-// TestNoRetryByDefault: without WithRetryOn503 a 503 is returned
-// immediately.
+// TestNoRetryByDefault: a 503 is returned to the caller after one call;
+// retrying a transient refusal is the caller's decision.
 func TestNoRetryByDefault(t *testing.T) {
 	var calls atomic.Int64
 	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -343,51 +133,5 @@ func TestNoRetryByDefault(t *testing.T) {
 	}
 	if calls.Load() != 1 {
 		t.Errorf("server saw %d calls, want 1", calls.Load())
-	}
-}
-
-// TestRetryRespectsContext: a cancelled context stops the retry loop.
-func TestRetryRespectsContext(t *testing.T) {
-	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Retry-After", "1")
-		w.WriteHeader(http.StatusServiceUnavailable)
-	})
-	c, _ := newTestClient(t, h, WithRetryOn503(100))
-	ctx, cancel := context.WithCancel(context.Background())
-	c.sleep = func(ctx context.Context, _ time.Duration) error {
-		cancel()
-		return ctx.Err()
-	}
-	if _, err := c.Access(ctx, "arch-000001", AccessRequest{}); err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-// TestRetryWaitCappedByDeadline is the regression test for the
-// Retry-After bug: a server suggesting a one-hour wait must not outlive
-// a 50ms request deadline. The real sleepCtx runs here — the test
-// passing quickly IS the assertion.
-func TestRetryWaitCappedByDeadline(t *testing.T) {
-	var calls atomic.Int64
-	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		w.Header().Set("Retry-After", "3600")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		_ = json.NewEncoder(w).Encode(ErrorResponse{Error: "transient", Retry: true})
-	})
-	c, _ := newTestClient(t, h, WithRetryOn503(100))
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-
-	start := time.Now()
-	_, err := c.Access(ctx, "arch-000001", AccessRequest{})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("retry wait ran %v past a 50ms deadline — Retry-After not capped", elapsed)
-	}
-	if calls.Load() != 1 {
-		t.Errorf("server saw %d calls, want 1 (deadline expired during the wait)", calls.Load())
 	}
 }

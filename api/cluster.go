@@ -29,9 +29,8 @@ type ClusterClient struct {
 	// hedge, when > 0, is how long Access waits on an outstanding share
 	// fetch before speculatively launching the next spare owner.
 	hedge time.Duration
-	// sleep is the one ctx-capped wait shared by the hedge pump and, via
-	// assignment into every node Client, the 503 retry path — so no part
-	// of the cluster path can ever sleep past the caller's deadline.
+	// sleep is the hedge pump's ctx-capped wait, so a hedge delay can
+	// never outlive the caller's deadline. Injectable for tests.
 	sleep func(ctx context.Context, d time.Duration) error
 
 	mu   sync.Mutex
@@ -47,9 +46,7 @@ type clusterArch struct{ K, N int }
 type ClusterOption func(*ClusterClient)
 
 // WithClusterNodeOptions forwards opts to every per-node Client (e.g.
-// WithRetryOn503 + WithRetryBackoff for transparent retry of transient
-// share failures). The node clients' retry sleeps are still capped by
-// the cluster client's shared ctx-aware sleep.
+// WithHTTPClient to share one transport across the nodes).
 func WithClusterNodeOptions(opts ...Option) ClusterOption {
 	return func(cc *ClusterClient) { cc.nodeOpts = append(cc.nodeOpts, opts...) }
 }
@@ -85,14 +82,22 @@ func NewClusterClient(nodes map[string]string, seed uint64, opts ...ClusterOptio
 		if err != nil {
 			return nil, fmt.Errorf("api: cluster node %q: %w", name, err)
 		}
-		// One shared ctx-capped sleep for the whole cluster path: hedge
-		// waits and per-node 503 retry waits go through the same function,
-		// so a cancelled request can never sleep past its deadline in
-		// either place.
-		c.sleep = cc.sleep
 		cc.clients[name] = c
 	}
 	return cc, nil
+}
+
+// sleepCtx is the production sleep: a timer race against the context, so
+// a hedge delay can never outlive the caller's deadline.
+func sleepCtx(ctx context.Context, d time.Duration) error {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // Ring exposes the client's placement ring, mainly for tests and
@@ -277,7 +282,7 @@ func (cc *ClusterClient) Access(ctx context.Context, id string, req AccessReques
 		launch(i)
 	}
 	// The hedge pump: one tick per spare, spaced hedge apart, through the
-	// shared ctx-capped sleep. Ticks only grant permission — the collector
+	// ctx-capped sleep. Ticks only grant permission — the collector
 	// below is the sole launcher, so a spare is never raced onto the wire
 	// twice (once for a failure, once for a hedge).
 	hedgeTick := make(chan struct{}, geo.N-geo.K)

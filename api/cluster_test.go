@@ -124,7 +124,7 @@ func TestClusterHedgeFiresAfterDelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Deterministic hedging: the shared sleep records each requested wait
+	// Deterministic hedging: the hedge sleep records each requested wait
 	// and returns immediately, so the test never waits wall-clock time.
 	var mu sync.Mutex
 	var slept []time.Duration
@@ -135,9 +135,6 @@ func TestClusterHedgeFiresAfterDelay(t *testing.T) {
 		return ctx.Err()
 	}
 	cc.sleep = record
-	for _, c := range cc.clients {
-		c.sleep = record
-	}
 	if err := cc.RegisterCluster(id, 2, 3); err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +163,7 @@ func TestClusterHedgeFiresAfterDelay(t *testing.T) {
 	}
 	mu.Unlock()
 	if !sawHedge {
-		t.Fatalf("hedge delay %v never went through the shared sleep: %v", hedge, slept)
+		t.Fatalf("hedge delay %v never went through the hedge sleep: %v", hedge, slept)
 	}
 	// First k wins must cancel the straggler...
 	select {
@@ -207,9 +204,6 @@ func TestClusterFailoverWithoutHedge(t *testing.T) {
 		return ctx.Err()
 	}
 	cc.sleep = record
-	for _, c := range cc.clients {
-		c.sleep = record
-	}
 	if err := cc.RegisterCluster(id, 2, 3); err != nil {
 		t.Fatal(err)
 	}
@@ -230,47 +224,9 @@ func TestClusterFailoverWithoutHedge(t *testing.T) {
 	}
 }
 
-// TestClusterRetrySleepCappedByContext is the regression test for the
-// shared-sleep fix: a malicious or miscalibrated node answering 503
-// with Retry-After: 3600 must not pin a cancelled cluster access for an
-// hour — the per-node retry wait goes through the cluster's ctx-capped
-// sleep, so the call returns roughly at the caller's deadline.
-func TestClusterRetrySleepCappedByContext(t *testing.T) {
-	const id = "arch-000001"
-	secret := []byte{5, 5, 5, 5}
-	nodes, _, urls := fakeCluster(t, id, secret, 3, 3)
-	for _, f := range nodes {
-		f.behave = func(w http.ResponseWriter, r *http.Request, req ClusterAccessRequest) {
-			w.Header().Set("Retry-After", "3600")
-			w.WriteHeader(http.StatusServiceUnavailable)
-			json.NewEncoder(w).Encode(ErrorResponse{Error: "try much later"})
-		}
-	}
-	// Real sleeps, real retries: only the context cap stands between this
-	// test and an hour-long hang.
-	cc, err := NewClusterClient(urls, 42, WithClusterNodeOptions(WithRetryOn503(3)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cc.RegisterCluster(id, 3, 3); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err = cc.Access(ctx, id, AccessRequest{})
-	elapsed := time.Since(start)
-	if err == nil {
-		t.Fatal("access against all-503 nodes succeeded")
-	}
-	if elapsed > 5*time.Second {
-		t.Fatalf("access outlived its 100ms deadline by %v — a retry slept past the context", elapsed)
-	}
-}
-
-// TestClusterHedgeSleepCappedByContext is the same regression on the
-// hedge path: an hour-long hedge delay against a blocked owner must die
-// with the caller's context, not wait out the delay.
+// TestClusterHedgeSleepCappedByContext: an hour-long hedge delay
+// against a blocked owner must die with the caller's context, not wait
+// out the delay.
 func TestClusterHedgeSleepCappedByContext(t *testing.T) {
 	const id = "arch-000001"
 	secret := []byte{4, 4, 4, 4}
@@ -303,79 +259,6 @@ func TestClusterHedgeSleepCappedByContext(t *testing.T) {
 	}
 	if !errors.Is(err, context.DeadlineExceeded) && !IsTransient(err) {
 		t.Fatalf("want deadline or transient error, got %v", err)
-	}
-}
-
-// TestClusterSharedSleepIsShared proves the fix is structural, not
-// incidental: the hedge pump and a per-node 503 retry both wait through
-// the ONE recorded sleep function, so capping it caps every wait the
-// cluster path can take.
-func TestClusterSharedSleepIsShared(t *testing.T) {
-	const id = "arch-000001"
-	secret := []byte{8, 8}
-	nodes, owners, urls := fakeCluster(t, id, secret, 2, 3)
-
-	// owners[0] answers 503 once (with Retry-After so the retry path
-	// waits), then serves its share; owners[1] blocks until cancelled.
-	var flaky atomic.Bool
-	nodes[owners[0]].behave = func(w http.ResponseWriter, r *http.Request, req ClusterAccessRequest) {
-		if flaky.CompareAndSwap(false, true) {
-			w.Header().Set("Retry-After", "1")
-			w.WriteHeader(http.StatusServiceUnavailable)
-			json.NewEncoder(w).Encode(ErrorResponse{Error: "flap"})
-			return
-		}
-		nodes[owners[0]].reply(w, req)
-	}
-	release := make(chan struct{})
-	defer close(release)
-	nodes[owners[1]].behave = func(w http.ResponseWriter, r *http.Request, req ClusterAccessRequest) {
-		select {
-		case <-r.Context().Done():
-		case <-release:
-		}
-		w.WriteHeader(http.StatusServiceUnavailable)
-	}
-
-	const hedge = 30 * time.Millisecond
-	cc, err := NewClusterClient(urls, 42,
-		WithHedgeDelay(hedge),
-		WithClusterNodeOptions(WithRetryOn503(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	var slept []time.Duration
-	record := func(ctx context.Context, d time.Duration) error {
-		mu.Lock()
-		slept = append(slept, d)
-		mu.Unlock()
-		return ctx.Err()
-	}
-	cc.sleep = record
-	for _, c := range cc.clients {
-		c.sleep = record
-	}
-	if err := cc.RegisterCluster(id, 2, 3); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cc.Access(context.Background(), id, AccessRequest{}); err != nil {
-		t.Fatalf("access failed: %v", err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	var sawRetry, sawHedge bool
-	for _, d := range slept {
-		if d == time.Second {
-			sawRetry = true // Retry-After: 1 from the flapping owner
-		}
-		if d == hedge {
-			sawHedge = true
-		}
-	}
-	if !sawRetry || !sawHedge {
-		t.Fatalf("shared sleep saw retry=%v hedge=%v (waits: %v) — both paths must flow through it",
-			sawRetry, sawHedge, slept)
 	}
 }
 

@@ -71,13 +71,15 @@ func main() {
 func usage() {
 	fmt.Fprint(os.Stderr, `usage: lemonaded [serve|loadgen|bench] [flags]
 
-serve   [-addr host:port] [-addr-file path] [-shards n] [-cache n] [-drain-timeout d]
+serve   [-addr host:port] [-addr-file path] [-drain-timeout d]
         [-data-dir path] [-snapshot-interval d] [-snapshot-records n]
         [-breaker-threshold n] [-breaker-cooldown d] [-access-timeout d]
         [-max-concurrent-access n] [-access-queue n]
         [-node-name name -ring-nodes name=url,... [-ring-seed n]]
 loadgen -base URL [-workers n] [-seed n] [-alpha a] [-beta b] [-lab n] [-kfrac f]
-loadgen -cluster name=url,... [-ring-seed n] [-share-k k] [-share-n n] [-workers n] ...
+        [-secret hex]
+loadgen -cluster name=url,... [-ring-seed n] [-share-k k] [-share-n n] [-hedge d]
+        [-workers n] ...
 bench   [-seed n] [-n reps] [-warmup reps] [-filter substr] [-json] [-out file]
 bench   compare OLD.json NEW.json [-threshold f] [-sigma f] [-floor-us n]
 `)
@@ -88,8 +90,6 @@ func runServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
 	addrFile := fs.String("addr-file", "", "write the bound address to this file (for scripts using :0)")
-	shards := fs.Int("shards", 0, "registry stripe count (0 = default)")
-	cacheSize := fs.Int("cache", 0, "DSE design cache capacity (0 = default)")
 	drain := fs.Duration("drain-timeout", 10*time.Second, "max wait for in-flight requests on shutdown")
 	dataDir := fs.String("data-dir", "", "durable state directory (empty = in-memory, no persistence)")
 	snapInterval := fs.Duration("snapshot-interval", time.Minute, "max time between snapshots (with -data-dir)")
@@ -177,7 +177,7 @@ func runServe(args []string) error {
 			NowNanos:         wallNanos,
 			Metrics:          met,
 		})
-		reg = registry.NewWithStore(*shards, breaker)
+		reg = registry.NewWithStore(registry.DefaultShards, breaker)
 		stats, err := store.Recover(reg)
 		if err != nil {
 			return fmt.Errorf("recovering %s: %w", *dataDir, err)
@@ -193,12 +193,10 @@ func runServe(args []string) error {
 	}
 
 	s := server.New(server.Config{
-		Registry:  reg,
-		Shards:    *shards,
-		Metrics:   met,
-		CacheSize: *cacheSize,
-		NowNanos:  wallNanos,
-		Breaker:   breaker,
+		Registry: reg,
+		Metrics:  met,
+		NowNanos: wallNanos,
+		Breaker:  breaker,
 		Shedder: resilience.NewShedder(resilience.ShedderConfig{
 			MaxConcurrent: *maxAccess,
 			MaxQueue:      *accessQueue,

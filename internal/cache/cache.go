@@ -34,8 +34,6 @@ type Cache[V any] struct {
 	items    map[string]*entry[V] // guarded by mu
 	root     entry[V]             // guarded by mu; list sentinel
 	flight   map[string]*call[V]  // guarded by mu
-
-	hits, misses uint64 // guarded by mu
 }
 
 // New returns a cache holding at most capacity values; at least one slot
@@ -64,7 +62,6 @@ func (c *Cache[V]) Do(key string, fn func() (V, error)) (val V, hit bool, err er
 	c.mu.Lock()
 	if e, ok := c.items[key]; ok {
 		c.moveFront(e)
-		c.hits++
 		c.mu.Unlock()
 		return e.val, true, nil
 	}
@@ -77,7 +74,6 @@ func (c *Cache[V]) Do(key string, fn func() (V, error)) (val V, hit bool, err er
 	}
 	fl := &call[V]{done: make(chan struct{})}
 	c.flight[key] = fl
-	c.misses++
 	c.mu.Unlock()
 
 	fl.val, fl.err = fn()
@@ -90,20 +86,6 @@ func (c *Cache[V]) Do(key string, fn func() (V, error)) (val V, hit bool, err er
 	}
 	c.mu.Unlock()
 	return fl.val, false, fl.err
-}
-
-// Get returns the cached value without computing on miss.
-func (c *Cache[V]) Get(key string) (V, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.items[key]; ok {
-		c.moveFront(e)
-		c.hits++
-		return e.val, true
-	}
-	c.misses++
-	var zero V
-	return zero, false
 }
 
 // insert adds key→val at the front, evicting the least-recently-used
@@ -139,19 +121,4 @@ func (c *Cache[V]) linkFront(e *entry[V]) {
 	e.prev = &c.root
 	e.next.prev = e
 	c.root.next = e
-}
-
-// Len returns the number of cached values.
-func (c *Cache[V]) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.items)
-}
-
-// Stats returns cumulative (hits, misses). A Do that joins an in-flight
-// computation counts as neither.
-func (c *Cache[V]) Stats() (hits, misses uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
 }

@@ -23,9 +23,6 @@ func TestDoCachesSuccess(t *testing.T) {
 	if calls != 1 {
 		t.Errorf("fn ran %d times, want 1", calls)
 	}
-	if hits, misses := c.Stats(); hits != 1 || misses != 1 {
-		t.Errorf("stats = (%d, %d), want (1, 1)", hits, misses)
-	}
 }
 
 func TestDoErrorNotCached(t *testing.T) {
@@ -50,14 +47,14 @@ func TestLRUEviction(t *testing.T) {
 	_, _, _ = c.Do("b", mk(2))
 	_, _, _ = c.Do("a", mk(0)) // touch a: b becomes LRU
 	_, _, _ = c.Do("c", mk(3)) // evicts b
-	if _, ok := c.Get("b"); ok {
-		t.Error("b should have been evicted")
+	if v, hit, _ := c.Do("a", mk(0)); !hit || v != 1 {
+		t.Errorf("a = (%d, %t), want cached 1", v, hit)
 	}
-	if v, ok := c.Get("a"); !ok || v != 1 {
-		t.Errorf("a = (%d, %t), want cached 1", v, ok)
+	if len(c.items) != 2 {
+		t.Errorf("len = %d, want 2", len(c.items))
 	}
-	if c.Len() != 2 {
-		t.Errorf("len = %d, want 2", c.Len())
+	if v, hit, _ := c.Do("b", mk(20)); hit || v != 20 {
+		t.Errorf("b = (%d, %t), want recomputed 20: b should have been evicted", v, hit)
 	}
 }
 
@@ -113,7 +110,7 @@ func TestConcurrentMixedKeys(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if c.Len() > 8 {
-		t.Errorf("len = %d exceeds capacity", c.Len())
+	if len(c.items) > 8 {
+		t.Errorf("len = %d exceeds capacity", len(c.items))
 	}
 }

@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"strconv"
-	"strings"
 )
 
 // Config describes one node's view of the cluster. Every node (and
@@ -21,37 +20,33 @@ type Config struct {
 	Seed uint64
 }
 
-// Node is one member's resolved cluster identity: its name, the ring,
-// and the peer URL table. It is immutable after construction and safe
-// for concurrent use.
+// Node is one member's resolved cluster identity: its name and the
+// ring. It is immutable after construction and safe for concurrent use.
 type Node struct {
 	self string
 	ring *Ring
-	urls map[string]string
 }
 
 // NewNode validates cfg and builds the node's ring. Self must be a
 // ring member when non-empty.
 func NewNode(cfg Config) (*Node, error) {
 	names := make([]string, 0, len(cfg.Nodes))
-	urls := make(map[string]string, len(cfg.Nodes))
 	for name, url := range cfg.Nodes {
 		if url == "" {
 			return nil, fmt.Errorf("cluster: node %q has no URL", name)
 		}
 		names = append(names, name)
-		urls[name] = url
 	}
 	ring, err := NewRing(names, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
 	if cfg.Self != "" {
-		if _, ok := urls[cfg.Self]; !ok {
+		if _, ok := cfg.Nodes[cfg.Self]; !ok {
 			return nil, fmt.Errorf("cluster: self %q is not a ring member", cfg.Self)
 		}
 	}
-	return &Node{self: cfg.Self, ring: ring, urls: urls}, nil
+	return &Node{self: cfg.Self, ring: ring}, nil
 }
 
 // Self returns this node's name ("" for a pure client).
@@ -60,44 +55,12 @@ func (n *Node) Self() string { return n.self }
 // Ring returns the node's placement ring.
 func (n *Node) Ring() *Ring { return n.ring }
 
-// URL returns the base URL of the named peer ("" if unknown).
-func (n *Node) URL(name string) string { return n.urls[name] }
-
-// Owns reports whether this node is the placed owner of the given
-// share: Owners(clusterID, n)[idx] == self, where n must cover idx.
-// It is how a server rejects misrouted provisions without consulting
-// any peer — the ring is the single source of placement truth.
-func (n *Node) Owns(clusterID string, idx, total int) (bool, error) {
-	owners, err := n.ring.Owners(clusterID, total)
-	if err != nil {
-		return false, err
-	}
-	if idx < 0 || idx >= len(owners) {
-		return false, fmt.Errorf("cluster: share index %d out of range [0,%d)", idx, total)
-	}
-	return owners[idx] == n.self, nil
-}
-
 // ShareID names share idx of cluster architecture clusterID in a
 // node's local registry. The "@s" separator keeps the ID outside the
 // registry's minted arch-%06d namespace (so local mints can never
 // collide with cluster shares) and is URL-path-safe, unlike '#'.
 func ShareID(clusterID string, idx int) string {
 	return clusterID + "@s" + strconv.Itoa(idx)
-}
-
-// ParseShareID splits a share ID back into (clusterID, idx). ok is
-// false for IDs that are not cluster share IDs.
-func ParseShareID(id string) (clusterID string, idx int, ok bool) {
-	at := strings.LastIndex(id, "@s")
-	if at <= 0 || at+2 >= len(id) {
-		return "", 0, false
-	}
-	n, err := strconv.Atoi(id[at+2:])
-	if err != nil || n < 0 {
-		return "", 0, false
-	}
-	return id[:at], n, true
 }
 
 // EncodeShare packs a Shamir share point for the wire: one byte of X

@@ -116,16 +116,6 @@ func (r *Ring) Owners(key string, n int) ([]string, error) {
 	return out, nil
 }
 
-// Owner returns the primary owner of key (Owners(key, 1)[0]).
-func (r *Ring) Owner(key string) string {
-	owners, err := r.Owners(key, 1)
-	if err != nil {
-		// Unreachable: NewRing guarantees at least one node.
-		return ""
-	}
-	return owners[0]
-}
-
 // fnv64 is FNV-1a over s — the same stable string hash the registry's
 // shard picker uses, with no process-local state.
 func fnv64(s string) uint64 {

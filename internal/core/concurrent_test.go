@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -109,33 +108,6 @@ func TestConcurrentAccessNeverExceedsBudget(t *testing.T) {
 		}()
 	}
 	wg2.Wait()
-}
-
-// TestAccessContextCancellation checks that a done context refuses the
-// access before any wearout is consumed.
-func TestAccessContextCancellation(t *testing.T) {
-	a := exactBudgetArch(1, 5, []byte("s"))
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := a.AccessContext(ctx, nems.RoomTemp); !errors.Is(err, context.Canceled) {
-		t.Fatalf("AccessContext = %v, want context.Canceled", err)
-	}
-	if total, _ := a.Accesses(); total != 0 {
-		t.Errorf("cancelled access consumed wearout: total = %d", total)
-	}
-	// The budget is intact: all 5 accesses still succeed.
-	for i := 0; i < 5; i++ {
-		if _, err := a.Access(nems.RoomTemp); err != nil {
-			t.Fatalf("access %d after cancel: %v", i, err)
-		}
-	}
-	// Access 6 kills the only copy (transient), access 7 reports lockout.
-	if _, err := a.Access(nems.RoomTemp); !errors.Is(err, ErrTransient) {
-		t.Fatalf("copy-killing access = %v, want ErrTransient", err)
-	}
-	if _, err := a.Access(nems.RoomTemp); !errors.Is(err, ErrExhausted) {
-		t.Fatalf("access past budget = %v, want ErrExhausted", err)
-	}
 }
 
 // TestConcurrentObserverCounts checks the observer sees every attempt

@@ -18,7 +18,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -313,21 +312,10 @@ func build(design dse.Design, secret []byte, lv *Leveling, r *rng.RNG) (*Archite
 // Access performs one access under env. On success it returns the secret.
 // ErrTransient means this access failed but the architecture may recover on
 // retry (the next copy takes over); ErrExhausted means the secret is gone.
-// It is equivalent to AccessContext(context.Background(), env).
+// An access runs to completion once called — a physical access cannot be
+// un-fired — so cancellation belongs to the caller, before the call.
+// Safe for concurrent use.
 func (a *Architecture) Access(env nems.Environment) ([]byte, error) {
-	//lemonvet:allow ctxflow documented bit-identical fast path: Access is defined as AccessContext rooted at Background
-	return a.AccessContext(context.Background(), env)
-}
-
-// AccessContext is Access with cancellation: if ctx is done before the
-// hardware fires, no wearout is consumed and ctx.Err() is returned. Once
-// the traversal starts it runs to completion — a physical access cannot be
-// un-fired, so cancellation mid-flight would desynchronize the simulated
-// wearout state from the counters. Safe for concurrent use.
-func (a *Architecture) AccessContext(ctx context.Context, env nems.Environment) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.total++

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -78,20 +77,9 @@ func (a *Architecture) Leveling() (Leveling, bool) {
 // architecture is the attack's victim, the leveled one its defense.
 //
 // Stress is a wear mutation and must be written log-ahead by durable
-// callers, exactly like Access. It is equivalent to StressContext rooted
-// at context.Background().
+// callers, exactly like Access. Once the pulses start they run to
+// completion — fired actuations cannot be un-fired.
 func (a *Architecture) Stress(env nems.Environment, indices []int, pulses int) (conducted int, err error) {
-	//lemonvet:allow ctxflow documented bit-identical fast path: Stress is defined as StressContext rooted at Background
-	return a.StressContext(context.Background(), env, indices, pulses)
-}
-
-// StressContext is Stress with cancellation: if ctx is done before the
-// hardware fires, no wearout is consumed. Once the pulses start they run
-// to completion — fired actuations cannot be un-fired.
-func (a *Architecture) StressContext(ctx context.Context, env nems.Environment, indices []int, pulses int) (conducted int, err error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
 	if pulses < 1 {
 		return 0, fmt.Errorf("core: stress needs at least 1 pulse, got %d", pulses)
 	}

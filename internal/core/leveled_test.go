@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"testing"
@@ -70,23 +69,17 @@ func TestStressValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-	if _, err := a.StressContext(ctx, nems.RoomTemp, []int{0}, 0); err == nil {
+	if _, err := a.Stress(nems.RoomTemp, []int{0}, 0); err == nil {
 		t.Error("Stress with 0 pulses accepted")
 	}
-	if _, err := a.StressContext(ctx, nems.RoomTemp, nil, 1); err == nil {
+	if _, err := a.Stress(nems.RoomTemp, nil, 1); err == nil {
 		t.Error("Stress with no targets accepted")
 	}
-	if _, err := a.StressContext(ctx, nems.RoomTemp, []int{design.N}, 1); err == nil {
+	if _, err := a.Stress(nems.RoomTemp, []int{design.N}, 1); err == nil {
 		t.Error("Stress with out-of-range index accepted")
 	}
-	if _, err := a.StressContext(ctx, nems.RoomTemp, []int{-1}, 1); err == nil {
+	if _, err := a.Stress(nems.RoomTemp, []int{-1}, 1); err == nil {
 		t.Error("Stress with negative index accepted")
-	}
-	canceled, cancel := context.WithCancel(ctx)
-	cancel()
-	if _, err := a.StressContext(canceled, nems.RoomTemp, []int{0}, 1); !errors.Is(err, context.Canceled) {
-		t.Errorf("Stress on canceled ctx = %v, want context.Canceled", err)
 	}
 	if got := a.Stressed(); got != 0 {
 		t.Errorf("rejected stress consumed budget: Stressed = %d", got)
@@ -102,7 +95,6 @@ func TestStressNeverRevealsAndNeverAdvances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
 	targets := make([]int, design.N)
 	for i := range targets {
 		targets[i] = i
@@ -115,7 +107,7 @@ func TestStressNeverRevealsAndNeverAdvances(t *testing.T) {
 	for burned := 0; burned < design.Copies; burned++ {
 		before := a.CurrentCopy()
 		for i := 0; i < 20000; i++ {
-			n, err := a.StressContext(ctx, hot, targets, 1)
+			n, err := a.Stress(hot, targets, 1)
 			if err != nil {
 				t.Fatalf("stress: %v", err)
 			}
@@ -152,11 +144,10 @@ func TestLeveledSurvivesTargetedAttack(t *testing.T) {
 		targets[i] = i
 	}
 	hot := nems.Environment{TempCelsius: 400}
-	ctx := context.Background()
 
 	survive := func(a *Architecture) (okAccesses int) {
 		for i := 0; i < 5000; i++ {
-			if _, err := a.StressContext(ctx, hot, targets, 2); errors.Is(err, ErrExhausted) {
+			if _, err := a.Stress(hot, targets, 2); errors.Is(err, ErrExhausted) {
 				return okAccesses
 			}
 			runMaintenance(t, a)
@@ -208,9 +199,8 @@ func TestLeveledStateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
 	for i := 0; i < 20; i++ {
-		_, _ = a.StressContext(ctx, nems.Environment{TempCelsius: 400}, []int{0, 1}, 1)
+		_, _ = a.Stress(nems.Environment{TempCelsius: 400}, []int{0, 1}, 1)
 		runMaintenance(t, a)
 		_, _ = a.Access(nems.RoomTemp)
 		runMaintenance(t, a)

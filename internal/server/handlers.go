@@ -427,8 +427,18 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 
 // handleFrontier enumerates every feasible design. The enumeration is the
 // expensive, cancellable path: it aborts between per-copy targets when
-// the client disconnects or the server drains.
+// the client disconnects or the server drains. ?limit= is validated
+// before the search runs, so a malformed one costs nothing.
 func (s *Server) handleFrontier(w http.ResponseWriter, r *http.Request) {
+	limit := 0 // all designs
+	if q := r.URL.Query().Get("limit"); q != "" {
+		n, err := strconv.Atoi(q)
+		if err != nil || n < 1 {
+			s.writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "limit must be a positive integer"})
+			return
+		}
+		limit = n
+	}
 	var req SpecRequest
 	if err := decodeJSON(r, &req, false); err != nil {
 		s.writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
@@ -445,16 +455,8 @@ func (s *Server) handleFrontier(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	limit := len(designs)
-	if q := r.URL.Query().Get("limit"); q != "" {
-		n, err := strconv.Atoi(q)
-		if err != nil || n < 1 {
-			s.writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "limit must be a positive integer"})
-			return
-		}
-		if n < limit {
-			limit = n
-		}
+	if limit == 0 || limit > len(designs) {
+		limit = len(designs)
 	}
 	out := FrontierResponse{Count: len(designs)}
 	for _, d := range designs[:limit] {

@@ -41,31 +41,23 @@ import (
 	"lemonade/internal/resilience"
 )
 
-// Config parameterizes a Server. The zero value is usable: default
-// striping, default cache size, and a null clock (all latencies observed
-// as zero).
+// Config parameterizes a Server. The zero value is usable: an in-memory
+// registry and a null clock (all latencies observed as zero).
 type Config struct {
 	// Registry, when non-nil, is the architecture registry to serve from —
 	// the daemon builds one over a WAL-backed store and recovers it before
 	// the listener opens. Nil builds an in-memory registry (no
 	// durability), which is what tests and ephemeral deployments want.
 	Registry *registry.Registry
-	// Shards is the registry stripe count when Registry is nil
-	// (0 → registry.DefaultShards).
-	Shards int
 	// Metrics, when non-nil, is the metric registry to register into and
 	// serve at /metrics — the daemon shares one registry between the WAL
 	// store (opened before the server exists) and the server. Nil builds
 	// a fresh registry.
 	Metrics *metrics.Registry
-	// CacheSize caps the DSE design cache (0 → 256 designs).
-	CacheSize int
 	// NowNanos is the clock used for latency histograms, in nanoseconds
 	// from an arbitrary origin. The daemon injects a monotonic wall
 	// clock; tests inject a counter. Nil disables latency measurement.
 	NowNanos func() int64
-	// MaxBodyBytes caps request bodies (0 → 1 MiB).
-	MaxBodyBytes int64
 	// Breaker, when non-nil, is the circuit breaker wrapped around the
 	// registry's durable store. The server consults it to refuse
 	// state-changing requests fast while the store is sick (degraded
@@ -80,12 +72,19 @@ type Config struct {
 	// access path (queue wait included) so a slow store bounds latency
 	// instead of pinning handlers forever.
 	AccessTimeout time.Duration
-	// Cluster, when non-nil, is this node's cluster identity — its name,
-	// the placement ring, and the peer table. Setting it mounts the
-	// cluster share endpoints (provision/access/ring); nil serves a
-	// single-node lemonade with those routes absent.
+	// Cluster, when non-nil, is this node's cluster identity — its name
+	// and the placement ring. Setting it mounts the cluster share
+	// endpoints (provision/access/ring); nil serves a single-node
+	// lemonade with those routes absent.
 	Cluster *cluster.Node
 }
+
+const (
+	// designCacheSize caps the DSE design cache, in designs.
+	designCacheSize = 256
+	// maxBodyBytes caps request bodies.
+	maxBodyBytes = 1 << 20
+)
 
 // Server is the lemonaded HTTP service. Create with New; it is an
 // http.Handler via Handler().
@@ -94,7 +93,6 @@ type Server struct {
 	designs *cache.Cache[dse.Design]
 	met     *metrics.Registry // metric registry (reg is the architecture registry)
 	now     func() int64
-	maxBody int64
 	mux     *http.ServeMux
 
 	breaker       *resilience.Breaker
@@ -130,19 +128,13 @@ type Server struct {
 
 // New builds a Server from cfg.
 func New(cfg Config) *Server {
-	if cfg.CacheSize == 0 {
-		cfg.CacheSize = 256
-	}
-	if cfg.MaxBodyBytes == 0 {
-		cfg.MaxBodyBytes = 1 << 20
-	}
 	now := cfg.NowNanos
 	if now == nil {
 		now = func() int64 { return 0 }
 	}
 	reg := cfg.Registry
 	if reg == nil {
-		reg = registry.New(cfg.Shards)
+		reg = registry.New(registry.DefaultShards)
 	}
 	m := cfg.Metrics
 	if m == nil {
@@ -150,10 +142,9 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		reg:     reg,
-		designs: cache.New[dse.Design](cfg.CacheSize),
+		designs: cache.New[dse.Design](designCacheSize),
 		met:     m,
 		now:     now,
-		maxBody: cfg.MaxBodyBytes,
 
 		breaker:       cfg.Breaker,
 		shedder:       cfg.Shedder,
@@ -261,7 +252,7 @@ func (s *Server) route(pattern, name string, h http.HandlerFunc) {
 		reqs.Inc()
 		start := s.now()
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
-		r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
+		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 		h(rec, r)
 		dur.Observe(float64(s.now()-start) / 1e9)
 		s.met.Counter("lemonaded_responses_total",

@@ -394,6 +394,54 @@ func TestStatusEndpoint(t *testing.T) {
 	}
 }
 
+// TestBodyCap pins the 1 MiB request-body cap: a 2 MiB body is refused
+// with 400 before it reaches the registry. The oversized bodies are
+// valid JSON (a real request padded with whitespace), so without the cap
+// each would be served.
+func TestBodyCap(t *testing.T) {
+	s, ts := testServer(t)
+	padded := func(v any) []byte {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(b, bytes.Repeat([]byte(" "), 2<<20)...)
+	}
+	post := func(url string, body []byte) int {
+		resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	prov := ProvisionRequest{Spec: goldenSpec, SecretHex: goldenSecretHex, Seed: 42}
+	if code := post(ts.URL+"/v1/architectures", padded(prov)); code != http.StatusBadRequest {
+		t.Fatalf("2 MiB provision: status %d, want 400", code)
+	}
+	if n := s.Registry().Len(); n != 0 {
+		t.Fatalf("oversized provision registered %d architectures, want 0", n)
+	}
+
+	pr := provisionGolden(t, ts.URL, 42)
+	if code := post(ts.URL+"/v1/architectures/"+pr.ID+"/access", padded(AccessRequest{})); code != http.StatusBadRequest {
+		t.Fatalf("2 MiB access: status %d, want 400", code)
+	}
+	resp, body := getJSON(t, ts.URL+"/v1/architectures/"+pr.ID)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status: %d: %s", resp.StatusCode, body)
+	}
+	var st StatusResponse
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Attempts != 0 {
+		t.Errorf("oversized access consumed wearout: attempts = %d, want 0", st.Attempts)
+	}
+}
+
 // TestFrontierEndpoint checks enumeration and the limit parameter.
 func TestFrontierEndpoint(t *testing.T) {
 	_, ts := testServer(t)
@@ -425,6 +473,19 @@ func TestFrontierEndpoint(t *testing.T) {
 	for i := 1; i < len(fr.Designs); i++ {
 		if fr.Designs[i].TotalDevices < fr.Designs[i-1].TotalDevices {
 			t.Error("frontier not sorted by total devices")
+		}
+	}
+	// A malformed limit is refused before the search runs: on an
+	// infeasible spec the answer is 400 for the limit, not 409 for the
+	// spec.
+	infeasible := SpecRequest{Alpha: 10, Beta: 1, LAB: 1000}
+	if resp, body := postJSON(t, ts.URL+"/v1/dse/frontier", infeasible); resp.StatusCode != http.StatusConflict {
+		t.Fatalf("infeasible frontier: status %d, want 409: %s", resp.StatusCode, body)
+	}
+	for _, q := range []string{"0", "-1", "x"} {
+		resp, body := postJSON(t, ts.URL+"/v1/dse/frontier?limit="+q, infeasible)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("infeasible frontier limit=%s: status %d, want 400: %s", q, resp.StatusCode, body)
 		}
 	}
 }

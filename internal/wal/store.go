@@ -39,15 +39,18 @@ type Config struct {
 	// uses the real one (fault.OS); tests and chaos runs supply a
 	// fault.Injector.
 	FS fault.FS
-	// MaxBatch caps how many queued Append calls the committer folds into
-	// one durable write + fsync (default 64). Larger batches amortize the
-	// fsync further at the cost of per-request latency under saturation.
-	MaxBatch int
-	// MaxQueue caps how many Append calls may be queued ahead of the
-	// committer before new appends block (default 1024) — backpressure,
-	// so a stalled disk surfaces as latency instead of unbounded memory.
-	MaxQueue int
 }
+
+const (
+	// maxBatch caps how many queued Append calls the committer folds into
+	// one durable write + fsync. Larger batches amortize the fsync further
+	// at the cost of per-request latency under saturation.
+	maxBatch = 64
+	// maxQueue caps how many Append calls may be queued ahead of the
+	// committer before new appends block — backpressure, so a stalled
+	// disk surfaces as latency instead of unbounded memory.
+	maxQueue = 1024
+)
 
 // record is the JSON payload of one WAL frame.
 type record struct {
@@ -97,8 +100,6 @@ type DiskStore struct {
 	fs        fault.FS
 	now       func() int64
 	threshold int
-	maxBatch  int
-	maxQueue  int
 
 	// barrier orders commits against snapshots: the committer takes ONE
 	// shared hold per commit group before the durable write, refcounted
@@ -258,21 +259,11 @@ func Open(cfg Config) (*DiskStore, error) {
 	if m == nil {
 		m = metrics.NewRegistry()
 	}
-	maxBatch := cfg.MaxBatch
-	if maxBatch <= 0 {
-		maxBatch = 64
-	}
-	maxQueue := cfg.MaxQueue
-	if maxQueue <= 0 {
-		maxQueue = 1024
-	}
 	s := &DiskStore{
 		dir:           cfg.Dir,
 		fs:            fsys,
 		now:           now,
 		threshold:     cfg.SnapshotThreshold,
-		maxBatch:      maxBatch,
-		maxQueue:      maxQueue,
 		committerDone: make(chan struct{}),
 		snapCh:        make(chan struct{}, 1),
 
@@ -371,7 +362,7 @@ func (s *DiskStore) Append(recs []registry.Record) (registry.Ticket, error) {
 	}
 
 	s.qMu.Lock()
-	for len(s.queue) >= s.maxQueue && !s.qClosed {
+	for len(s.queue) >= maxQueue && !s.qClosed {
 		s.qCond.Wait()
 	}
 	if s.qClosed {
@@ -442,8 +433,8 @@ func (s *DiskStore) committer() {
 
 		for len(pending) > 0 {
 			n := len(pending)
-			if n > s.maxBatch {
-				n = s.maxBatch
+			if n > maxBatch {
+				n = maxBatch
 			}
 			s.commitGroup(pending[:n])
 			pending = pending[n:]
