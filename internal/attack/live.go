@@ -174,10 +174,12 @@ func (r CampaignReport) DegradationWindow() int64 {
 
 // Campaign races cfg.Attackers stress workers against cfg.Users
 // legitimate access workers on one architecture until every worker
-// finishes (lockout, plan complete, or op budget spent). Every worker
-// waits at a start barrier, so attackers and users really race instead
-// of the first-launched workers running ahead. The first error other
-// than the expected refusals aborts the campaign.
+// finishes (lockout, plan complete, or op budget spent). The attackers
+// start together at a barrier, and the users start once every attacker's
+// first burst has been answered: from then on both sides really race,
+// but the attack has landed before the users can spend the device, so
+// a campaign never ends with the attacker having done nothing. The first
+// error other than the expected refusals aborts the campaign.
 func Campaign(ctx context.Context, c *api.Client, id string, cfg CampaignConfig) (CampaignReport, error) {
 	attackers := max(cfg.Attackers, 1)
 	users := max(cfg.Users, 1)
@@ -214,6 +216,10 @@ func Campaign(ctx context.Context, c *api.Client, id string, cfg CampaignConfig)
 
 	var wg sync.WaitGroup
 	start := make(chan struct{})
+	// landed counts down as each attacker's first burst is answered (or
+	// the attacker gives up first); users wait for it to reach zero.
+	var landed sync.WaitGroup
+	landed.Add(attackers)
 	var firstErr atomic.Pointer[error]
 	fail := func(err error) {
 		if err == nil || errors.Is(err, context.Canceled) {
@@ -231,6 +237,8 @@ func Campaign(ctx context.Context, c *api.Client, id string, cfg CampaignConfig)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			land := sync.OnceFunc(landed.Done)
+			defer land()
 			<-start
 			streak := 0
 			for i := 0; i < cfg.Plan.Bursts; i++ {
@@ -251,6 +259,7 @@ func Campaign(ctx context.Context, c *api.Client, id string, cfg CampaignConfig)
 					if leaked(resp) {
 						reveals.Add(1)
 					}
+					land()
 				case api.IsExhausted(err):
 					return
 				case api.IsTransient(err):
@@ -272,6 +281,7 @@ func Campaign(ctx context.Context, c *api.Client, id string, cfg CampaignConfig)
 		go func() {
 			defer wg.Done()
 			<-start
+			landed.Wait()
 			for n := 0; n < maxUserOps; n++ {
 				if ctx.Err() != nil {
 					return

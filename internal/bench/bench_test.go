@@ -42,6 +42,7 @@ func TestSuiteCoversHotPaths(t *testing.T) {
 		"http/access",
 		"access/saturated",
 		"access/leveled",
+		"core/build",
 	}
 	got := make(map[string]Result, len(rep.Results))
 	for _, r := range rep.Results {

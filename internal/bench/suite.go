@@ -67,6 +67,7 @@ func Suite() []Case {
 		{Name: "http/access", Setup: setupHTTPAccess},
 		{Name: "access/saturated", Setup: setupAccessSaturated},
 		{Name: "access/leveled", Setup: setupAccessLeveled},
+		{Name: "core/build", Setup: setupCoreBuild},
 	}
 }
 
@@ -628,6 +629,116 @@ func setupAccessLeveled(env *Env) (func() ([]byte, error), func(), error) {
 		return out.Bytes(), nil
 	}
 	return run, nil, nil
+}
+
+// --- core -------------------------------------------------------------------
+
+// daemonSpec is the β=8, LAB-1000, 10%-encoded design problem the
+// daemon's paper and wide devices solve: α=14 gives the paper point (67
+// copies of 140 switches), α=40 the wide point (23 copies of 1,131).
+func daemonSpec(alpha float64) dse.Spec {
+	return dse.Spec{
+		Dist:        weibull.MustNew(alpha, 8),
+		Criteria:    reliability.DefaultCriteria,
+		LAB:         1000,
+		KFrac:       0.10,
+		ContinuousT: true,
+	}
+}
+
+// setupCoreBuild measures fabrication, the cost every provision and
+// every restart pays to rebuild its architectures from their seeds: each
+// iteration builds two paper-point architectures, one paper-point with
+// 4 wear-leveling spares and one wide α=40 architecture from fixed
+// seeds. The checksum is each one's first-copy wearout (see
+// firstCopyTrajectory), which moves if a lifetime moves.
+func setupCoreBuild(env *Env) (func() ([]byte, error), func(), error) {
+	paper, err := dse.Explore(daemonSpec(14))
+	if err != nil {
+		return nil, nil, err
+	}
+	wide, err := dse.Explore(daemonSpec(40))
+	if err != nil {
+		return nil, nil, err
+	}
+	seed := env.Seed
+	secret := []byte("lemonbench secret 0123456789abcd")
+	builds := []struct {
+		design dse.Design
+		spares int // -1 = unleveled
+	}{{paper, -1}, {paper, -1}, {paper, 4}, {wide, -1}}
+	run := func() ([]byte, error) {
+		var out bytes.Buffer
+		for i, b := range builds {
+			r := rng.New(seed).DeriveIndex("core-build-", i)
+			var arch *core.Architecture
+			var err error
+			if b.spares < 0 {
+				arch, err = core.Build(b.design, secret, r)
+			} else {
+				arch, err = core.BuildLeveled(b.design, secret, core.Leveling{Spares: b.spares, Epoch: 8}, r)
+			}
+			if err != nil {
+				return nil, err
+			}
+			fmt.Fprintf(&out, "build %d: %d-of-%d x%d\n", i, b.design.K, b.design.N, b.design.Copies)
+			if err := firstCopyTrajectory(&out, arch); err != nil {
+				return nil, fmt.Errorf("build %d: %w", i, err)
+			}
+		}
+		return out.Bytes(), nil
+	}
+	return run, nil, nil
+}
+
+// firstCopyTrajectory wears the first copy of a fresh architecture out
+// at room temperature, without decoding: every logical slot takes 2α
+// stress pulses, and a leveled copy rotates its spares in, as the
+// registry would, until no slot conducts. One access then shows the next
+// copy taking over. The transcript holds the conducted counts, that
+// access's outcome, every first-copy switch's failure cycle (its
+// lifetime plus one), the copy count and the RNG position, so a
+// first-copy lifetime that moves by one cycle, or a draw made in another
+// order, moves it. Keeping to one copy keeps the trajectory a small
+// share of the build it checks.
+func firstCopyTrajectory(out *bytes.Buffer, arch *core.Architecture) error {
+	d := arch.Design()
+	slots := make([]int, d.N)
+	for i := range slots {
+		slots[i] = i
+	}
+	pulses := int(2 * d.Spec.Dist.Alpha)
+	for rounds := 0; ; rounds++ {
+		if rounds > d.N {
+			return errors.New("first copy still conducting after a stress round per slot")
+		}
+		n, err := arch.Stress(nems.RoomTemp, slots, pulses)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "stress %d\n", n)
+		if n == 0 {
+			break
+		}
+		if plan, ok := arch.PendingRemap(); ok {
+			for _, p := range plan.Retire {
+				if err := arch.Retire(plan.Copy, p); err != nil {
+					return err
+				}
+			}
+			if err := arch.ApplyRemap(plan.Copy, plan.Assign); err != nil {
+				return err
+			}
+		}
+	}
+	_, err := arch.Access(nems.RoomTemp)
+	fmt.Fprintf(out, "access: %v\n", err)
+	st := arch.State()
+	for _, sw := range st.Copies[0] {
+		fmt.Fprintf(out, "%d ", sw.FailCycle)
+	}
+	fmt.Fprintf(out, "\ncopies=%d rng=%x\n", len(st.Copies), st.RNG)
+	return nil
 }
 
 // extractID pulls the "id" field out of a provision response without

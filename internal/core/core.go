@@ -173,11 +173,13 @@ func (d *shamirDecoder[E]) combine(conducting []int) ([]byte, error) {
 }
 
 // archCopy is one serially-used copy: n logical slots, each guarding one
-// component share. Unleveled, slot i IS switches[i]. Leveled, switches
-// holds the whole physical pool (primaries + spares) and bank routes each
-// logical slot onto its currently assigned physical switch.
+// component share. Its switches live in one pointer-free slab, fabricated
+// in place. Unleveled, slot i IS switches[i]. Leveled, switches holds the
+// whole physical pool (primaries + spares) and bank routes each logical
+// slot onto its currently assigned physical switch, indexing the same
+// slab.
 type archCopy struct {
-	switches   []*nems.Switch
+	switches   []nems.Switch
 	bank       *nems.Bank // nil = unleveled: slot i fires switches[i]
 	dec        decoder
 	k          int
@@ -210,8 +212,8 @@ func (c *archCopy) alive() bool {
 		return c.bank.Usable() >= c.k
 	}
 	working := 0
-	for _, sw := range c.switches {
-		if sw.Working() {
+	for i := range c.switches {
+		if c.switches[i].Working() {
 			working++
 			if working >= c.k {
 				return true
@@ -293,10 +295,8 @@ func build(design dse.Design, secret []byte, lv *Leveling, r *rng.RNG) (*Archite
 		phys += lv.Spares
 	}
 	for ci := range a.copies {
-		c := &archCopy{switches: make([]*nems.Switch, phys), dec: dec, k: design.K}
-		for i := range c.switches {
-			c.switches[i] = nems.Fabricate(design.Spec.Dist, r)
-		}
+		c := &archCopy{switches: make([]nems.Switch, phys), dec: dec, k: design.K}
+		nems.FabricateInto(c.switches, design.Spec.Dist, r)
 		if lv != nil {
 			b, err := nems.NewBank(c.switches, design.N)
 			if err != nil {

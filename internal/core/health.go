@@ -39,8 +39,8 @@ func (a *Architecture) Health() Health {
 	}
 	h.FreshCopies = len(a.copies) - a.cur - 1
 	active := a.copies[a.cur]
-	for _, sw := range active.switches {
-		if sw.Working() {
+	for i := range active.switches {
+		if active.switches[i].Working() {
 			h.ActiveCopyWorking++
 		}
 	}

@@ -50,8 +50,8 @@ func (a *Architecture) State() State {
 	}
 	for ci, c := range a.copies {
 		sw := make([]nems.State, len(c.switches))
-		for i, s := range c.switches {
-			sw[i] = s.State()
+		for i := range c.switches {
+			sw[i] = c.switches[i].State()
 		}
 		st.Copies[ci] = sw
 	}

@@ -4,8 +4,25 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// generated memoizes every registered exhibit generator once per test
+// binary. The slow sweeps (Fig 4b, 4c, 4d and 5b) are then generated
+// once and shared by their shape tests and TestEveryExhibitRenders'
+// golden comparison; the shape tests run in parallel so they wait on the
+// same generation instead of repeating it.
+var generated = sync.OnceValue(func() map[string]func() []Renderable {
+	gens := make(map[string]func() []Renderable)
+	for _, e := range Exhibits() {
+		gens[e.ID] = sync.OnceValue(e.Gen)
+	}
+	return gens
+})
+
+// exhibitBlocks returns the memoized blocks of the exhibit with this ID.
+func exhibitBlocks(id string) []Renderable { return generated()[id]() }
 
 func TestFigure1Shapes(t *testing.T) {
 	f := Figure1()
@@ -96,7 +113,8 @@ func TestFigure4aExponentialInAlpha(t *testing.T) {
 }
 
 func TestFigure4bLinearInAlpha(t *testing.T) {
-	f := Figure4b()
+	t.Parallel()
+	f := exhibitBlocks("Fig 4b")[0].(Figure)
 	for _, s := range f.Series {
 		if len(s.X) < 5 {
 			t.Errorf("series %s mostly infeasible", s.Name)
@@ -147,7 +165,9 @@ func fmtSscanf(s string, v interface{}, _ interface{}) (int, error) {
 }
 
 func TestFigure4cRelaxationMonotone(t *testing.T) {
-	f, tab := Figure4c()
+	t.Parallel()
+	blocks := exhibitBlocks("Fig 4c")
+	f, tab := blocks[0].(Figure), blocks[1].(Table)
 	if len(f.Series) != 6 {
 		t.Fatalf("expected 6 series, got %d", len(f.Series))
 	}
@@ -185,7 +205,8 @@ func TestFigure4cRelaxationMonotone(t *testing.T) {
 }
 
 func TestFigure4dMonotone(t *testing.T) {
-	tab := Figure4d()
+	t.Parallel()
+	tab := exhibitBlocks("Fig 4d")[0].(Table)
 	if len(tab.Rows) != 6 {
 		t.Fatalf("expected 6 rows, got %d", len(tab.Rows))
 	}
@@ -231,8 +252,9 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestFigure5Shapes(t *testing.T) {
+	t.Parallel()
 	a := Figure5a()
-	b := Figure5b()
+	b := exhibitBlocks("Fig 5b")[0].(Figure)
 	if len(a.Series) == 0 || len(b.Series) == 0 {
 		t.Fatal("empty targeting sweeps")
 	}

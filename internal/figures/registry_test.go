@@ -32,10 +32,10 @@ func TestRegistryStructure(t *testing.T) {
 	}
 }
 
-// TestEveryExhibitRenders regenerates every exhibit once, in parallel,
-// checks each block, and then compares the whole text with
-// experiments_output.txt byte for byte, so a change to any reproduced
-// number fails here.
+// TestEveryExhibitRenders regenerates every exhibit once, in parallel
+// and through the memo the shape tests share, checks each block, and
+// then compares the whole text with experiments_output.txt byte for
+// byte, so a change to any reproduced number fails here.
 func TestEveryExhibitRenders(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full exhibit regeneration is slow")
@@ -47,7 +47,7 @@ func TestEveryExhibitRenders(t *testing.T) {
 	for i, e := range exhibits {
 		t.Run(Slug(e.ID), func(t *testing.T) {
 			t.Parallel()
-			blocks := e.Gen()
+			blocks := exhibitBlocks(e.ID)
 			texts[i] = Text(blocks, false)
 			if len(blocks) == 0 {
 				t.Fatal("no blocks")

@@ -56,9 +56,9 @@ func TestWearoutAccelerationNeverBelowOne(t *testing.T) {
 // n logical slots, spares extra physicals, each with the given lifetime.
 func deterministicBank(t *testing.T, n, spares int, lifetime uint64) *Bank {
 	t.Helper()
-	phys := make([]*Switch, n+spares)
+	phys := make([]Switch, n+spares)
 	for i := range phys {
-		phys[i] = FabricateDeterministic(lifetime)
+		phys[i] = *FabricateDeterministic(lifetime)
 	}
 	b, err := NewBank(phys, n)
 	if err != nil {
@@ -203,11 +203,11 @@ func TestBankPlanPadsWhenPoolExhausted(t *testing.T) {
 }
 
 func TestWearSkewOfUnleveled(t *testing.T) {
-	a, bsw := FabricateDeterministic(100), FabricateDeterministic(100)
+	switches := []Switch{*FabricateDeterministic(100), *FabricateDeterministic(100)}
 	for i := 0; i < 7; i++ {
-		_ = a.Actuate(RoomTemp)
+		_ = switches[0].Actuate(RoomTemp)
 	}
-	if got := WearSkewOf([]*Switch{a, bsw}); got != 7 {
+	if got := WearSkewOf(switches); got != 7 {
 		t.Fatalf("WearSkewOf = %v, want 7", got)
 	}
 	if got := WearSkewOf(nil); got != 0 {

@@ -76,17 +76,35 @@ var ErrFailed = errors.New("nems: switch has worn out")
 //
 // The hidden lifetime is fixed at fabrication; Actuate consumes it. Wear is
 // tracked in fractional cycles so environmental acceleration composes.
+// A Switch is 32 bytes and holds no pointers, so a structure's switches
+// live in one slab (see FabricateInto) that the garbage collector never
+// scans.
 type Switch struct {
 	lifetime  float64 // hidden: cycles until failure at 25 °C
 	wear      float64 // accumulated (accelerated) cycles
 	actuated  uint64  // observable actuation count
-	failed    bool
-	failCycle uint64 // actuation index at which failure occurred (1-based)
+	failCycle uint64  // actuation index at which failure occurred (1-based); 0 = working
 }
 
 // Fabricate draws a switch from the given lifetime distribution.
 func Fabricate(d weibull.Dist, r *rng.RNG) *Switch {
-	return &Switch{lifetime: float64(d.SampleCycles(r))}
+	s := fabricate(d, r)
+	return &s
+}
+
+// FabricateInto fabricates len(dst) switches in place, making the same
+// draws in the same order as len(dst) calls to Fabricate — the
+// destination-buffer form for structures that hold their switches in one
+// slab.
+func FabricateInto(dst []Switch, d weibull.Dist, r *rng.RNG) {
+	for i := range dst {
+		dst[i] = fabricate(d, r)
+	}
+}
+
+// fabricate is the one lifetime draw behind every fabrication path.
+func fabricate(d weibull.Dist, r *rng.RNG) Switch {
+	return Switch{lifetime: float64(d.SampleCycles(r))}
 }
 
 // FabricateWithVariation draws a per-device effective distribution from the
@@ -111,13 +129,12 @@ func FabricateDeterministic(lifetimeCycles uint64) *Switch {
 // conduct: the paper counts a device as working "for t accesses" if access
 // t still succeeds).
 func (s *Switch) Actuate(env Environment) error {
-	if s.failed {
+	if s.failCycle != 0 {
 		return ErrFailed
 	}
 	s.actuated++
 	s.wear += env.wearoutAcceleration()
 	if s.wear > s.lifetime {
-		s.failed = true
 		s.failCycle = s.actuated
 		return ErrFailed
 	}
@@ -148,11 +165,10 @@ func (s *Switch) RestoreState(st State) {
 	s.wear = st.Wear
 	s.actuated = st.Actuated
 	s.failCycle = st.FailCycle
-	s.failed = st.FailCycle > 0
 }
 
 // Working reports whether the switch can still conduct.
-func (s *Switch) Working() bool { return !s.failed }
+func (s *Switch) Working() bool { return s.failCycle == 0 }
 
 // Wear returns the accumulated (environment-accelerated) actuation cycles.
 // This is observable state, not a leak of the hidden lifetime: the
@@ -171,7 +187,7 @@ func (s *Switch) FailedAt() uint64 { return s.failCycle }
 // String implements fmt.Stringer without leaking the hidden lifetime.
 func (s *Switch) String() string {
 	state := "working"
-	if s.failed {
+	if s.failCycle != 0 {
 		state = fmt.Sprintf("failed@%d", s.failCycle)
 	}
 	return fmt.Sprintf("nems.Switch{actuations=%d, %s}", s.actuated, state)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"unsafe"
 
 	"lemonade/internal/rng"
 	"lemonade/internal/weibull"
@@ -138,6 +139,34 @@ func TestEnvironmentAccelerationFactors(t *testing.T) {
 		if got := (Environment{TempCelsius: c.temp}).wearoutAcceleration(); got != c.want {
 			t.Errorf("acceleration at %g°C = %g, want %g", c.temp, got, c.want)
 		}
+	}
+}
+
+// TestFabricateIntoMatchesFabricate pins the slab fabricator to the
+// per-switch one: equal RNG states give identical lifetimes, draw for
+// draw, so a structure can move between the two without a single switch
+// changing. The slab fill itself must not allocate, and a Switch stays a
+// 32-byte value so a copy's slab is one pointer-free allocation.
+func TestFabricateIntoMatchesFabricate(t *testing.T) {
+	d := weibull.MustNew(14, 8)
+	r := rng.New(5)
+	want := make([]Switch, 141)
+	for i := range want {
+		want[i] = *Fabricate(d, r)
+	}
+	got := make([]Switch, len(want))
+	FabricateInto(got, d, rng.New(5))
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("switch %d differs: FabricateInto %+v, Fabricate %+v", i, got[i], want[i])
+		}
+	}
+	r = rng.New(6)
+	if a := testing.AllocsPerRun(100, func() { FabricateInto(got, d, r) }); a != 0 {
+		t.Fatalf("FabricateInto allocates %.1f times per call, want 0", a)
+	}
+	if size := unsafe.Sizeof(Switch{}); size != 32 {
+		t.Fatalf("Switch is %d bytes, want 32", size)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 
 	"lemonade/internal/mathx"
 	"lemonade/internal/rng"
@@ -149,7 +150,22 @@ func (d Dist) Median() float64 { return d.Quantile(0.5) }
 // Sample draws one time-to-failure by inverse-CDF sampling.
 func (d Dist) Sample(r *rng.RNG) float64 {
 	u := r.Float64Open()
-	return d.Alpha * math.Pow(-math.Log(u), 1/d.Beta)
+	return d.Alpha * pow(-math.Log(u), 1/d.Beta)
+}
+
+// pow returns math.Pow(x, y) bit for bit, taking math.Pow's own branch
+// directly when 0 < y < 0.5 and x is positive and finite: there the
+// pure-Go Pow splits y into an integer part 0 and a fraction y, and
+// returns Ldexp(Exp(y·Log(x)), 0), which is Exp(y·Log(x)) itself (y·Log(x)
+// lies between −373 and 355, so the result is a normal float and Ldexp by
+// 0 is the identity). The general path's Modf, Frexp and squaring loop
+// are a third of a lifetime draw; 1/β for every β > 2 lands here. s390x
+// has an assembly Pow with its own rounding, so it always falls back.
+func pow(x, y float64) float64 {
+	if runtime.GOARCH != "s390x" && y > 0 && y < 0.5 && x > 0 && x <= math.MaxFloat64 {
+		return math.Exp(y * math.Log(x))
+	}
+	return math.Pow(x, y)
 }
 
 // SampleN draws n independent lifetimes. It is the allocating wrapper

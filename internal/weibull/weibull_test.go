@@ -437,3 +437,37 @@ func TestSampleNIntoMatchesSampleN(t *testing.T) {
 		t.Fatalf("SampleNInto allocates %.1f times per call, want 0", a)
 	}
 }
+
+// TestPowMatchesMathPow pins the sampler's pow shortcut to math.Pow bit
+// for bit: over a sweep of bases from the smallest subnormal through 1 to
+// the largest finite float, and of exponents that include 1/β for the
+// shapes the repo uses, the 0.5 boundary (math.Pow's Sqrt branch) and
+// exponents above it (the fallback), plus the special values.
+func TestPowMatchesMathPow(t *testing.T) {
+	xs := []float64{
+		math.SmallestNonzeroFloat64, 1e-310, 2.2250738585072014e-308, 1e-300, 1e-200,
+		1e-17, 1e-10, 1e-3, 0.1, 0.5, 0.999999999, 1, 1.000000001, 2, math.E, 10,
+		1e3, 1e10, 1e100, 1e300, math.MaxFloat64,
+		0, math.Copysign(0, -1), -1, -2.5, math.Inf(1), math.Inf(-1), math.NaN(),
+	}
+	ys := []float64{
+		1 / 2.5, 1 / 8.0, 1 / 12.0, 1 / 40.0, 0.5, 0.75, 1, 1 / 1.5, 2.5, 8,
+		math.SmallestNonzeroFloat64, 1e-300, 0.1, 0.25, 0.4999999999999999,
+		0, math.Copysign(0, -1), -0.125, -0.5, math.Inf(1), math.NaN(),
+	}
+	r := rng.New(9)
+	for i := 0; i < 800; i++ {
+		// Random bases spanning the whole exponent range, and the -ln(u)
+		// values the sampler actually feeds pow.
+		xs = append(xs, math.Ldexp(r.Float64Open(), r.Intn(2100)-1074), -math.Log(r.Float64Open()))
+		ys = append(ys, r.Float64())
+	}
+	for _, x := range xs {
+		for _, y := range ys {
+			got, want := pow(x, y), math.Pow(x, y)
+			if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+				t.Fatalf("pow(%b, %b) = %b, math.Pow = %b", x, y, got, want)
+			}
+		}
+	}
+}
