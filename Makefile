@@ -62,14 +62,15 @@ bench-compare:
 		"$${NEW:-BENCH_$$(git rev-parse --short=12 HEAD).json}"
 
 ## fuzz-smoke: short native-fuzz runs over the WAL frame and snapshot
-## decoders and both Shamir fields (the CI smoke; `go test -fuzz` for a
-## long local run)
+## decoders, both Shamir fields and the survival-table lifetime draw (the
+## CI smoke; `go test -fuzz` for a long local run)
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzWALFrameDecode' -fuzztime 30s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz 'FuzzSnapshotDecode' -fuzztime 15s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz 'FuzzWearRecordDecode' -fuzztime 15s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz 'FuzzShamirReconstruct' -fuzztime 15s ./internal/shamir/
 	$(GO) test -run '^$$' -fuzz 'FuzzShamir16Reconstruct' -fuzztime 15s ./internal/shamir/
+	$(GO) test -run '^$$' -fuzz 'FuzzCycleTable' -fuzztime 15s ./internal/weibull/
 
 ## crash: crash-recovery test (SIGKILL mid-budget, restart, exact wear)
 crash:

@@ -62,3 +62,53 @@ func TestAccessAllocsSteadyState(t *testing.T) {
 		})
 	}
 }
+
+// TestCopySlabsAreSealed pins the one-slab layout: every copy's switches
+// are a window of exactly its physical width (primaries plus spares) with
+// no spare capacity, so nothing appended through one copy can reach the
+// next copy's switches.
+func TestCopySlabsAreSealed(t *testing.T) {
+	design := goldenDesign(t, 14)
+	secret := []byte("sealed slabs")
+	plain, err := Build(design, secret, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	leveled, err := BuildLeveled(design, secret, Leveling{Spares: 4, Epoch: 10}, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		a    *Architecture
+		phys int
+	}{{plain, design.N}, {leveled, design.N + 4}} {
+		if len(tc.a.copies) != design.Copies {
+			t.Fatalf("%d copies, want %d", len(tc.a.copies), design.Copies)
+		}
+		for ci, c := range tc.a.copies {
+			if len(c.switches) != tc.phys || cap(c.switches) != tc.phys {
+				t.Fatalf("copy %d: len %d cap %d, want both %d", ci, len(c.switches), cap(c.switches), tc.phys)
+			}
+		}
+	}
+}
+
+// TestPendingRemapNotDueAllocatesNothing pins the leveled maintenance
+// check's fast path: before the epoch ends, with every in-service switch
+// working, PendingRemap reports no plan without building one.
+func TestPendingRemapNotDueAllocatesNothing(t *testing.T) {
+	design := goldenDesign(t, 14)
+	a, err := BuildLeveled(design, []byte("no plan yet"), Leveling{Spares: 4, Epoch: 1 << 20}, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Access(nems.RoomTemp); err != nil {
+		t.Fatal(err)
+	}
+	if _, due := a.PendingRemap(); due {
+		t.Fatal("a fresh leveled architecture reported a plan before its epoch")
+	}
+	if n := testing.AllocsPerRun(100, func() { a.PendingRemap() }); n != 0 {
+		t.Fatalf("PendingRemap allocates %.1f times per call when no plan is due, want 0", n)
+	}
+}

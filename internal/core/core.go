@@ -173,11 +173,11 @@ func (d *shamirDecoder[E]) combine(conducting []int) ([]byte, error) {
 }
 
 // archCopy is one serially-used copy: n logical slots, each guarding one
-// component share. Its switches live in one pointer-free slab, fabricated
-// in place. Unleveled, slot i IS switches[i]. Leveled, switches holds the
-// whole physical pool (primaries + spares) and bank routes each logical
-// slot onto its currently assigned physical switch, indexing the same
-// slab.
+// component share. Its switches are its window of the architecture's
+// pointer-free switch slab. Unleveled, slot i IS switches[i]. Leveled,
+// switches holds the whole physical pool (primaries + spares) and bank
+// routes each logical slot onto its currently assigned physical switch,
+// indexing the same window.
 type archCopy struct {
 	switches   []nems.Switch
 	bank       *nems.Bank // nil = unleveled: slot i fires switches[i]
@@ -294,9 +294,16 @@ func build(design dse.Design, secret []byte, lv *Leveling, r *rng.RNG) (*Archite
 	if lv != nil {
 		phys += lv.Spares
 	}
+	// One slab holds every copy's switches, fabricated copy after copy in
+	// a single pass: the draw order the fabrication goldens pin. Each copy
+	// holds a full-capacity window of it, so it can never grow into its
+	// neighbour.
+	slab := make([]nems.Switch, phys*design.Copies)
+	nems.FabricateInto(slab, design.Spec.Dist, r)
+	copies := make([]archCopy, design.Copies)
 	for ci := range a.copies {
-		c := &archCopy{switches: make([]nems.Switch, phys), dec: dec, k: design.K}
-		nems.FabricateInto(c.switches, design.Spec.Dist, r)
+		c := &copies[ci]
+		*c = archCopy{switches: slab[ci*phys : (ci+1)*phys : (ci+1)*phys], dec: dec, k: design.K}
 		if lv != nil {
 			b, err := nems.NewBank(c.switches, design.N)
 			if err != nil {

@@ -136,17 +136,10 @@ func (a *Architecture) PendingRemap() (RemapPlan, bool) {
 		return RemapPlan{}, false
 	}
 	b := a.copies[a.cur].bank
-	assign, retire := b.PlanRemap()
-	repair := len(retire) > 0
-	for _, p := range b.Assign() {
-		if !b.Retired(p) {
-			continue
-		}
-		repair = true
-	}
-	if !repair && a.opsSince < a.leveling.Epoch {
+	if a.opsSince < a.leveling.Epoch && !b.RepairDue() {
 		return RemapPlan{}, false
 	}
+	assign, retire := b.PlanRemap()
 	if len(retire) == 0 && equalInts(assign, b.Assign()) {
 		// Nothing would change (e.g. the current assignment is already the
 		// least-worn set). Leave the epoch counter running; the next op

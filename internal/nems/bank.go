@@ -127,6 +127,18 @@ func (b *Bank) Usable() int {
 	return n
 }
 
+// RepairDue reports whether any logical slot is mapped onto a worn-out or
+// retired switch, the condition that makes a rotation due before its
+// epoch. It scans the remap table without allocating.
+func (b *Bank) RepairDue() bool {
+	for _, p := range b.assign {
+		if b.retired[p] || !b.phys[p].Working() {
+			return true
+		}
+	}
+	return false
+}
+
 // PlanRemap computes the deterministic WoLFRaM rotation for the current
 // wear state:
 //

@@ -88,23 +88,19 @@ type Switch struct {
 
 // Fabricate draws a switch from the given lifetime distribution.
 func Fabricate(d weibull.Dist, r *rng.RNG) *Switch {
-	s := fabricate(d, r)
-	return &s
+	return &Switch{lifetime: float64(d.SampleCycles(r))}
 }
 
 // FabricateInto fabricates len(dst) switches in place, making the same
 // draws in the same order as len(dst) calls to Fabricate — the
 // destination-buffer form for structures that hold their switches in one
-// slab.
+// slab. The lifetimes come from one weibull.SurvivalTable, built on the
+// stack for the whole slab.
 func FabricateInto(dst []Switch, d weibull.Dist, r *rng.RNG) {
+	tab := weibull.NewSurvivalTable(d)
 	for i := range dst {
-		dst[i] = fabricate(d, r)
+		dst[i] = Switch{lifetime: float64(tab.SampleCycles(r))}
 	}
-}
-
-// fabricate is the one lifetime draw behind every fabrication path.
-func fabricate(d weibull.Dist, r *rng.RNG) Switch {
-	return Switch{lifetime: float64(d.SampleCycles(r))}
 }
 
 // FabricateWithVariation draws a per-device effective distribution from the

@@ -149,7 +149,11 @@ func (d Dist) Median() float64 { return d.Quantile(0.5) }
 
 // Sample draws one time-to-failure by inverse-CDF sampling.
 func (d Dist) Sample(r *rng.RNG) float64 {
-	u := r.Float64Open()
+	return d.inverse(r.Float64Open())
+}
+
+// inverse is the inverse-CDF transform of one uniform draw u in (0, 1).
+func (d Dist) inverse(u float64) float64 {
 	return d.Alpha * pow(-math.Log(u), 1/d.Beta)
 }
 
@@ -193,8 +197,14 @@ func (d Dist) SampleNInto(dst []float64, r *rng.RNG) []float64 {
 // A draw below one cycle yields a device that fails on its first actuation
 // (infant mortality).
 func (d Dist) SampleCycles(r *rng.RNG) uint64 {
-	x := d.Sample(r)
-	c := math.Floor(x)
+	return d.cycles(r.Float64Open())
+}
+
+// cycles is SampleCycles for the uniform draw u: the one definition of a
+// floored lifetime, shared by the exact path and SurvivalTable's guard
+// band.
+func (d Dist) cycles(u float64) uint64 {
+	c := math.Floor(d.inverse(u))
 	if c < 0 {
 		return 0
 	}
