@@ -29,10 +29,12 @@ build:
 	$(GO) build ./...
 
 ## test: the module's tests, then the e2ebench module's vet and tests —
-## it is a separate module, so `go build ./...` never compiles it
+## it is a separate module, so `go build ./...` never compiles it — then
+## every example, each of which exits non-zero on error
 test:
 	$(GO) test ./...
 	cd e2ebench && $(GO) vet ./... && $(GO) test ./...
+	for d in examples/*/; do $(GO) run "./$$d" >/dev/null || exit 1; done
 
 ## race: race detector over the concurrency-sensitive packages, then the
 ## whole module in short mode (matches the CI race matrix entry)

@@ -109,7 +109,9 @@ func TestClusterHedgeFiresAfterDelay(t *testing.T) {
 
 	release := make(chan struct{})
 	cancelled := make(chan struct{})
+	arrived := make(chan struct{})
 	nodes[owners[0]].behave = func(w http.ResponseWriter, r *http.Request, req ClusterAccessRequest) {
+		close(arrived)
 		select {
 		case <-r.Context().Done():
 			close(cancelled)
@@ -118,6 +120,20 @@ func TestClusterHedgeFiresAfterDelay(t *testing.T) {
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}
 	defer close(release)
+	// The other owners answer only once the slow owner holds its request:
+	// otherwise the k winners can land before the straggler's request
+	// leaves the client, and cancelling it then never reaches the node.
+	for _, name := range owners[1:] {
+		f := nodes[name]
+		f.behave = func(w http.ResponseWriter, r *http.Request, req ClusterAccessRequest) {
+			select {
+			case <-arrived:
+				f.reply(w, req)
+			case <-r.Context().Done():
+				w.WriteHeader(http.StatusServiceUnavailable)
+			}
+		}
+	}
 
 	const hedge = 50 * time.Millisecond
 	cc, err := NewClusterClient(urls, 42, WithHedgeDelay(hedge))

@@ -6,7 +6,6 @@ import (
 	"bytes"
 	"errors"
 	"testing"
-	"time"
 
 	"lemonade/internal/attack"
 	"lemonade/internal/connection"
@@ -131,54 +130,6 @@ func TestSmartphoneLifecycle(t *testing.T) {
 	}
 	if _, err := phone.Unlock(userPass, nems.RoomTemp); !errors.Is(err, connection.ErrLocked) {
 		t.Error("locked phone served the owner")
-	}
-}
-
-// TestMWayLifecycle runs a 3-module device through its full life,
-// migrating twice and verifying the storage survives every re-encryption.
-func TestMWayLifecycle(t *testing.T) {
-	design, err := dse.Explore(dse.Spec{
-		Dist:        weibull.MustNew(12, 8),
-		Criteria:    reliability.DefaultCriteria,
-		LAB:         40,
-		KFrac:       0.10,
-		ContinuousT: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rng.New(777)
-	storage := []byte("durable user data across migrations")
-	passes := []string{"alpha", "bravo", "charlie"}
-	dev, err := connection.NewMWayDevice(design, passes, storage, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for mod := 0; mod < 3; mod++ {
-		// use most of the module's budget
-		for i := 0; i < 30; i++ {
-			got, err := dev.Unlock(passes[mod], nems.RoomTemp)
-			if err == nil && !bytes.Equal(got, storage) {
-				t.Fatalf("module %d returned wrong storage", mod)
-			}
-		}
-		if mod < 2 {
-			if err := dev.Migrate(passes[mod], nems.RoomTemp, r); err != nil {
-				t.Fatalf("migration %d failed: %v", mod, err)
-			}
-		}
-	}
-	got, err := dev.Unlock("charlie", nems.RoomTemp)
-	if err != nil || !bytes.Equal(got, storage) {
-		t.Errorf("final module unlock: %v %q", err, got)
-	}
-	// plan sanity: the same design supports the paper's M-way math
-	plan, err := connection.PlanMWay(design, 3*40/5/365+1, 5*365*24*time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Modules < 1 {
-		t.Error("degenerate plan")
 	}
 }
 

@@ -117,16 +117,6 @@ func BuildProgram(pkgs []*Package) *Program {
 	return prog
 }
 
-// PkgOf returns the analyzed package containing pos, or nil.
-func (p *Program) PkgOf(pos token.Pos) *Package {
-	for file, pkg := range p.pkgOfFile {
-		if file.FileStart <= pos && pos < file.FileEnd {
-			return pkg
-		}
-	}
-	return nil
-}
-
 func addEdge(caller, callee *FuncInfo, call *ast.CallExpr, viaInterface bool) {
 	cs := &CallSite{Caller: caller, Callee: callee, Call: call, ViaInterface: viaInterface}
 	caller.Callees = append(caller.Callees, cs)

@@ -2,11 +2,17 @@ package bench
 
 import (
 	"context"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/checksums-seed42.golden")
 
 func testConfig(t *testing.T) Config {
 	t.Helper()
@@ -79,6 +85,9 @@ func TestSuiteCoversHotPaths(t *testing.T) {
 // workload checksums — to agree bit for bit. This is the "harness as
 // integration test" property: if any hot path computes different bytes
 // across two runs, the serving stack broke the determinism contract.
+// The first run's checksums must also equal the recorded seed-42 golden,
+// so a change that moves any workload's output fails here rather than
+// only in the merge-base bench gate; -update rewrites the golden.
 func TestSuiteDeterministicChecksums(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.N, cfg.Warmup = 2, 1
@@ -86,6 +95,7 @@ func TestSuiteDeterministicChecksums(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkChecksumGolden(t, r1)
 	r2, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -113,6 +123,30 @@ func TestSuiteDeterministicChecksums(t *testing.T) {
 		if r.Field == "checksum" || r.Field == "coverage" {
 			t.Errorf("unexpected regression between identical runs: %s", r)
 		}
+	}
+}
+
+// checkChecksumGolden compares rep's "name checksum" lines with
+// testdata/checksums-seed42.golden, rewriting the file first under -update.
+func checkChecksumGolden(t *testing.T, rep *Report) {
+	t.Helper()
+	var b strings.Builder
+	for _, r := range rep.Results {
+		fmt.Fprintf(&b, "%s %s\n", r.Name, r.Checksum)
+	}
+	got := b.String()
+	path := filepath.Join("testdata", "checksums-seed42.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to create): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("seed-42 checksums differ from %s:\n got:\n%s\nwant:\n%s", path, got, want)
 	}
 }
 

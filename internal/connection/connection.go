@@ -10,10 +10,9 @@
 // that NAND mirroring or power-cut tricks can reset (the iPhone attacks
 // catalogued in §4). When the hardware wears out the device locks forever.
 //
-// MWayDevice adds the M-way module replication of §4.1.5: M architectures
-// used serially, each with its own passcode, migrating (re-encrypting
-// storage) from one module to the next to multiply the lifetime usage
-// budget by M.
+// PlanMWay sizes the M-way module replication of §4.1.5: M architectures
+// used serially, each with its own passcode, to multiply the lifetime
+// usage budget by M.
 package connection
 
 import (
@@ -134,86 +133,4 @@ func open(passcode string, hwKey, ct []byte) ([]byte, error) {
 		return nil, errors.New("connection: ciphertext too short")
 	}
 	return gcm.Open(nil, ct[:gcm.NonceSize()], ct[gcm.NonceSize():], nil)
-}
-
-// --- M-way replication (§4.1.5) ------------------------------------------------
-
-// MWayDevice replicates the entire architecture M times. Modules are used
-// serially; each requires its own passcode. Migrating to the next module
-// re-encrypts the storage under the new module's hardware key and
-// passcode, multiplying the daily usage budget by M at the cost of a
-// periodic passcode change (the paper's example: 10-way replication turns
-// 50 uses/day into 500, with a re-encryption every 6 months).
-type MWayDevice struct {
-	modules   []*Device
-	active    int
-	passcodes []string // retained only to express "user re-enters old passcode on migration"
-}
-
-// NewMWayDevice fabricates M modules, each built from the same design.
-// passcodes[i] protects module i; storage starts sealed under module 0.
-func NewMWayDevice(design dse.Design, passcodes []string, storage []byte, r *rng.RNG) (*MWayDevice, error) {
-	if len(passcodes) == 0 {
-		return nil, errors.New("connection: need at least one passcode")
-	}
-	m := &MWayDevice{passcodes: passcodes}
-	for i, pc := range passcodes {
-		var plain []byte
-		if i == 0 {
-			plain = storage
-		} else {
-			plain = nil // sealed on migration
-		}
-		dev, err := NewDevice(design, pc, plain, r)
-		if err != nil {
-			return nil, fmt.Errorf("connection: module %d: %w", i, err)
-		}
-		m.modules = append(m.modules, dev)
-	}
-	return m, nil
-}
-
-// Unlock attempts the active module.
-func (m *MWayDevice) Unlock(passcode string, env nems.Environment) ([]byte, error) {
-	return m.modules[m.active].Unlock(passcode, env)
-}
-
-// Migrate moves the storage to the next module: the caller proves
-// knowledge of the current passcode, the storage is decrypted through the
-// current module and re-sealed under the next module's hardware key and
-// passcode. This is the operation the user performs every LAB/M accesses.
-func (m *MWayDevice) Migrate(currentPasscode string, env nems.Environment, r *rng.RNG) error {
-	if m.active+1 >= len(m.modules) {
-		return errors.New("connection: no modules left to migrate to")
-	}
-	plain, err := m.modules[m.active].Unlock(currentPasscode, env)
-	if err != nil {
-		return fmt.Errorf("connection: migration unlock failed: %w", err)
-	}
-	next := m.modules[m.active+1]
-	nextPass := m.passcodes[m.active+1]
-	hwKey, err := next.arch.Access(env)
-	if err != nil {
-		return fmt.Errorf("connection: next module unavailable: %w", err)
-	}
-	ct, err := seal(nextPass, hwKey, plain, r)
-	if err != nil {
-		return err
-	}
-	next.ciphertext = ct
-	m.active++
-	return nil
-}
-
-// ActiveModule returns the index of the module serving unlocks.
-func (m *MWayDevice) ActiveModule() int { return m.active }
-
-// Locked reports whether every module is exhausted.
-func (m *MWayDevice) Locked() bool {
-	for i := m.active; i < len(m.modules); i++ {
-		if !m.modules[i].Locked() {
-			return false
-		}
-	}
-	return true
 }

@@ -135,68 +135,3 @@ func TestPowerCutTrickDoesNotHelp(t *testing.T) {
 		t.Error("worn hardware still served the key")
 	}
 }
-
-func TestMWayMigration(t *testing.T) {
-	design := testDesign(t, 30)
-	r := rng.New(6)
-	storage := []byte("long-lived user data")
-	m, err := NewMWayDevice(design, []string{"pass-a", "pass-b", "pass-c"}, storage, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := m.Unlock("pass-a", nems.RoomTemp)
-	if err != nil || !bytes.Equal(got, storage) {
-		t.Fatalf("module 0 unlock: %v %q", err, got)
-	}
-	if err := m.Migrate("pass-a", nems.RoomTemp, r); err != nil {
-		t.Fatal(err)
-	}
-	if m.ActiveModule() != 1 {
-		t.Errorf("active module = %d, want 1", m.ActiveModule())
-	}
-	// old passcode no longer works; new one does, and data survived.
-	if _, err := m.Unlock("pass-a", nems.RoomTemp); err == nil {
-		t.Error("old passcode should fail after migration")
-	}
-	got, err = m.Unlock("pass-b", nems.RoomTemp)
-	if err != nil || !bytes.Equal(got, storage) {
-		t.Fatalf("module 1 unlock: %v %q", err, got)
-	}
-	// second migration
-	if err := m.Migrate("pass-b", nems.RoomTemp, r); err != nil {
-		t.Fatal(err)
-	}
-	got, err = m.Unlock("pass-c", nems.RoomTemp)
-	if err != nil || !bytes.Equal(got, storage) {
-		t.Fatalf("module 2 unlock: %v %q", err, got)
-	}
-	// no further modules
-	if err := m.Migrate("pass-c", nems.RoomTemp, r); err == nil {
-		t.Error("migration beyond last module should fail")
-	}
-	if m.Locked() {
-		t.Error("device with a live module should not report locked")
-	}
-}
-
-func TestMWayValidation(t *testing.T) {
-	design := testDesign(t, 20)
-	if _, err := NewMWayDevice(design, nil, []byte("x"), rng.New(7)); err == nil {
-		t.Error("empty passcode list should fail")
-	}
-}
-
-func TestMigrateWithWrongPasscodeFails(t *testing.T) {
-	design := testDesign(t, 30)
-	r := rng.New(8)
-	m, err := NewMWayDevice(design, []string{"a", "b"}, []byte("data"), r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Migrate("wrong", nems.RoomTemp, r); err == nil {
-		t.Error("migration with wrong passcode should fail")
-	}
-	if m.ActiveModule() != 0 {
-		t.Error("failed migration must not advance the module")
-	}
-}

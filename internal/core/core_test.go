@@ -275,3 +275,56 @@ func TestWideStructureBeyond255(t *testing.T) {
 		t.Errorf("only %d/40 accesses succeeded on the wide architecture", succ)
 	}
 }
+
+func TestObserverSeesEveryAttempt(t *testing.T) {
+	design := smallDesign(t, 30, 0.10)
+	r := rng.New(61)
+	a, err := Build(design, []byte("secret"), r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []AccessEvent
+	a.SetObserver(func(ev AccessEvent) { events = append(events, ev) })
+	attempts := 0
+	for i := 0; i < design.MaxAllowedAccesses()*3+10; i++ {
+		attempts++
+		if _, err := a.Access(nems.RoomTemp); err == ErrExhausted {
+			break
+		}
+	}
+	if len(events) != attempts {
+		t.Fatalf("observer saw %d events for %d attempts", len(events), attempts)
+	}
+	// events carry monotone attempt numbers and plausible fields
+	var successes, transients, wornouts int
+	for i, ev := range events {
+		if ev.Attempt != uint64(i+1) {
+			t.Fatalf("event %d has attempt %d", i, ev.Attempt)
+		}
+		switch ev.Outcome {
+		case AccessSuccess:
+			successes++
+			if ev.Conducting < design.K {
+				t.Error("successful access with too few conducting switches")
+			}
+		case AccessTransient:
+			transients++
+		case AccessExhausted:
+			wornouts++
+		}
+	}
+	if successes == 0 || wornouts != 1 {
+		t.Errorf("event mix: %d success, %d transient, %d wornout", successes, transients, wornouts)
+	}
+	// the last event is the wearout
+	if events[len(events)-1].Outcome != AccessExhausted {
+		t.Error("final event should be AccessExhausted")
+	}
+	// disabling the observer stops events
+	a.SetObserver(nil)
+	n := len(events)
+	_, _ = a.Access(nems.RoomTemp)
+	if len(events) != n {
+		t.Error("nil observer should disable events")
+	}
+}

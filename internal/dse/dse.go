@@ -211,23 +211,6 @@ func (d Design) EnergyPerAccess() cost.Energy { return cost.AccessEnergy(d.N) }
 // LatencyPerAccess returns the access latency (§4.3.2).
 func (d Design) LatencyPerAccess() cost.Latency { return cost.ParallelAccessLatency() }
 
-// Replicate returns the M-way replicated design of §4.1.5: M modules used
-// serially (each with its own password), multiplying every usage bound and
-// the device count by M.
-func (d Design) Replicate(m int) Design {
-	if m <= 1 {
-		return d
-	}
-	r := d
-	r.Copies *= m
-	r.TotalDevices *= m
-	r.Spec.LAB *= m
-	if r.Spec.UpperBound != 0 {
-		r.Spec.UpperBound *= m
-	}
-	return r
-}
-
 // String implements fmt.Stringer.
 func (d Design) String() string {
 	enc := "no encoding"
@@ -569,5 +552,3 @@ func SweepAlpha(base Spec, alphas []float64) []SweepPoint {
 	}
 	return out
 }
-
-func ceilDiv(a, b int) int { return (a + b - 1) / b }

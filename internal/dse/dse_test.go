@@ -280,23 +280,6 @@ func TestInfeasibleReturnsError(t *testing.T) {
 	}
 }
 
-func TestReplicate(t *testing.T) {
-	d, err := Explore(connSpec(14, 8, 0.10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := d.Replicate(10)
-	if r.TotalDevices != 10*d.TotalDevices || r.Copies != 10*d.Copies {
-		t.Error("Replicate should multiply devices and copies by M")
-	}
-	if r.Spec.LAB != 10*d.Spec.LAB {
-		t.Error("Replicate should multiply the usage bound")
-	}
-	if same := d.Replicate(1); same.TotalDevices != d.TotalDevices {
-		t.Error("Replicate(1) should be identity")
-	}
-}
-
 func TestDesignCostAccessors(t *testing.T) {
 	d, err := Explore(connSpec(14, 8, 0.10))
 	if err != nil {

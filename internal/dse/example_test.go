@@ -29,22 +29,3 @@ func ExampleExplore() {
 	// copies: 6057
 	// total devices: 847980
 }
-
-// ExampleDesign_Replicate applies the §4.1.5 M-way replication.
-func ExampleDesign_Replicate() {
-	design, err := dse.Explore(dse.Spec{
-		Dist:        weibull.MustNew(14, 8),
-		Criteria:    reliability.DefaultCriteria,
-		LAB:         91_250,
-		KFrac:       0.10,
-		ContinuousT: true,
-	})
-	if err != nil {
-		panic(err)
-	}
-	tenWay := design.Replicate(10)
-	fmt.Printf("10-way: %d total devices for %d lifetime accesses\n",
-		tenWay.TotalDevices, tenWay.Spec.LAB)
-	// Output:
-	// 10-way: 8479800 total devices for 912500 lifetime accesses
-}

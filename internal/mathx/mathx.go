@@ -1,8 +1,8 @@
 // Package mathx provides the numerical substrate used throughout the
-// lemonade library: special functions (log-gamma combinatorics, regularized
-// incomplete beta and gamma functions), exact and log-space binomial tail
-// probabilities, scalar root finding and minimization, and compensated
-// summation.
+// lemonade library: special functions (log-gamma combinatorics, the
+// regularized incomplete beta function), exact and log-space binomial tail
+// probabilities, scalar root finding, monotone integer search, and
+// compensated summation.
 //
 // Everything here is pure: no allocation-visible state, no globals, no
 // randomness. The functions are tuned for the regimes the design-space
@@ -14,10 +14,6 @@ import (
 	"errors"
 	"math"
 )
-
-// Eps is the default relative tolerance used by the iterative algorithms in
-// this package.
-const Eps = 1e-12
 
 // ErrNoConvergence is returned when an iterative algorithm exhausts its
 // iteration budget before reaching the requested tolerance.
@@ -42,41 +38,6 @@ func LogChoose(n, k float64) float64 {
 		return v
 	}
 	return lg(n+1) - lg(k+1) - lg(n-k+1)
-}
-
-// Choose returns C(n, k) as a float64. It overflows to +Inf for very large
-// arguments; use LogChoose in log space when n is large.
-func Choose(n, k int) float64 {
-	if k < 0 || k > n {
-		return 0
-	}
-	return math.Exp(LogChoose(float64(n), float64(k)))
-}
-
-// Log1mExp returns ln(1 - e^x) for x < 0, computed stably across the full
-// range. See Mächler (2012), "Accurately computing log(1 − exp(−|a|))".
-func Log1mExp(x float64) float64 {
-	if x >= 0 {
-		return math.NaN()
-	}
-	if x > -math.Ln2 {
-		return math.Log(-math.Expm1(x))
-	}
-	return math.Log1p(-math.Exp(x))
-}
-
-// LogSumExp returns ln(e^a + e^b) stably.
-func LogSumExp(a, b float64) float64 {
-	if math.IsInf(a, -1) {
-		return b
-	}
-	if math.IsInf(b, -1) {
-		return a
-	}
-	if a < b {
-		a, b = b, a
-	}
-	return a + math.Log1p(math.Exp(b-a))
 }
 
 // --- Regularized incomplete beta function ---------------------------------
@@ -170,81 +131,6 @@ func betaCF(a, b, x float64) float64 {
 	return h
 }
 
-// --- Regularized incomplete gamma function ---------------------------------
-
-// RegLowerGamma returns P(a, x), the regularized lower incomplete gamma
-// function, for a > 0, x >= 0.
-func RegLowerGamma(a, x float64) float64 {
-	switch {
-	case a <= 0 || x < 0 || math.IsNaN(a) || math.IsNaN(x):
-		return math.NaN()
-	case x == 0:
-		return 0
-	}
-	if x < a+1 {
-		return gammaSeries(a, x)
-	}
-	return 1 - gammaCF(a, x)
-}
-
-// RegUpperGamma returns Q(a, x) = 1 - P(a, x).
-func RegUpperGamma(a, x float64) float64 {
-	switch {
-	case a <= 0 || x < 0 || math.IsNaN(a) || math.IsNaN(x):
-		return math.NaN()
-	case x == 0:
-		return 1
-	}
-	if x < a+1 {
-		return 1 - gammaSeries(a, x)
-	}
-	return gammaCF(a, x)
-}
-
-func gammaSeries(a, x float64) float64 {
-	lg, _ := math.Lgamma(a)
-	ap := a
-	sum := 1 / a
-	del := sum
-	for n := 0; n < 500; n++ {
-		ap++
-		del *= x / ap
-		sum += del
-		if math.Abs(del) < math.Abs(sum)*1e-15 {
-			break
-		}
-	}
-	return sum * math.Exp(-x+a*math.Log(x)-lg)
-}
-
-func gammaCF(a, x float64) float64 {
-	const tiny = 1e-300
-	lg, _ := math.Lgamma(a)
-	b := x + 1 - a
-	c := 1 / tiny
-	d := 1 / b
-	h := d
-	for i := 1; i <= 500; i++ {
-		an := -float64(i) * (float64(i) - a)
-		b += 2
-		d = an*d + b
-		if math.Abs(d) < tiny {
-			d = tiny
-		}
-		c = b + an/c
-		if math.Abs(c) < tiny {
-			c = tiny
-		}
-		d = 1 / d
-		del := d * c
-		h *= del
-		if math.Abs(del-1) < 1e-15 {
-			break
-		}
-	}
-	return math.Exp(-x+a*math.Log(x)-lg) * h
-}
-
 // --- Binomial tails ---------------------------------------------------------
 
 // BinomTailGE returns P(X >= k) for X ~ Binomial(n, p). Up to n = 2e5 it
@@ -297,21 +183,6 @@ func BinomTailGE(n, k int, p float64) float64 {
 		return 0
 	}
 	return clamp01(0.5 * math.Erfc(z/math.Sqrt2))
-}
-
-// BinomTailLE returns P(X <= k) for X ~ Binomial(n, p).
-func BinomTailLE(n, k int, p float64) float64 {
-	switch {
-	case k < 0:
-		return 0
-	case k >= n:
-		return 1
-	case p <= 0:
-		return 1
-	case p >= 1:
-		return 0
-	}
-	return clamp01(1 - BinomTailGE(n, k+1, p))
 }
 
 // LogBinomPMF returns ln P(X = k) for X ~ Binomial(n, p) in log space,
@@ -426,56 +297,7 @@ func Brent(f func(float64) float64, a, b, tol float64) (float64, error) {
 	return b, ErrNoConvergence
 }
 
-// Bisect finds a root of f in [a, b] by bisection; more robust than Brent
-// for discontinuous step-like functions (e.g. over integer-quantized inputs).
-func Bisect(f func(float64) float64, a, b, tol float64) (float64, error) {
-	fa, fb := f(a), f(b)
-	if fa == 0 {
-		return a, nil
-	}
-	if fb == 0 {
-		return b, nil
-	}
-	if (fa > 0) == (fb > 0) {
-		return 0, ErrBracket
-	}
-	for i := 0; i < 200 && b-a > tol; i++ {
-		m := 0.5 * (a + b)
-		fm := f(m)
-		if fm == 0 {
-			return m, nil
-		}
-		if (fm > 0) == (fa > 0) {
-			a, fa = m, fm
-		} else {
-			b = m
-		}
-	}
-	return 0.5 * (a + b), nil
-}
-
-// --- Minimization -----------------------------------------------------------
-
-// GoldenSection minimizes a unimodal f on [a, b] to absolute x tolerance tol,
-// returning the minimizing x.
-func GoldenSection(f func(float64) float64, a, b, tol float64) float64 {
-	const invPhi = 0.6180339887498949
-	x1 := b - invPhi*(b-a)
-	x2 := a + invPhi*(b-a)
-	f1, f2 := f(x1), f(x2)
-	for b-a > tol {
-		if f1 < f2 {
-			b, x2, f2 = x2, x1, f1
-			x1 = b - invPhi*(b-a)
-			f1 = f(x1)
-		} else {
-			a, x1, f1 = x1, x2, f2
-			x2 = a + invPhi*(b-a)
-			f2 = f(x2)
-		}
-	}
-	return 0.5 * (a + b)
-}
+// --- Integer search ---------------------------------------------------------
 
 // MinIntSearch finds the smallest integer n in [lo, hi] such that pred(n)
 // is true, assuming pred is monotone (false...false true...true).
@@ -493,24 +315,6 @@ func MinIntSearch(lo, hi int, pred func(int) bool) int {
 		return lo
 	}
 	return hi + 1
-}
-
-// MaxIntSearch finds the largest integer n in [lo, hi] such that pred(n)
-// is true, assuming pred is monotone (true...true false...false).
-// It returns lo-1 if pred is false on the whole range.
-func MaxIntSearch(lo, hi int, pred func(int) bool) int {
-	for lo < hi {
-		mid := lo + (hi-lo+1)/2
-		if pred(mid) {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	if lo >= hi && pred(lo) {
-		return lo
-	}
-	return lo - 1
 }
 
 // --- Compensated summation ---------------------------------------------------

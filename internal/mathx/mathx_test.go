@@ -42,7 +42,8 @@ func TestLogChooseOutOfRange(t *testing.T) {
 }
 
 func TestChoosePascalIdentity(t *testing.T) {
-	// C(n,k) = C(n-1,k-1) + C(n-1,k)
+	// C(n,k) = C(n-1,k-1) + C(n-1,k), through the log-space coefficient.
+	Choose := func(n, k int) float64 { return math.Exp(LogChoose(float64(n), float64(k))) }
 	for n := 2; n <= 40; n++ {
 		for k := 1; k < n; k++ {
 			lhs := Choose(n, k)
@@ -51,34 +52,6 @@ func TestChoosePascalIdentity(t *testing.T) {
 				t.Fatalf("Pascal identity fails at n=%d k=%d: %g vs %g", n, k, lhs, rhs)
 			}
 		}
-	}
-}
-
-func TestLog1mExp(t *testing.T) {
-	for _, x := range []float64{-1e-10, -0.1, -0.5, -1, -5, -50, -700} {
-		want := math.Log(-math.Expm1(x)) // stable reference
-		got := Log1mExp(x)
-		if x > -700 && !almostEq(got, want, 1e-9) {
-			t.Errorf("Log1mExp(%g) = %g, want %g", x, got, want)
-		}
-	}
-	if !math.IsNaN(Log1mExp(0.5)) {
-		t.Error("Log1mExp of positive argument should be NaN")
-	}
-}
-
-func TestLogSumExp(t *testing.T) {
-	got := LogSumExp(math.Log(3), math.Log(4))
-	if !almostEq(got, math.Log(7), 1e-12) {
-		t.Errorf("LogSumExp(log3, log4) = %g, want log7 = %g", got, math.Log(7))
-	}
-	if LogSumExp(math.Inf(-1), 2.5) != 2.5 {
-		t.Error("LogSumExp with -Inf should return other operand")
-	}
-	// extreme spread must not overflow
-	got = LogSumExp(1000, -1000)
-	if got != 1000 {
-		t.Errorf("LogSumExp(1000,-1000) = %g, want 1000", got)
 	}
 }
 
@@ -131,25 +104,6 @@ func TestRegIncBetaMonotone(t *testing.T) {
 	}
 }
 
-func TestRegGammaComplement(t *testing.T) {
-	for _, a := range []float64{0.5, 1, 2.5, 10} {
-		for _, x := range []float64{0.1, 1, 5, 20} {
-			p := RegLowerGamma(a, x)
-			q := RegUpperGamma(a, x)
-			if !almostEq(p+q, 1, 1e-10) {
-				t.Errorf("P+Q != 1 for a=%g x=%g: %g", a, x, p+q)
-			}
-		}
-	}
-	// P(1, x) = 1 - e^-x (exponential CDF)
-	for _, x := range []float64{0.5, 1, 3} {
-		want := 1 - math.Exp(-x)
-		if got := RegLowerGamma(1, x); !almostEq(got, want, 1e-12) {
-			t.Errorf("P(1,%g) = %g, want %g", x, got, want)
-		}
-	}
-}
-
 // brute force binomial tail for cross-validation
 func bruteTailGE(n, k int, p float64) float64 {
 	var s KahanSum
@@ -188,27 +142,6 @@ func TestBinomTailEdges(t *testing.T) {
 	}
 	if BinomTailGE(10, 5, 1) != 1 {
 		t.Error("p=1 with k<=n must be 1")
-	}
-	if BinomTailLE(10, -1, 0.5) != 0 {
-		t.Error("P(X<=-1) must be 0")
-	}
-	if BinomTailLE(10, 10, 0.5) != 1 {
-		t.Error("P(X<=n) must be 1")
-	}
-}
-
-func TestBinomTailComplement(t *testing.T) {
-	f := func(seed int64) bool {
-		n := int(math.Abs(float64(seed%500))) + 1
-		k := int(math.Abs(float64(seed % int64(n))))
-		p := math.Abs(math.Mod(float64(seed)*0.618, 1))
-		if p == 0 || p == 1 {
-			return true
-		}
-		return almostEq(BinomTailLE(n, k, p)+BinomTailGE(n, k+1, p), 1, 1e-9)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -267,23 +200,6 @@ func TestBrentRoot(t *testing.T) {
 	}
 }
 
-func TestBisect(t *testing.T) {
-	root, err := Bisect(func(x float64) float64 { return x*x*x - 8 }, 0, 10, 1e-10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(root, 2, 1e-8) {
-		t.Errorf("cbrt root = %g", root)
-	}
-}
-
-func TestGoldenSection(t *testing.T) {
-	x := GoldenSection(func(x float64) float64 { return (x - 3.25) * (x - 3.25) }, 0, 10, 1e-9)
-	if !almostEq(x, 3.25, 1e-6) {
-		t.Errorf("min at %g, want 3.25", x)
-	}
-}
-
 func TestMinIntSearch(t *testing.T) {
 	got := MinIntSearch(0, 100, func(n int) bool { return n >= 37 })
 	if got != 37 {
@@ -296,17 +212,6 @@ func TestMinIntSearch(t *testing.T) {
 	got = MinIntSearch(5, 5, func(n int) bool { return true })
 	if got != 5 {
 		t.Errorf("MinIntSearch singleton = %d, want 5", got)
-	}
-}
-
-func TestMaxIntSearch(t *testing.T) {
-	got := MaxIntSearch(0, 100, func(n int) bool { return n <= 42 })
-	if got != 42 {
-		t.Errorf("MaxIntSearch = %d, want 42", got)
-	}
-	got = MaxIntSearch(10, 100, func(n int) bool { return false })
-	if got != 9 {
-		t.Errorf("MaxIntSearch all-false = %d, want 9", got)
 	}
 }
 

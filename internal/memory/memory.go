@@ -1,15 +1,9 @@
-// Package memory simulates the storage elements of the paper's
-// architectures: read-destructive cells holding key components, one-time
-// programmable (OTP/anti-fuse style) stores, and the parallel-in/serial-out
-// shift registers at the leaves of the one-time-pad decision trees (§6.2).
-//
-// The paper is explicit that read-destructive memory *alone* is
-// insufficient — "the read-destruction could be compromised if reading with
-// a lower voltage" and a stolen device could be cloned. The simulator
-// mirrors that: ReadDestructive supports a ColdRead that bypasses
-// destruction (the attack the NEMS network exists to stop), so the
-// architecture-level tests can demonstrate that the security comes from the
-// NEMS structures in front of the memory, not the memory itself.
+// Package memory simulates the parallel-in/serial-out shift registers at
+// the leaves of the one-time-pad decision trees (§6.2): each holds one
+// random key and destroys it on read-out. The paper is explicit that
+// read-destructive memory alone is insufficient, since a low-voltage read
+// or a clone bypasses the destruction; the security comes from the NEMS
+// structures in front of the register, not the register itself.
 package memory
 
 import (
@@ -25,99 +19,9 @@ const ShiftRegisterNsPerBit = 20.0
 // assumes a 50 nm² cell).
 const RegisterCellAreaNm2 = 50.0
 
-// ErrDestroyed is returned when reading a cell whose contents have been
-// destroyed.
+// ErrDestroyed is returned when reading a register whose contents have
+// been destroyed.
 var ErrDestroyed = errors.New("memory: contents destroyed")
-
-// ErrAlreadyProgrammed is returned when programming a one-time store twice.
-var ErrAlreadyProgrammed = errors.New("memory: already programmed")
-
-// ErrNotProgrammed is returned when reading an unprogrammed store.
-var ErrNotProgrammed = errors.New("memory: not programmed")
-
-// ReadDestructive is a memory cell that erases its contents on read.
-type ReadDestructive struct {
-	data      []byte
-	destroyed bool
-}
-
-// NewReadDestructive returns a cell holding a private copy of data.
-func NewReadDestructive(data []byte) *ReadDestructive {
-	d := make([]byte, len(data))
-	copy(d, data)
-	return &ReadDestructive{data: d}
-}
-
-// Read returns the contents and destroys them. A second Read fails.
-func (m *ReadDestructive) Read() ([]byte, error) {
-	if m.destroyed {
-		return nil, ErrDestroyed
-	}
-	out := m.data
-	m.data = nil
-	m.destroyed = true
-	return out, nil
-}
-
-// Destroyed reports whether the cell has been consumed.
-func (m *ReadDestructive) Destroyed() bool { return m.destroyed }
-
-// ColdRead models the low-voltage attack of §6.2.2: it returns the contents
-// WITHOUT destroying them, if they still exist. The security architectures
-// must remain safe even against an adversary with this capability (that is
-// what the NEMS network in front of the memory provides).
-func (m *ReadDestructive) ColdRead() ([]byte, error) {
-	if m.destroyed {
-		return nil, ErrDestroyed
-	}
-	out := make([]byte, len(m.data))
-	copy(out, m.data)
-	return out, nil
-}
-
-// Clone models the evil-maid duplication attack: a bitwise copy of the
-// cell, again only possible while the contents exist.
-func (m *ReadDestructive) Clone() (*ReadDestructive, error) {
-	if m.destroyed {
-		return nil, ErrDestroyed
-	}
-	return NewReadDestructive(m.data), nil
-}
-
-// --- One-time programmable store ------------------------------------------------
-
-// OneTimeProgrammable is an anti-fuse style store: programmed exactly once
-// (at fabrication, per the paper's threat model §3), then read-only.
-type OneTimeProgrammable struct {
-	data       []byte
-	programmed bool
-}
-
-// Program burns the data in. It fails on a second call.
-func (m *OneTimeProgrammable) Program(data []byte) error {
-	if m.programmed {
-		return ErrAlreadyProgrammed
-	}
-	m.data = make([]byte, len(data))
-	copy(m.data, data)
-	m.programmed = true
-	return nil
-}
-
-// Read returns the programmed contents.
-func (m *OneTimeProgrammable) Read() ([]byte, error) {
-	if !m.programmed {
-		return nil, ErrNotProgrammed
-	}
-	out := make([]byte, len(m.data))
-	copy(out, m.data)
-	return out, nil
-}
-
-// Programmed reports whether the store has been burned.
-func (m *OneTimeProgrammable) Programmed() bool { return m.programmed }
-
-// --- Shift register ---------------------------------------------------------------
 
 // ShiftRegister is a parallel-in/serial-out register holding one random key
 // at a decision-tree leaf. Reading shifts the bits out serially (costing
@@ -138,9 +42,6 @@ func NewShiftRegister(data []byte, nbits int) (*ShiftRegister, error) {
 	return &ShiftRegister{bits: d, nbits: nbits}, nil
 }
 
-// Bits returns the register width in bits.
-func (s *ShiftRegister) Bits() int { return s.nbits }
-
 // ReadOut shifts out the whole register, destroying the contents. It
 // returns the packed bits and the read latency in nanoseconds.
 func (s *ShiftRegister) ReadOut() (data []byte, latencyNs float64, err error) {
@@ -152,47 +53,3 @@ func (s *ShiftRegister) ReadOut() (data []byte, latencyNs float64, err error) {
 	s.destroyed = true
 	return out, float64(s.nbits) * ShiftRegisterNsPerBit, nil
 }
-
-// Destroyed reports whether the register has been read out.
-func (s *ShiftRegister) Destroyed() bool { return s.destroyed }
-
-// AreaNm2 returns the silicon area of the register in nm².
-func (s *ShiftRegister) AreaNm2() float64 {
-	return float64(s.nbits) * RegisterCellAreaNm2
-}
-
-// --- Field programming (the paper's §3 future work) -----------------------------
-
-// FieldProgrammable is a store that an *end user* can program exactly
-// once in the field — the capability the paper defers to future work
-// ("techniques to allow secure, one-time programming of our devices by
-// end users"). The programming path runs through its own one-actuation
-// wearout gate: after one Program the gate is physically destroyed, so
-// not even the manufacturer can reprogram the store. Reads are unlimited
-// (guard them with a NEMS network as usual).
-type FieldProgrammable struct {
-	store      OneTimeProgrammable
-	gateBudget int // remaining programming actuations (1 for fresh parts)
-	gateBurned bool
-}
-
-// NewFieldProgrammable returns a fresh, unprogrammed part.
-func NewFieldProgrammable() *FieldProgrammable {
-	return &FieldProgrammable{gateBudget: 1}
-}
-
-// Program burns data into the store, consuming the programming gate.
-func (m *FieldProgrammable) Program(data []byte) error {
-	if m.gateBurned || m.gateBudget < 1 {
-		return ErrAlreadyProgrammed
-	}
-	m.gateBudget--
-	m.gateBurned = true
-	return m.store.Program(data)
-}
-
-// Read returns the programmed contents (repeatable).
-func (m *FieldProgrammable) Read() ([]byte, error) { return m.store.Read() }
-
-// Programmed reports whether the part has been used.
-func (m *FieldProgrammable) Programmed() bool { return m.store.Programmed() }

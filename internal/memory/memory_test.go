@@ -6,119 +6,11 @@ import (
 	"testing"
 )
 
-func TestReadDestructiveSingleRead(t *testing.T) {
-	m := NewReadDestructive([]byte("key material"))
-	got, err := m.Read()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, []byte("key material")) {
-		t.Errorf("Read = %q", got)
-	}
-	if !m.Destroyed() {
-		t.Error("should be destroyed after read")
-	}
-	if _, err := m.Read(); !errors.Is(err, ErrDestroyed) {
-		t.Errorf("second read should fail with ErrDestroyed, got %v", err)
-	}
-}
-
-func TestReadDestructiveIsolation(t *testing.T) {
-	src := []byte{1, 2, 3}
-	m := NewReadDestructive(src)
-	src[0] = 99 // caller mutates their buffer
-	got, _ := m.Read()
-	if got[0] != 1 {
-		t.Error("cell aliased caller's buffer")
-	}
-}
-
-func TestColdReadBypassesDestruction(t *testing.T) {
-	// The §6.2.2 low-voltage attack: reading without destroying. This must
-	// work at the memory level (it's the NEMS network's job to prevent it
-	// at the architecture level).
-	m := NewReadDestructive([]byte("secret"))
-	a, err := m.ColdRead()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := m.ColdRead()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) || !bytes.Equal(a, []byte("secret")) {
-		t.Error("cold reads should repeatedly return contents")
-	}
-	if m.Destroyed() {
-		t.Error("cold read must not destroy")
-	}
-	// and a normal read still works afterwards
-	if _, err := m.Read(); err != nil {
-		t.Error("normal read after cold read should work")
-	}
-	if _, err := m.ColdRead(); !errors.Is(err, ErrDestroyed) {
-		t.Error("cold read after destruction should fail")
-	}
-}
-
-func TestCloneAttack(t *testing.T) {
-	m := NewReadDestructive([]byte("otp key"))
-	c, err := m.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// reading the original doesn't affect the clone
-	if _, err := m.Read(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.Read()
-	if err != nil || !bytes.Equal(got, []byte("otp key")) {
-		t.Error("clone should retain contents independently")
-	}
-	if _, err := m.Clone(); !errors.Is(err, ErrDestroyed) {
-		t.Error("cloning a destroyed cell should fail")
-	}
-}
-
-func TestOneTimeProgrammable(t *testing.T) {
-	var m OneTimeProgrammable
-	if _, err := m.Read(); !errors.Is(err, ErrNotProgrammed) {
-		t.Error("reading unprogrammed store should fail")
-	}
-	if m.Programmed() {
-		t.Error("fresh store should be unprogrammed")
-	}
-	if err := m.Program([]byte("burn")); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Program([]byte("again")); !errors.Is(err, ErrAlreadyProgrammed) {
-		t.Error("second Program should fail")
-	}
-	got, err := m.Read()
-	if err != nil || !bytes.Equal(got, []byte("burn")) {
-		t.Errorf("Read = %q, %v", got, err)
-	}
-	// reads are repeatable (not destructive)
-	got2, _ := m.Read()
-	if !bytes.Equal(got2, []byte("burn")) {
-		t.Error("OTP store reads should be repeatable")
-	}
-	// returned buffer is a copy
-	got[0] = 'X'
-	got3, _ := m.Read()
-	if got3[0] != 'b' {
-		t.Error("Read returned aliased internal buffer")
-	}
-}
-
 func TestShiftRegisterReadOut(t *testing.T) {
 	data := []byte{0xDE, 0xAD}
 	sr, err := NewShiftRegister(data, 16)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if sr.Bits() != 16 {
-		t.Errorf("Bits = %d", sr.Bits())
 	}
 	out, lat, err := sr.ReadOut()
 	if err != nil {
@@ -129,9 +21,6 @@ func TestShiftRegisterReadOut(t *testing.T) {
 	}
 	if lat != 16*ShiftRegisterNsPerBit {
 		t.Errorf("latency = %g ns, want %g", lat, 16*ShiftRegisterNsPerBit)
-	}
-	if !sr.Destroyed() {
-		t.Error("register should be destroyed after read out")
 	}
 	if _, _, err := sr.ReadOut(); !errors.Is(err, ErrDestroyed) {
 		t.Error("second ReadOut should fail")
@@ -154,13 +43,6 @@ func TestShiftRegisterValidation(t *testing.T) {
 	}
 }
 
-func TestShiftRegisterArea(t *testing.T) {
-	sr, _ := NewShiftRegister(make([]byte, 500), 4000)
-	if got := sr.AreaNm2(); got != 4000*RegisterCellAreaNm2 {
-		t.Errorf("area = %g", got)
-	}
-}
-
 func TestShiftRegisterPaperLatency(t *testing.T) {
 	// §6.5.2: reading a 1000H-bit string at H=4 takes 20ns*4000 = 0.08 ms.
 	sr, _ := NewShiftRegister(make([]byte, 500), 4000)
@@ -170,31 +52,5 @@ func TestShiftRegisterPaperLatency(t *testing.T) {
 	}
 	if ms := lat / 1e6; ms != 0.08 {
 		t.Errorf("4000-bit readout = %g ms, paper says 0.08 ms", ms)
-	}
-}
-
-func TestFieldProgrammableSingleProgram(t *testing.T) {
-	m := NewFieldProgrammable()
-	if m.Programmed() {
-		t.Error("fresh part should be unprogrammed")
-	}
-	if _, err := m.Read(); !errors.Is(err, ErrNotProgrammed) {
-		t.Error("reading unprogrammed part should fail")
-	}
-	if err := m.Program([]byte("user key")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := m.Read()
-	if err != nil || !bytes.Equal(got, []byte("user key")) {
-		t.Errorf("Read = %q, %v", got, err)
-	}
-	// the programming gate is physically gone
-	if err := m.Program([]byte("evil overwrite")); !errors.Is(err, ErrAlreadyProgrammed) {
-		t.Error("second Program must fail — gate destroyed")
-	}
-	// contents unchanged
-	got, _ = m.Read()
-	if !bytes.Equal(got, []byte("user key")) {
-		t.Error("failed reprogram must not alter contents")
 	}
 }

@@ -52,20 +52,6 @@ func (s Summary) Quantile(q float64) float64 {
 // Median returns the empirical median.
 func (s Summary) Median() float64 { return s.Quantile(0.5) }
 
-// StdErr returns the standard error of the mean.
-func (s Summary) StdErr() float64 {
-	if s.Trials == 0 {
-		return math.NaN()
-	}
-	return s.SD / math.Sqrt(float64(s.Trials))
-}
-
-// CI95 returns an approximate 95% confidence interval for the mean.
-func (s Summary) CI95() (lo, hi float64) {
-	se := s.StdErr()
-	return s.Mean - 1.96*se, s.Mean + 1.96*se
-}
-
 // String implements fmt.Stringer.
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.6g sd=%.4g [%.6g, %.6g]", s.Trials, s.Mean, s.SD, s.Min, s.Max)

@@ -48,11 +48,6 @@ func (b *Bank) Actuate(logical int, env Environment) error {
 	return b.phys[b.assign[logical]].Actuate(env)
 }
 
-// SlotWorking reports whether logical slot i's mapped switch can conduct.
-func (b *Bank) SlotWorking(logical int) bool {
-	return b.phys[b.assign[logical]].Working()
-}
-
 // Slots returns the logical width of the bank.
 func (b *Bank) Slots() int { return b.n }
 

@@ -5,6 +5,9 @@ import (
 	"testing"
 )
 
+// slotWorking reports whether logical slot i's mapped switch can conduct.
+func slotWorking(b *Bank, i int) bool { return b.phys[b.assign[i]].Working() }
+
 // TestWearoutAccelerationBoundaries pins the acceleration factor at the
 // exact specification corners: −40 °C and 150 °C are inclusive thresholds
 // (the spec says "at or beyond"), 400 °C switches to the melting regime,
@@ -147,7 +150,7 @@ func TestBankRetireSwapsSpareUnderSlot(t *testing.T) {
 	// Kill slot 0's switch: one successful actuation then failure.
 	_ = b.Actuate(0, RoomTemp)
 	_ = b.Actuate(0, RoomTemp)
-	if b.SlotWorking(0) {
+	if slotWorking(b, 0) {
 		t.Fatal("slot 0 should be dead")
 	}
 	assign, retire := b.PlanRemap()
@@ -166,7 +169,7 @@ func TestBankRetireSwapsSpareUnderSlot(t *testing.T) {
 			t.Fatalf("retired switch still in service: assign = %v", b.Assign())
 		}
 	}
-	if !b.SlotWorking(0) || !b.SlotWorking(1) {
+	if !slotWorking(b, 0) || !slotWorking(b, 1) {
 		t.Fatalf("slots should be working after rotation: %v", b.Assign())
 	}
 	if got := b.SparesRemaining(); got != 0 {

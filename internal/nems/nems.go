@@ -173,9 +173,6 @@ func (s *Switch) Working() bool { return s.failCycle == 0 }
 // wear-leveling planner ranks switches by it.
 func (s *Switch) Wear() float64 { return s.wear }
 
-// Actuations returns how many times Actuate has been called.
-func (s *Switch) Actuations() uint64 { return s.actuated }
-
 // FailedAt returns the 1-based actuation index at which the switch failed,
 // or 0 if it is still working.
 func (s *Switch) FailedAt() uint64 { return s.failCycle }
@@ -191,12 +188,11 @@ func (s *Switch) String() string {
 
 // --- Populations ----------------------------------------------------------------
 
-// Population fabricates batches of switches from one lifetime model and
-// records fabrication statistics, standing in for a manufacturing lot.
+// Population fabricates switches from one lifetime model, standing in for
+// a manufacturing lot.
 type Population struct {
 	Variation weibull.Variation
 	rng       *rng.RNG
-	produced  int
 }
 
 // NewPopulation creates a manufacturing lot model. If cvAlpha or cvBeta are
@@ -210,21 +206,8 @@ func NewPopulation(nominal weibull.Dist, cvAlpha, cvBeta float64, r *rng.RNG) *P
 
 // Fabricate produces one switch from the lot.
 func (p *Population) Fabricate() *Switch {
-	p.produced++
 	return FabricateWithVariation(p.Variation, p.rng)
 }
-
-// FabricateN produces n switches.
-func (p *Population) FabricateN(n int) []*Switch {
-	out := make([]*Switch, n)
-	for i := range out {
-		out[i] = p.Fabricate()
-	}
-	return out
-}
-
-// Produced returns the number of devices fabricated so far.
-func (p *Population) Produced() int { return p.produced }
 
 // MeasureLifetimes destructively cycles n fresh devices to failure and
 // returns their observed lifetimes — the characterization experiment a

@@ -77,7 +77,6 @@ func (pad *Pad) RunStrategy(s Strategy, targetPath, sweeps int, env nems.Environ
 	if sweeps < 0 {
 		return SweepOutcome{}, fmt.Errorf("otp: negative sweep count %d", sweeps)
 	}
-	pad.used = true
 	p := pad.params
 	got := make([]int, p.Paths()) // shares recovered per leaf position
 	for sweep := 0; sweep < sweeps; sweep++ {

@@ -77,9 +77,6 @@ func TestRunStrategyValidation(t *testing.T) {
 	if err != nil || out.KeysObtained != 0 {
 		t.Error("zero sweeps should be a no-op")
 	}
-	if !pad.Used() {
-		t.Error("running a strategy marks the pad used")
-	}
 }
 
 func TestStrategyNames(t *testing.T) {

@@ -54,9 +54,6 @@ func FabricateChip(p Params, count int, r *rng.RNG) (*Chip, *Codebook, error) {
 	return chip, book, nil
 }
 
-// PadsRemaining returns how many messages the sender can still encrypt.
-func (b *Codebook) PadsRemaining() int { return len(b.keys) - b.next }
-
 // Message is one transmitted message: ciphertext over the radio, path
 // string over a separate short-lived channel.
 type Message struct {

@@ -107,13 +107,6 @@ func (p Params) AdversarySuccess() float64 {
 	return AdversarySuccessProb(p.Dist, p.Height, p.Copies, p.K)
 }
 
-// SuccessSpace reports whether the parameters live in the pads' "success
-// space" (Fig 8): receiver succeeds with at least recvMin probability while
-// the adversary succeeds with at most advMax.
-func (p Params) SuccessSpace(recvMin, advMax float64) bool {
-	return p.ReceiverSuccess() >= recvMin && p.AdversarySuccess() <= advMax
-}
-
 // RetrievalLatency returns the worst-case key retrieval latency (§6.5.2).
 func (p Params) RetrievalLatency() cost.Latency {
 	return cost.OTPRetrievalLatency(p.Height, p.Copies, p.KeyBits())
@@ -200,7 +193,6 @@ func (t *tree) traverse(path int, env nems.Environment) (data []byte, latencyNs 
 type Pad struct {
 	params Params
 	trees  []*tree
-	used   bool
 }
 
 // RetrievalStats reports the physical cost of one retrieval.
@@ -260,9 +252,6 @@ func Fabricate(p Params, path int, r *rng.RNG) (*Pad, []byte, error) {
 	return pad, realKey, nil
 }
 
-// Params returns the pad's engineering parameters.
-func (pad *Pad) Params() Params { return pad.params }
-
 // Retrieve performs the receiver's retrieval: traverse `path` in every
 // copy, collect the surviving components, and combine at least k of them.
 func (pad *Pad) Retrieve(path int, env nems.Environment) ([]byte, RetrievalStats, error) {
@@ -270,7 +259,6 @@ func (pad *Pad) Retrieve(path int, env nems.Environment) ([]byte, RetrievalStats
 	if path < 0 || path >= pad.params.Paths() {
 		return nil, stats, fmt.Errorf("otp: path %d out of range", path)
 	}
-	pad.used = true
 	var shares []shamir.Share
 	for _, t := range pad.trees {
 		data, latNs := t.traverse(path, env)
@@ -296,7 +284,6 @@ func (pad *Pad) Retrieve(path int, env nems.Environment) ([]byte, RetrievalStats
 // reports how many components of the *target* path were obtained, plus
 // whether that reaches the threshold k.
 func (pad *Pad) AdversaryTrial(targetPath int, env nems.Environment, r *rng.RNG) (rightShares int, success bool) {
-	pad.used = true
 	for _, t := range pad.trees {
 		guess := r.Intn(pad.params.Paths())
 		data, _ := t.traverse(guess, env)
@@ -306,7 +293,3 @@ func (pad *Pad) AdversaryTrial(targetPath int, env nems.Environment, r *rng.RNG)
 	}
 	return rightShares, rightShares >= pad.params.K
 }
-
-// Used reports whether the pad has been accessed at all (tamper evidence:
-// a receiver whose fresh pad fails to retrieve can suspect interference).
-func (pad *Pad) Used() bool { return pad.used }

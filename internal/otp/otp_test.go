@@ -145,14 +145,14 @@ func TestSuccessSpace(t *testing.T) {
 	// §6.4.2: "when the tree height is 8 or more, the adversaries' success
 	// probability reduces to zero" — H=8, k=8 is in the success space.
 	p := paperParams(8, 8)
-	if !p.SuccessSpace(0.99, 1e-6) {
+	if !(p.ReceiverSuccess() >= 0.99 && p.AdversarySuccess() <= 1e-6) {
 		t.Errorf("H=8 k=8 should be in success space: recv=%g adv=%g",
 			p.ReceiverSuccess(), p.AdversarySuccess())
 	}
 	// Low trees with high redundancy are reliable but insecure — the red
 	// region of Fig 8b (our H=4, k=8 adversary success is ~0.85).
 	weak := paperParams(4, 8)
-	if weak.SuccessSpace(0.99, 1e-3) {
+	if weak.AdversarySuccess() <= 1e-3 {
 		t.Errorf("H=4 k=8 should not be secure: adv=%g", weak.AdversarySuccess())
 	}
 }
@@ -189,9 +189,6 @@ func TestFabricateAndRetrieve(t *testing.T) {
 	}
 	if stats.LatencyNs <= 0 || stats.EnergyJ <= 0 {
 		t.Error("stats should be positive")
-	}
-	if !pad.Used() {
-		t.Error("pad should be marked used")
 	}
 }
 
@@ -285,6 +282,9 @@ func TestAdversarySuccessMatchesSimulation(t *testing.T) {
 	}
 }
 
+// padsLeft returns how many messages the sender can still encrypt.
+func padsLeft(b *Codebook) int { return len(b.keys) - b.next }
+
 func TestMessagingRoundTrip(t *testing.T) {
 	p := Params{Dist: weibull.MustNew(10, 1), Height: 3, Copies: 32, K: 4}
 	r := rng.New(31)
@@ -292,7 +292,7 @@ func TestMessagingRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if chip.Pads() != 3 || book.PadsRemaining() != 3 {
+	if chip.Pads() != 3 || padsLeft(book) != 3 {
 		t.Error("chip/book sizing wrong")
 	}
 	plain := []byte("attack at dawn")
@@ -310,7 +310,7 @@ func TestMessagingRoundTrip(t *testing.T) {
 	if !bytes.Equal(got, plain) {
 		t.Errorf("decrypted %q", got)
 	}
-	if book.PadsRemaining() != 2 {
+	if padsLeft(book) != 2 {
 		t.Error("pad not consumed from book")
 	}
 }
@@ -407,80 +407,5 @@ func TestPlanChip(t *testing.T) {
 	}
 	if _, err := PlanChip(d, 1, 10, 300, 8); err == nil {
 		t.Error("invalid copies should error")
-	}
-}
-
-func TestReliableChannelDelivers(t *testing.T) {
-	// A marginal design (lowish per-pad success) plus retries gives a
-	// strong end-to-end channel.
-	p := Params{Dist: weibull.MustNew(4, 1), Height: 4, Copies: 32, K: 8}
-	perPad := p.ReceiverSuccess()
-	if perPad > 0.95 {
-		t.Fatalf("test wants a marginal design, got %g", perPad)
-	}
-	ch, err := NewReliableChannel(p, 40, 3, rng.New(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	delivered := 0
-	for i := 0; i < 10; i++ {
-		got, err := ch.Send([]byte("msg"), nems.RoomTemp)
-		if err == nil {
-			if string(got) != "msg" {
-				t.Fatal("corrupted delivery")
-			}
-			delivered++
-		}
-	}
-	d, retries, burned := ch.Stats()
-	if d != delivered {
-		t.Errorf("stats delivered %d, counted %d", d, delivered)
-	}
-	if delivered < 9 {
-		t.Errorf("delivered only %d/10 with retries (per-pad %g)", delivered, perPad)
-	}
-	if retries == 0 {
-		t.Log("note: no retries needed in this seed")
-	}
-	if burned < delivered {
-		t.Error("pads burned should cover deliveries")
-	}
-	if ch.PadsRemaining() != 40-burned {
-		t.Error("pad accounting wrong")
-	}
-}
-
-func TestReliableChannelExhaustion(t *testing.T) {
-	p := Params{Dist: weibull.MustNew(10, 1), Height: 2, Copies: 16, K: 2}
-	ch, err := NewReliableChannel(p, 2, 0, rng.New(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _ = ch.Send([]byte("a"), nems.RoomTemp)
-	_, _ = ch.Send([]byte("b"), nems.RoomTemp)
-	if _, err := ch.Send([]byte("c"), nems.RoomTemp); !errors.Is(err, ErrChannelExhausted) {
-		t.Errorf("expected exhaustion, got %v", err)
-	}
-	if _, err := NewReliableChannel(p, 1, -1, rng.New(7)); err == nil {
-		t.Error("negative retries should error")
-	}
-}
-
-func TestDeliveryProbAndPadCost(t *testing.T) {
-	p := Params{Dist: weibull.MustNew(4, 1), Height: 4, Copies: 32, K: 8}
-	s := p.ReceiverSuccess()
-	if got, want := DeliveryProb(p, 0), s; math.Abs(got-want) > 1e-12 {
-		t.Errorf("zero-retry delivery = %g, want %g", got, want)
-	}
-	d1 := DeliveryProb(p, 1)
-	if d1 <= s {
-		t.Error("a retry should raise delivery probability")
-	}
-	want := 1 - (1-s)*(1-s)
-	if math.Abs(d1-want) > 1e-12 {
-		t.Errorf("one-retry delivery = %g, want %g", d1, want)
-	}
-	if ppm := PadsPerMessage(p); math.Abs(ppm-1/s) > 1e-12 {
-		t.Errorf("pads per message = %g, want %g", ppm, 1/s)
 	}
 }

@@ -1,7 +1,7 @@
 // Package reliability provides the system-level degradation-window
 // machinery of §4.1/§4.3: the fast-degradation criteria a wearout structure
 // must meet, per-structure access-count distributions, and the composition
-// of N serially-used copies into system-level minimum/maximum usage bounds.
+// of N serially-used copies into system-level usage bounds.
 //
 // Access convention: "the structure works for access t" has probability
 // equal to the structure reliability evaluated at continuous time x = t
@@ -67,25 +67,6 @@ func (m Model) WorksThrough(t int) float64 {
 	return structure.ParallelReliability(m.Dist, m.N, m.K, float64(t))
 }
 
-// MeetsCriteria reports whether the structure works through t accesses and
-// degrades before access t+overrunWindow+1 under the criteria. The paper's
-// base case uses overrunWindow = 0: reliable at t, dead at t+1.
-func (m Model) MeetsCriteria(c Criteria, t, overrunWindow int) bool {
-	return m.WorksThrough(t) >= c.MinWork &&
-		m.WorksThrough(t+overrunWindow+1) <= c.MaxOverrun
-}
-
-// Window returns the degradation window [t1, t2]: the largest access count
-// with WorksThrough >= hi, and the smallest with WorksThrough <= lo. The
-// window size t2 - t1 is the quantity Fig 3 studies.
-func (m Model) Window(hi, lo float64) (t1, t2 int) {
-	// WorksThrough is non-increasing in t.
-	maxT := int(4*m.Dist.Alpha) + 8
-	t1 = mathx.MaxIntSearch(0, maxT, func(t int) bool { return m.WorksThrough(t) >= hi })
-	t2 = mathx.MinIntSearch(0, maxT+1, func(t int) bool { return m.WorksThrough(t) <= lo })
-	return t1, t2
-}
-
 // AccessPMF returns the distribution of the structure's successful access
 // count T: pmf[t] = P(T = t) for t = 0..len(pmf)-1, truncated where the
 // survival probability drops below 1e-15.
@@ -132,17 +113,6 @@ func (m Model) AccessMoments() (mean, variance float64) {
 type System struct {
 	Copy   Model
 	Copies int
-}
-
-// TotalDevices returns the total NEMS switch count.
-func (s System) TotalDevices() int { return s.Copy.N * s.Copies }
-
-// MinUsageProb returns the probability the system delivers at least
-// perCopyTarget accesses from every copy, i.e. total >= Copies*perCopyTarget:
-// each copy independently works through its target.
-func (s System) MinUsageProb(perCopyTarget int) float64 {
-	p := s.Copy.WorksThrough(perCopyTarget)
-	return math.Exp(float64(s.Copies) * math.Log(p))
 }
 
 // ExpectedTotalAccesses returns the expected system-level access count
@@ -195,6 +165,3 @@ func normQuantile(p float64) float64 {
 			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
 	}
 }
-
-// NormQuantile exposes the standard normal quantile for other packages.
-func NormQuantile(p float64) float64 { return normQuantile(p) }

@@ -183,23 +183,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestShufflePreservesMultiset(t *testing.T) {
-	r := New(31)
-	s := []int{1, 2, 3, 4, 5, 6, 7}
-	sum := 0
-	for _, v := range s {
-		sum += v
-	}
-	r.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
-	sum2 := 0
-	for _, v := range s {
-		sum2 += v
-	}
-	if sum != sum2 {
-		t.Error("shuffle changed elements")
-	}
-}
-
 func TestBytesFills(t *testing.T) {
 	r := New(37)
 	for _, n := range []int{0, 1, 7, 8, 9, 31, 64} {

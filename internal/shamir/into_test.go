@@ -136,6 +136,35 @@ func testIntoNoAllocs[E Elem](t *testing.T, s *Scheme[E], secretLen, k, n int) {
 	}
 }
 
+// TestSplitSharesOneBackingArray pins Split's allocation count at the
+// wide-memory shape (a 16-byte secret, 114-of-1131): the share headers and
+// one backing array for every share's Data, not one array per share. It
+// also pins the windows' capacity seal: appending to one share must not
+// write into the next.
+func TestSplitSharesOneBackingArray(t *testing.T) {
+	secret := make([]byte, 16)
+	for i := range secret {
+		secret[i] = byte(i*37 + 11)
+	}
+	r := rng.New(7)
+	if a := testing.AllocsPerRun(20, func() {
+		if _, err := Wide.Split(secret, 114, 1131, r); err != nil {
+			t.Fatal(err)
+		}
+	}); a > 3 {
+		t.Errorf("Wide.Split(16 B, 114, 1131) allocates %v times per call, want <= 3", a)
+	}
+	shares, err := Wide.Split(secret, 114, 1131, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := slices.Clone(shares[1].Data)
+	shares[0].Data = append(shares[0].Data, 0xffff)
+	if !slices.Equal(shares[1].Data, next) {
+		t.Fatalf("append to shares[0].Data changed shares[1].Data: %v, was %v", shares[1].Data, next)
+	}
+}
+
 // FuzzSplitCombineInto cross-checks the destination-buffer paths against
 // the allocating wrappers: equal RNG states and inputs must produce
 // identical shares and reconstructions.

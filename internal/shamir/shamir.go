@@ -96,11 +96,19 @@ func Split(secret []byte, k, n int, r *rng.RNG) ([]Share, error) {
 // Split encodes secret into n shares with threshold k. Every secret
 // element is embedded as the constant term of an independent random
 // polynomial of degree k-1 (Eq 7 of the paper), evaluated at x = 1..n.
-// It is the allocating wrapper around SplitInto.
+// It is the allocating wrapper around SplitInto. Every share's Data is a
+// window of one backing array, capped at its own length, so SplitInto
+// keeps the windows and an append to one share reallocates rather than
+// running into the next.
 func (s *Scheme[E]) Split(secret []byte, k, n int, r *rng.RNG) ([]ShareOf[E], error) {
 	var shares []ShareOf[E]
 	if k >= 1 && n >= k && n <= s.MaxShares() {
 		shares = make([]ShareOf[E], n)
+		w := (len(secret) + s.width() - 1) / s.width()
+		data := make([]E, n*w)
+		for i := range shares {
+			shares[i].Data = data[i*w : (i+1)*w : (i+1)*w]
+		}
 	}
 	if err := s.SplitInto(secret, shares, k, n, r); err != nil {
 		return nil, err

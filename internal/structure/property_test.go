@@ -70,31 +70,3 @@ func TestParallelReliabilityAntiMonotoneInX(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestSeriesNeverBeatsSingleDevice(t *testing.T) {
-	// a chain is at most as reliable as its weakest link ⇒ at most a
-	// single device
-	f := func(a, b, x float64, n uint8) bool {
-		d, nn, _ := clampParams(a, b, n, 1)
-		xx := math.Abs(math.Mod(x, 60))
-		return SeriesReliability(d, nn, xx) <= d.Reliability(xx)+1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSeriesEquivalentAlphaConsistency(t *testing.T) {
-	// the equivalent single-device model must reproduce the chain exactly
-	f := func(a, b, x float64, n uint8) bool {
-		d, nn, _ := clampParams(a, b, n, 1)
-		xx := math.Abs(math.Mod(x, 60))
-		eq := weibull.MustNew(SeriesEquivalentAlpha(d, nn), d.Beta)
-		lhs := SeriesReliability(d, nn, xx)
-		rhs := eq.Reliability(xx)
-		return math.Abs(lhs-rhs) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}

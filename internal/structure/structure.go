@@ -2,8 +2,8 @@
 // paper as both analytic reliability models and executable simulations:
 //
 //   - a single NEMS switch (Fig 2a building block),
-//   - n switches in series (Fig 2b, Eq 5) — evaluated and rejected by the
-//     paper, implemented here so the rejection is reproducible,
+//   - n switches in series (Fig 2b, Eq 5) — rejected by the paper; only its
+//     device blowup is kept, so the rejection is reproducible,
 //   - n switches in parallel, 1-out-of-n (Fig 2c, Eq 6),
 //   - k-out-of-n parallel with redundant encoding (Fig 2d, Eq 8).
 //
@@ -24,22 +24,6 @@ import (
 )
 
 // --- Analytic models -------------------------------------------------------------
-
-// SeriesReliability returns the probability a chain of n i.i.d. devices all
-// survive access x (Eq 5): R(x)^n = exp(-n (x/α)^β).
-func SeriesReliability(d weibull.Dist, n int, x float64) float64 {
-	if n <= 0 {
-		return 1
-	}
-	return math.Exp(float64(n) * d.LogReliability(x))
-}
-
-// SeriesEquivalentAlpha returns the scale parameter of the single-device
-// distribution equivalent to n devices in series: α / n^(1/β). The paper
-// uses this to show series chains barely accelerate wearout (§4.1.2).
-func SeriesEquivalentAlpha(d weibull.Dist, n int) float64 {
-	return d.Alpha / math.Pow(float64(n), 1/d.Beta)
-}
 
 // SeriesDevicesForAlphaScale returns how many series devices are needed to
 // scale the effective α down by factor y: n = y^β — the exponential blowup
@@ -74,12 +58,6 @@ func ParallelReliability(d weibull.Dist, n, k int, x float64) float64 {
 	return mathx.BinomTailGE(n, k, r)
 }
 
-// ParallelExpectedSurvivors returns the expected number of working devices
-// in an n-device parallel structure at access x.
-func ParallelExpectedSurvivors(d weibull.Dist, n int, x float64) float64 {
-	return float64(n) * d.Reliability(x)
-}
-
 // --- Executable structures ---------------------------------------------------------
 
 // Structure is a wearout structure that can be accessed until it wears out.
@@ -92,45 +70,6 @@ type Structure interface {
 	// Devices returns the total number of NEMS switches in the structure.
 	Devices() int
 }
-
-// Series is a chain of switches (Fig 2b); an access succeeds iff every
-// switch in the chain conducts.
-type Series struct {
-	switches []*nems.Switch
-	dead     bool
-}
-
-// NewSeries fabricates a chain of n switches from d.
-func NewSeries(d weibull.Dist, n int, r *rng.RNG) *Series {
-	s := &Series{switches: make([]*nems.Switch, n)}
-	for i := range s.switches {
-		s.switches[i] = nems.Fabricate(d, r)
-	}
-	return s
-}
-
-// Access implements Structure.
-func (s *Series) Access(env nems.Environment) bool {
-	if s.dead {
-		return false
-	}
-	ok := true
-	for _, sw := range s.switches {
-		if err := sw.Actuate(env); err != nil {
-			ok = false
-		}
-	}
-	if !ok {
-		s.dead = true // a failed switch never recovers, so the chain is dead
-	}
-	return ok
-}
-
-// Alive implements Structure.
-func (s *Series) Alive() bool { return !s.dead }
-
-// Devices implements Structure.
-func (s *Series) Devices() int { return len(s.switches) }
 
 // Parallel is a k-out-of-n parallel structure (Fig 2c with k=1, Fig 2d
 // with k>1 plus encoding). An access actuates all surviving switches; it
@@ -189,20 +128,6 @@ func (p *Parallel) Alive() bool {
 
 // Devices implements Structure.
 func (p *Parallel) Devices() int { return len(p.switches) }
-
-// K returns the survivor threshold.
-func (p *Parallel) K() int { return p.k }
-
-// WorkingCount returns how many switches currently work.
-func (p *Parallel) WorkingCount() int {
-	c := 0
-	for _, sw := range p.switches {
-		if sw.Working() {
-			c++
-		}
-	}
-	return c
-}
 
 // SerialCopies is the paper's "N copies" composition (§4.1.1): N identical
 // structures used one after another. Accesses are routed to the first

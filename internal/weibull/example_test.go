@@ -23,8 +23,11 @@ func ExampleDist_Reliability() {
 func ExampleFit() {
 	truth := weibull.MustNew(14, 8)
 	r := rng.New(99)
-	times := truth.SampleN(r, 20000)
-	fitted, err := weibull.FitLifetimes(times)
+	obs := make([]weibull.Obs, 20000)
+	for i := range obs {
+		obs[i] = weibull.Obs{Time: truth.Sample(r)}
+	}
+	fitted, err := weibull.Fit(obs)
 	if err != nil {
 		panic(err)
 	}

@@ -109,17 +109,6 @@ func (d Dist) LogReliability(x float64) float64 {
 	return -math.Pow(x/d.Alpha, d.Beta)
 }
 
-// Hazard returns the instantaneous failure rate f(x)/R(x).
-func (d Dist) Hazard(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	if x == 0 {
-		return d.PDF(0)
-	}
-	return d.Beta / d.Alpha * math.Pow(x/d.Alpha, d.Beta-1)
-}
-
 // Quantile returns the time x by which the failure probability reaches p,
 // i.e. F(x) = p. It returns 0 for p <= 0 and +Inf for p >= 1.
 func (d Dist) Quantile(p float64) float64 {
@@ -136,16 +125,6 @@ func (d Dist) Quantile(p float64) float64 {
 func (d Dist) Mean() float64 {
 	return d.Alpha * math.Gamma(1+1/d.Beta)
 }
-
-// Variance returns Var[X] = α²(Γ(1+2/β) − Γ(1+1/β)²).
-func (d Dist) Variance() float64 {
-	g1 := math.Gamma(1 + 1/d.Beta)
-	g2 := math.Gamma(1 + 2/d.Beta)
-	return d.Alpha * d.Alpha * (g2 - g1*g1)
-}
-
-// Median returns the 50th percentile.
-func (d Dist) Median() float64 { return d.Quantile(0.5) }
 
 // Sample draws one time-to-failure by inverse-CDF sampling.
 func (d Dist) Sample(r *rng.RNG) float64 {
@@ -170,23 +149,6 @@ func pow(x, y float64) float64 {
 		return math.Exp(y * math.Log(x))
 	}
 	return math.Pow(x, y)
-}
-
-// SampleN draws n independent lifetimes. It is the allocating wrapper
-// around SampleNInto.
-func (d Dist) SampleN(r *rng.RNG, n int) []float64 {
-	return d.SampleNInto(make([]float64, n), r)
-}
-
-// SampleNInto fills dst with len(dst) independent lifetimes and returns
-// it — the destination-buffer form of SampleN for simulation loops that
-// hold one sample arena per goroutine. Draw order matches SampleN, so for
-// equal RNG states the two fill identical values.
-func (d Dist) SampleNInto(dst []float64, r *rng.RNG) []float64 {
-	for i := range dst {
-		dst[i] = d.Sample(r)
-	}
-	return dst
 }
 
 // SampleCycles draws a lifetime and floors it to the whole number of
@@ -294,15 +256,6 @@ func Fit(obs []Obs) (Dist, error) {
 	return New(alpha, beta)
 }
 
-// FitLifetimes is Fit for fully observed (uncensored) lifetime data.
-func FitLifetimes(times []float64) (Dist, error) {
-	obs := make([]Obs, len(times))
-	for i, t := range times {
-		obs[i] = Obs{Time: t}
-	}
-	return Fit(obs)
-}
-
 // --- Process variation --------------------------------------------------------
 
 // Variation models manufacturing/process variation across individual devices
@@ -333,74 +286,4 @@ func (v Variation) Draw(r *rng.RNG) Dist {
 		d.Beta = math.SmallestNonzeroFloat64
 	}
 	return d
-}
-
-// --- Reference parameter sets ---------------------------------------------------
-
-// A NamedModel is a literature-derived (α, β) pair used in the paper's
-// discussion of realistic device populations.
-type NamedModel struct {
-	Name string
-	Dist Dist
-}
-
-// SlackMEMSModels are the Weibull lifetime models simulated by Slack et al.
-// for LIGA Ni MEMS devices, quoted in §2.2 of the paper: geometrical
-// variations only, material elasticity variations, and material resistance
-// variations.
-func SlackMEMSModels() []NamedModel {
-	return []NamedModel{
-		{Name: "geometrical", Dist: MustNew(2.6e6, 12.94)},
-		{Name: "elasticity", Dist: MustNew(2.2e6, 7.2)},
-		{Name: "resistance", Dist: MustNew(1.8e6, 8.58)},
-	}
-}
-
-// ConditionalReliability returns P(X > s + t | X > s): the probability a
-// device that has already survived s cycles survives t more. For β > 1
-// (wearout-dominated devices) this decreases with age — the property the
-// health monitor and migration planners rely on.
-func (d Dist) ConditionalReliability(age, t float64) float64 {
-	if age < 0 {
-		age = 0
-	}
-	if t <= 0 {
-		return 1
-	}
-	return math.Exp(d.LogReliability(age+t) - d.LogReliability(age))
-}
-
-// PercentileLife returns the B(p) life: the age by which a fraction p of
-// devices has failed (e.g. PercentileLife(0.10) is the reliability
-// engineer's B10 life). It is an alias of Quantile with the conventional
-// name.
-func (d Dist) PercentileLife(p float64) float64 { return d.Quantile(p) }
-
-// MeanResidualLife returns E[X − age | X > age], integrated numerically
-// from the conditional reliability (Simpson's rule over an adaptive
-// horizon).
-func (d Dist) MeanResidualLife(age float64) float64 {
-	if age < 0 {
-		age = 0
-	}
-	// integrate R(age+t)/R(age) dt from 0 until negligible
-	horizon := d.Quantile(1 - 1e-12)
-	if horizon <= age {
-		horizon = age + d.Alpha
-	}
-	upper := horizon - age
-	const steps = 4096
-	h := upper / steps
-	var sum mathx.KahanSum
-	for i := 0; i <= steps; i++ {
-		w := 2.0
-		switch {
-		case i == 0 || i == steps:
-			w = 1
-		case i%2 == 1:
-			w = 4
-		}
-		sum.Add(w * d.ConditionalReliability(age, float64(i)*h))
-	}
-	return sum.Sum() * h / 3
 }

@@ -9,6 +9,24 @@ import (
 	"lemonade/internal/rng"
 )
 
+// sampleN draws n lifetimes from d in order.
+func sampleN(d Dist, r *rng.RNG, n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = d.Sample(r)
+	}
+	return out
+}
+
+// uncensored wraps fully observed lifetimes for Fit.
+func uncensored(times ...float64) []Obs {
+	obs := make([]Obs, len(times))
+	for i, t := range times {
+		obs[i] = Obs{Time: t}
+	}
+	return obs
+}
+
 func almostEq(a, b, tol float64) bool {
 	if a == b {
 		return true
@@ -56,9 +74,6 @@ func TestExponentialSpecialCase(t *testing.T) {
 	}
 	if !almostEq(d.Mean(), 10, 1e-12) {
 		t.Errorf("exponential mean = %g, want 10", d.Mean())
-	}
-	if !almostEq(d.Variance(), 100, 1e-9) {
-		t.Errorf("exponential variance = %g, want 100", d.Variance())
 	}
 }
 
@@ -145,18 +160,6 @@ func TestLogReliabilityDeepTail(t *testing.T) {
 	}
 }
 
-func TestHazardMonotoneForBetaAboveOne(t *testing.T) {
-	d := MustNew(10, 3)
-	prev := -1.0
-	for x := 0.5; x < 30; x += 0.5 {
-		h := d.Hazard(x)
-		if h < prev {
-			t.Fatalf("hazard decreased at x=%g for beta>1", x)
-		}
-		prev = h
-	}
-}
-
 func TestMeanMatchesSampleMean(t *testing.T) {
 	d := MustNew(14, 8)
 	r := rng.New(101)
@@ -176,7 +179,7 @@ func TestSampleDistributionKS(t *testing.T) {
 	d := MustNew(10, 2)
 	r := rng.New(55)
 	const n = 50000
-	samples := d.SampleN(r, n)
+	samples := sampleN(d, r, n)
 	for _, x := range []float64{3, 7, 10, 15} {
 		count := 0
 		for _, s := range samples {
@@ -247,8 +250,7 @@ func TestDegradationWindow(t *testing.T) {
 func TestFitRecoverParams(t *testing.T) {
 	truth := MustNew(14, 8)
 	r := rng.New(99)
-	times := truth.SampleN(r, 20000)
-	got, err := FitLifetimes(times)
+	got, err := Fit(uncensored(sampleN(truth, r, 20000)...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,10 +289,10 @@ func TestFitWithCensoring(t *testing.T) {
 }
 
 func TestFitErrors(t *testing.T) {
-	if _, err := FitLifetimes([]float64{5}); err != ErrInsufficientData {
+	if _, err := Fit(uncensored(5)); err != ErrInsufficientData {
 		t.Errorf("single point should be insufficient, got %v", err)
 	}
-	if _, err := FitLifetimes([]float64{1, -2}); err == nil {
+	if _, err := Fit(uncensored(1, -2)); err == nil {
 		t.Error("negative time should error")
 	}
 	if _, err := Fit([]Obs{{Time: 3, Censored: true}, {Time: 4, Censored: true}}); err != ErrInsufficientData {
@@ -329,22 +331,6 @@ func TestVariationZeroIsIdentity(t *testing.T) {
 	}
 }
 
-func TestSlackMEMSModels(t *testing.T) {
-	models := SlackMEMSModels()
-	if len(models) != 3 {
-		t.Fatalf("expected 3 Slack models, got %d", len(models))
-	}
-	// paper quotes: 2.6M/12.94 geometrical, 2.2M/7.2 elasticity, 1.8M/8.58 resistance
-	if models[0].Dist.Alpha != 2.6e6 || models[0].Dist.Beta != 12.94 {
-		t.Errorf("geometrical model wrong: %v", models[0].Dist)
-	}
-	for _, m := range models {
-		if err := m.Dist.Validate(); err != nil {
-			t.Errorf("model %s invalid: %v", m.Name, err)
-		}
-	}
-}
-
 func TestStringer(t *testing.T) {
 	s := MustNew(10, 2).String()
 	if s == "" {
@@ -357,84 +343,13 @@ func TestSamplingPassesKSTest(t *testing.T) {
 	// strongest form of the sampler-correctness argument.
 	d := MustNew(14, 8)
 	r := rng.New(314)
-	samples := d.SampleN(r, 5000)
+	samples := sampleN(d, r, 5000)
 	stat, p, err := montecarlo.KolmogorovSmirnov(samples, d.CDF)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p < 0.01 {
 		t.Errorf("KS rejects the Weibull sampler: D=%g p=%g", stat, p)
-	}
-}
-
-func TestConditionalReliability(t *testing.T) {
-	d := MustNew(14, 8)
-	// consistency with the unconditional function at age 0
-	for _, x := range []float64{1, 5, 10, 15} {
-		if !almostEq(d.ConditionalReliability(0, x), d.Reliability(x), 1e-12) {
-			t.Errorf("age-0 conditional mismatch at %g", x)
-		}
-	}
-	// wearout (β>1): older devices are less likely to survive the same span
-	young := d.ConditionalReliability(2, 5)
-	old := d.ConditionalReliability(12, 5)
-	if old >= young {
-		t.Errorf("aged device should be frailer: young %g, old %g", young, old)
-	}
-	// memoryless special case β=1
-	e := MustNew(10, 1)
-	if !almostEq(e.ConditionalReliability(7, 3), e.Reliability(3), 1e-12) {
-		t.Error("exponential should be memoryless")
-	}
-	if d.ConditionalReliability(5, 0) != 1 {
-		t.Error("zero span should be certain survival")
-	}
-	if d.ConditionalReliability(-3, 2) != d.Reliability(2) {
-		t.Error("negative age should clamp to 0")
-	}
-}
-
-func TestPercentileLife(t *testing.T) {
-	d := MustNew(14, 8)
-	b10 := d.PercentileLife(0.10)
-	if !almostEq(d.CDF(b10), 0.10, 1e-9) {
-		t.Errorf("B10 life inconsistent: CDF(%g) = %g", b10, d.CDF(b10))
-	}
-}
-
-func TestMeanResidualLife(t *testing.T) {
-	d := MustNew(14, 8)
-	// at age 0 the MRL equals the mean
-	if mrl := d.MeanResidualLife(0); !almostEq(mrl, d.Mean(), 1e-3) {
-		t.Errorf("MRL(0) = %g, mean = %g", mrl, d.Mean())
-	}
-	// wearout: MRL decreases with age
-	if d.MeanResidualLife(12) >= d.MeanResidualLife(4) {
-		t.Error("MRL should fall with age for β>1")
-	}
-	// exponential: MRL constant = mean
-	e := MustNew(10, 1)
-	if mrl := e.MeanResidualLife(25); !almostEq(mrl, 10, 1e-3) {
-		t.Errorf("exponential MRL = %g, want 10", mrl)
-	}
-}
-
-// TestSampleNIntoMatchesSampleN pins the destination-buffer sampler to the
-// allocating one: equal RNG states must yield identical draws, and the
-// fill itself must not allocate.
-func TestSampleNIntoMatchesSampleN(t *testing.T) {
-	d := MustNew(14, 8)
-	want := d.SampleN(rng.New(5), 257)
-	dst := make([]float64, 257)
-	got := d.SampleNInto(dst, rng.New(5))
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("draw %d differs: SampleNInto %g, SampleN %g", i, got[i], want[i])
-		}
-	}
-	r := rng.New(6)
-	if a := testing.AllocsPerRun(100, func() { d.SampleNInto(dst, r) }); a != 0 {
-		t.Fatalf("SampleNInto allocates %.1f times per call, want 0", a)
 	}
 }
 
