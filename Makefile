@@ -37,7 +37,7 @@ test:
 	for d in examples/*/; do $(GO) run "./$$d" >/dev/null || exit 1; done
 
 ## race: race detector over the concurrency-sensitive packages, then the
-## whole module in short mode (matches the CI race matrix entry)
+## whole module in short mode (CI's race job runs this target)
 race:
 	$(GO) test -race ./internal/montecarlo/... ./internal/targeting/... ./internal/core/... ./internal/server/... ./internal/registry/... ./internal/cache/... ./internal/wal/... ./internal/fault/... ./internal/resilience/... ./internal/analysis/ ./internal/attack/... ./internal/nems/... ./internal/cluster/... ./api/...
 	$(GO) test -race -short ./...
@@ -65,7 +65,7 @@ bench-compare:
 
 ## fuzz-smoke: short native-fuzz runs over the WAL frame and snapshot
 ## decoders, both Shamir fields and the survival-table lifetime draw (the
-## CI smoke; `go test -fuzz` for a long local run)
+## CI check job runs this target; `go test -fuzz` for a long local run)
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzWALFrameDecode' -fuzztime 30s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz 'FuzzSnapshotDecode' -fuzztime 15s ./internal/wal/

@@ -183,9 +183,10 @@ func runServe(args []string) error {
 			return fmt.Errorf("recovering %s: %w", *dataDir, err)
 		}
 		fmt.Fprintf(os.Stderr,
-			"lemonaded: recovered %s: snapshot epoch %d (%d architectures), replayed %d provisions + %d accesses from %d segments",
-			*dataDir, stats.SnapshotEpoch, stats.SnapshotArchitectures,
-			stats.ReplayedProvisions, stats.ReplayedAccesses, stats.Segments)
+			"lemonaded: recovered %s: snapshot epoch %d (%d architectures), replayed %d records (%d provisions, %d accesses, %d stresses, %d retires, %d remaps) from %d segments",
+			*dataDir, stats.SnapshotEpoch, stats.SnapshotArchitectures, stats.ReplayedRecords(),
+			stats.ReplayedProvisions, stats.ReplayedAccesses, stats.ReplayedStresses,
+			stats.ReplayedRetires, stats.ReplayedRemaps, stats.Segments)
 		if stats.TornBytesTruncated > 0 {
 			fmt.Fprintf(os.Stderr, ", truncated %d torn bytes", stats.TornBytesTruncated)
 		}

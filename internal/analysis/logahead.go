@@ -8,17 +8,18 @@ import (
 
 // LogAhead turns DESIGN.md §8's log-ahead rule into a build-breaking
 // check: inside the wear-accounting packages (registry, wal), any call
-// that mutates wear state — core.Architecture Access/AccessContext/
-// Restore, nems switch actuations — must be dominated by a *checked
+// that mutates wear state — core.Architecture Access, Stress, Retire,
+// ApplyRemap and Restore, nems Actuate — must be dominated by a *checked
 // commit ticket wait*: a `tkt, err := store.Append(...)` whose ticket's
 // Wait() error result is tested before the mutation. With group commit,
 // Append only stages the record; the ticket resolving is the proof it is
 // durably fsynced, so checking the Append error alone does NOT establish
-// the barrier — deleting the ticket-wait before the NEMS fire fails the
-// build. A mutation that is not locally dominated is still accepted when
-// every call path reaching its function performs the checked wait first;
-// replay and recovery paths that legitimately apply already-durable
-// records carry an explicit //lemonvet:allow logahead.
+// the barrier — deleting the ticket-wait before the mutation in
+// registry's Entry.commit fails the build. A mutation that is not locally
+// dominated is still accepted when every call path reaching its function
+// performs the checked wait first; replay and snapshot restore, which
+// apply records already durable, carry an explicit
+// //lemonvet:allow logahead.
 var LogAhead = &ProgramAnalyzer{
 	Name: "logahead",
 	Doc:  "wear-state mutations in registry/wal must be preceded by a checked Store.Append commit-ticket wait",
@@ -46,15 +47,11 @@ func isWearMutator(info *types.Info, call *ast.CallExpr) (string, bool) {
 	switch {
 	case pkgPath == "core" || strings.HasSuffix(pkgPath, "/core"):
 		switch fn.Name() {
-		case "Access", "AccessContext", "Restore",
-			"Stress", "StressContext", "Retire", "ApplyRemap":
+		case "Access", "Restore", "Stress", "Retire", "ApplyRemap":
 			mutating = true
 		}
 	case pkgPath == "nems" || strings.HasSuffix(pkgPath, "/nems"):
-		switch fn.Name() {
-		case "Actuate", "Fire", "Transition", "SetState":
-			mutating = true
-		}
+		mutating = fn.Name() == "Actuate"
 	}
 	if !mutating {
 		return "", false
@@ -62,16 +59,10 @@ func isWearMutator(info *types.Info, call *ast.CallExpr) (string, bool) {
 	return named.Obj().Name() + "." + fn.Name(), true
 }
 
-// isStoreAppend reports whether call is a Store.Append invocation (the
-// batch ticket API, or a legacy Append* name).
+// isStoreAppend reports whether call is a Store.Append invocation.
 func isStoreAppend(info *types.Info, call *ast.CallExpr) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	switch sel.Sel.Name {
-	case "Append", "AppendAccess", "AppendProvision":
-	default:
+	if !ok || sel.Sel.Name != "Append" {
 		return false
 	}
 	_, ok = info.Uses[sel.Sel].(*types.Func)

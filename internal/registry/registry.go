@@ -52,6 +52,7 @@ import (
 	"lemonade/internal/core"
 	"lemonade/internal/dse"
 	"lemonade/internal/nems"
+	"lemonade/internal/rng"
 )
 
 // DefaultShards is the stripe count used by New when given 0. 32 stripes
@@ -140,6 +141,32 @@ type Record struct {
 	Retire    *RetireRecord    `json:"x,omitempty"`
 }
 
+// RecordKinds names the Record variants, indexed by Record.Kind.
+var RecordKinds = [...]string{"provision", "access", "stress", "remap", "retire"}
+
+// Kind returns the index in RecordKinds of the one variant rec sets. A
+// record that sets none, or more than one, cannot be applied: the writer
+// refuses it and replay treats it as damage.
+func (rec Record) Kind() (int, error) {
+	variants := [len(RecordKinds)]bool{
+		rec.Provision != nil, rec.Access != nil, rec.Stress != nil, rec.Remap != nil, rec.Retire != nil,
+	}
+	kind, set := 0, 0
+	for k, ok := range variants {
+		if ok {
+			kind, set = k, set+1
+		}
+	}
+	switch set {
+	case 0:
+		return 0, errors.New("registry: empty record")
+	case 1:
+		return kind, nil
+	default:
+		return 0, errors.New("registry: record sets more than one variant")
+	}
+}
+
 // Ticket is the durability handle returned by Store.Append. The records
 // of one Append call always commit (or fail) together, and possibly
 // alongside other calls' records in the same commit group.
@@ -218,67 +245,23 @@ type Entry struct {
 	evCount uint64             // guarded by evMu; events ever observed; write cursor is evCount % size
 }
 
-// Access durably records then performs one wearout-consuming access.
+// Access durably records then performs one wearout-consuming access
+// through commit, the log-ahead pipeline. If staging or the commit
+// fails, the access fails closed: no wearout is consumed and no key
+// bytes are revealed. After the commit succeeds the access runs to
+// completion even if ctx is cancelled mid-flight, because a durable
+// record with no matching wear would replay into *extra* consumed budget
+// on recovery, never less, and the architecture must agree with its log.
 //
-// The sequence is the log-ahead rule, pipelined: check the context,
-// stage the access record with the store, claim an apply turn, then
-// block on the commit ticket — the barrier that proves the record is
-// fsynced — and only then fire the hardware, in turn order. If staging
-// or the commit fails, the access fails closed: no wearout is consumed
-// and no key bytes are revealed. After the commit succeeds the access
-// runs to completion even if ctx is cancelled mid-flight, because a
-// durable record with no matching wear would replay into *extra*
-// consumed budget on recovery, never less, and the architecture must
-// agree with its log.
-//
-// Decoupling the ticket wait from seqMu is what lets independent
-// requests pipeline: request B's record is encoded and staged while
-// request A's group is still inside its fsync.
-//
-// After the access completes, wear-leveling maintenance runs: if the
-// rotation schedule calls for a remap, the plan is appended (log-ahead,
-// one atomic batch) and applied under its own turn. Maintenance failures
-// never affect the access result — they surface through the registry's
-// remap observer.
+// After the access completes, wear-leveling maintenance runs, even when
+// ctx was cancelled: if the rotation schedule calls for a remap, the
+// plan is committed as one atomic batch. Maintenance failures never
+// affect the access result — they surface through the registry's remap
+// observer.
 func (e *Entry) Access(ctx context.Context, env nems.Environment) ([]byte, error) {
-	secret, err := e.accessLogged(ctx, env)
-	e.maintainRemap()
+	secret, _, err := e.commit(ctx, []Record{{Access: &AccessRecord{ID: e.ID, TempCelsius: env.TempCelsius}}})
+	e.maintain(ctx)
 	return secret, err
-}
-
-// accessLogged is the log-ahead access pipeline described on Access.
-func (e *Entry) accessLogged(ctx context.Context, env nems.Environment) ([]byte, error) {
-	e.seqMu.Lock()
-	if err := ctx.Err(); err != nil {
-		e.seqMu.Unlock()
-		return nil, err
-	}
-	tkt, err := e.store.Append([]Record{{Access: &AccessRecord{ID: e.ID, TempCelsius: env.TempCelsius}}})
-	if err != nil {
-		e.seqMu.Unlock()
-		// Double-wrap so callers can classify both the fact that the store
-		// failed (ErrStore) and why (e.g. resilience.ErrOpen ⇒ 503, not 500).
-		return nil, fmt.Errorf("%w: %w", ErrStore, err)
-	}
-	turn := e.nextTurn
-	e.nextTurn++
-	e.seqMu.Unlock()
-
-	if werr := tkt.Wait(); werr != nil {
-		// The commit group failed: the record never became durable, so the
-		// access fails closed — but the turn was claimed and must be
-		// skipped, or every later access on this entry would wait forever.
-		e.skipTurn(turn)
-		return nil, fmt.Errorf("%w: %w", ErrStore, werr)
-	}
-	e.beginTurn(turn)
-	// Deferred, not inline: a panic inside Arch.Access must still retire
-	// the turn (or every later access on this entry blocks in beginTurn
-	// forever) and release the ticket's snapshot-barrier share (or every
-	// future Snapshot wedges on a hold nobody can drop).
-	defer e.endTurn()
-	defer tkt.Done()
-	return e.Arch.Access(env)
 }
 
 // Stress durably records then serves one adversarial stress burst against
@@ -289,40 +272,75 @@ func (e *Entry) accessLogged(ctx context.Context, env nems.Environment) ([]byte,
 // returned count is how many actuations conducted; no key bytes are ever
 // derived on this path.
 func (e *Entry) Stress(ctx context.Context, env nems.Environment, indices []int, pulses int) (int, error) {
-	conducted, err := e.stressLogged(ctx, env, indices, pulses)
-	e.maintainRemap()
+	dup := make([]int, len(indices))
+	copy(dup, indices)
+	_, conducted, err := e.commit(ctx, []Record{{Stress: &StressRecord{
+		ID: e.ID, TempCelsius: env.TempCelsius, Indices: dup, Pulses: pulses,
+	}}})
+	e.maintain(ctx)
 	return conducted, err
 }
 
-// stressLogged is the log-ahead stress pipeline; see Access for the
-// stage-by-stage rationale.
-func (e *Entry) stressLogged(ctx context.Context, env nems.Environment, indices []int, pulses int) (int, error) {
+// commit is the entry's one log-ahead pipeline: check the context, stage
+// recs with the store, claim an apply turn, then block on the commit
+// ticket — the barrier that proves the records are fsynced — and only
+// then apply them in order, in turn order. If staging or the commit
+// fails, nothing applies. An apply error stops the batch at that record.
+// It returns the secret of an access record and the conducted count of a
+// stress record.
+//
+// Holding seqMu across Append and the turn claim makes the log's
+// per-architecture record order equal the apply order, which is what
+// makes replay bit-identical. Decoupling the ticket wait from seqMu is
+// what lets independent requests pipeline: request B's record is encoded
+// and staged while request A's group is still inside its fsync.
+func (e *Entry) commit(ctx context.Context, recs []Record) (secret []byte, conducted int, err error) {
 	e.seqMu.Lock()
 	if err := ctx.Err(); err != nil {
 		e.seqMu.Unlock()
-		return 0, err
+		return nil, 0, err
 	}
-	dup := make([]int, len(indices))
-	copy(dup, indices)
-	tkt, err := e.store.Append([]Record{{Stress: &StressRecord{
-		ID: e.ID, TempCelsius: env.TempCelsius, Indices: dup, Pulses: pulses,
-	}}})
+	tkt, err := e.store.Append(recs)
 	if err != nil {
 		e.seqMu.Unlock()
-		return 0, fmt.Errorf("%w: %w", ErrStore, err)
+		// Double-wrap so callers can classify both the fact that the store
+		// failed (ErrStore) and why (e.g. resilience.ErrOpen ⇒ 503, not 500).
+		return nil, 0, fmt.Errorf("%w: %w", ErrStore, err)
 	}
 	turn := e.nextTurn
 	e.nextTurn++
 	e.seqMu.Unlock()
 
 	if werr := tkt.Wait(); werr != nil {
+		// The commit group failed: the records never became durable, so the
+		// op fails closed — but the turn was claimed and must be skipped, or
+		// every later op on this entry would wait forever.
 		e.skipTurn(turn)
-		return 0, fmt.Errorf("%w: %w", ErrStore, werr)
+		return nil, 0, fmt.Errorf("%w: %w", ErrStore, werr)
 	}
 	e.beginTurn(turn)
+	// Deferred, not inline: a panic inside the architecture must still
+	// retire the turn (or every later op on this entry blocks in beginTurn
+	// forever) and release the ticket's snapshot-barrier share (or every
+	// future Snapshot wedges on a hold nobody can drop).
 	defer e.endTurn()
 	defer tkt.Done()
-	return e.Arch.Stress(env, indices, pulses)
+	for _, rec := range recs {
+		switch {
+		case rec.Access != nil:
+			secret, err = e.Arch.Access(nems.Environment{TempCelsius: rec.Access.TempCelsius})
+		case rec.Stress != nil:
+			conducted, err = e.Arch.Stress(nems.Environment{TempCelsius: rec.Stress.TempCelsius}, rec.Stress.Indices, rec.Stress.Pulses)
+		case rec.Retire != nil:
+			err = e.Arch.Retire(rec.Retire.Copy, rec.Retire.Physical)
+		case rec.Remap != nil:
+			err = e.Arch.ApplyRemap(rec.Remap.Copy, rec.Remap.Assign)
+		}
+		if err != nil {
+			break
+		}
+	}
+	return secret, conducted, err
 }
 
 // RemapEvent reports one wear-leveling maintenance attempt to the
@@ -334,19 +352,18 @@ type RemapEvent struct {
 	Err  error
 }
 
-// maintainRemap runs the wear-leveling schedule after a wear-consuming
-// op: if the architecture reports a pending rotation, the full plan
-// (retirements, then the complete new assignment) is appended to the
-// store as one atomic batch, and applied under its own turn once the
-// commit ticket resolves — so the durable record order equals the live
-// apply order, and recovery replays the rotation bit-identically.
+// maintain runs the wear-leveling schedule after a wear-consuming op: if
+// the architecture reports a pending rotation, the full plan
+// (retirements, then the complete new assignment) is committed as one
+// atomic batch under its own turn — so the durable record order equals
+// the live apply order, and recovery replays the rotation bit-identically.
 //
 // The plan decision itself is advisory: it may be computed against state
 // that concurrent ops immediately age further. That is safe, because the
 // record carries the decision's full effect, not its inputs. Failures are
 // reported to the remap observer and otherwise swallowed — maintenance
 // must never turn a served access into an error after the fact.
-func (e *Entry) maintainRemap() {
+func (e *Entry) maintain(ctx context.Context) {
 	plan, ok := e.Arch.PendingRemap()
 	if !ok {
 		return
@@ -356,37 +373,10 @@ func (e *Entry) maintainRemap() {
 		recs = append(recs, Record{Retire: &RetireRecord{ID: e.ID, Copy: plan.Copy, Physical: p}})
 	}
 	recs = append(recs, Record{Remap: &RemapRecord{ID: e.ID, Copy: plan.Copy, Assign: plan.Assign}})
-
-	e.seqMu.Lock()
-	tkt, err := e.store.Append(recs)
-	if err != nil {
-		e.seqMu.Unlock()
-		e.emitRemap(RemapEvent{ID: e.ID, Plan: plan, Err: fmt.Errorf("%w: %w", ErrStore, err)})
-		return
-	}
-	turn := e.nextTurn
-	e.nextTurn++
-	e.seqMu.Unlock()
-
-	if werr := tkt.Wait(); werr != nil {
-		e.skipTurn(turn)
-		e.emitRemap(RemapEvent{ID: e.ID, Plan: plan, Err: fmt.Errorf("%w: %w", ErrStore, werr)})
-		return
-	}
-	e.beginTurn(turn)
-	defer e.endTurn()
-	defer tkt.Done()
-	var applyErr error
-	for _, p := range plan.Retire {
-		if err := e.Arch.Retire(plan.Copy, p); err != nil {
-			applyErr = err
-			break
-		}
-	}
-	if applyErr == nil {
-		applyErr = e.Arch.ApplyRemap(plan.Copy, plan.Assign)
-	}
-	e.emitRemap(RemapEvent{ID: e.ID, Plan: plan, Err: applyErr})
+	// The op that triggered maintenance may have been cancelled; its wear
+	// is spent all the same, so the rotation it made due must still run.
+	_, _, err := e.commit(context.WithoutCancel(ctx), recs)
+	e.emitRemap(RemapEvent{ID: e.ID, Plan: plan, Err: err})
 }
 
 // emitRemap delivers ev to the registry's remap observer, if any.
@@ -607,6 +597,75 @@ func (r *Registry) Restore(id string, arch *core.Architecture, seed uint64, secr
 	dup := make([]byte, len(secret))
 	copy(dup, secret)
 	return r.insert(id, arch, seed, dup), nil
+}
+
+// Replay applies one record that is already durable in the log, without
+// appending it again: a provision rebuilds its architecture and Restores
+// it, and every other kind fires the same architecture mutation commit
+// fires live. Replay discards access and stress outcomes, which the
+// state fully determines, exactly as it did the first time. It fails on
+// a record that does not fit the registry — an unknown architecture, or
+// a retire or remap the rebuilt hardware refuses — because the live path
+// only logs what it applies.
+func (r *Registry) Replay(rec Record) error {
+	k, err := rec.Kind()
+	if err != nil {
+		return err
+	}
+	if p := rec.Provision; p != nil {
+		arch, err := RebuildArch(p.Design, p.Secret, p.Seed, p.Spares, p.RemapEpoch)
+		if err != nil {
+			return fmt.Errorf("registry: rebuilding %s: %w", p.ID, err)
+		}
+		_, err = r.Restore(p.ID, arch, p.Seed, p.Secret)
+		return err
+	}
+	var id string
+	switch {
+	case rec.Access != nil:
+		id = rec.Access.ID
+	case rec.Stress != nil:
+		id = rec.Stress.ID
+	case rec.Retire != nil:
+		id = rec.Retire.ID
+	case rec.Remap != nil:
+		id = rec.Remap.ID
+	}
+	e, ok := r.Get(id)
+	if !ok {
+		return fmt.Errorf("registry: %s record for unknown architecture %s", RecordKinds[k], id)
+	}
+	switch {
+	case rec.Access != nil:
+		//lemonvet:allow logahead replay applies a record already durable in the log; appending again would double-count
+		_, _ = e.Arch.Access(nems.Environment{TempCelsius: rec.Access.TempCelsius})
+	case rec.Stress != nil:
+		//lemonvet:allow logahead replay applies a record already durable in the log; appending again would double-count
+		_, _ = e.Arch.Stress(nems.Environment{TempCelsius: rec.Stress.TempCelsius}, rec.Stress.Indices, rec.Stress.Pulses)
+	case rec.Retire != nil:
+		//lemonvet:allow logahead replay applies a record already durable in the log; appending again would double-count
+		err = e.Arch.Retire(rec.Retire.Copy, rec.Retire.Physical)
+	case rec.Remap != nil:
+		// The record carries the full assignment the live path installed,
+		// so recovery agrees bit for bit even if the planning heuristic
+		// changes between versions.
+		//lemonvet:allow logahead replay applies a record already durable in the log; appending again would double-count
+		err = e.Arch.ApplyRemap(rec.Remap.Copy, rec.Remap.Assign)
+	}
+	if err != nil {
+		return fmt.Errorf("registry: %s record does not apply to %s: %w", RecordKinds[k], id, err)
+	}
+	return nil
+}
+
+// RebuildArch deterministically refabricates an architecture from its
+// provisioning parameters, choosing the wear-leveled variant when the
+// durable record pinned one. Replay and snapshot restore share it.
+func RebuildArch(design dse.Design, secret []byte, seed uint64, spares int, epoch uint64) (*core.Architecture, error) {
+	if spares > 0 || epoch > 0 {
+		return core.BuildLeveled(design, secret, core.Leveling{Spares: spares, Epoch: epoch}, rng.New(seed))
+	}
+	return core.Build(design, secret, rng.New(seed))
 }
 
 func (r *Registry) insert(id string, arch *core.Architecture, seed uint64, secret []byte) *Entry {

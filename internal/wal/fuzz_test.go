@@ -49,9 +49,9 @@ func fuzzSegment(t testing.TB) []byte {
 			t.Fatal(err)
 		}
 	}
-	frame(record{Type: "provision", Provision: &prov})
+	frame(record{Type: "provision", Record: registry.Record{Provision: &prov}})
 	for i := 0; i < 3; i++ {
-		frame(record{Type: "access", Access: &registry.AccessRecord{ID: prov.ID, TempCelsius: 25}})
+		frame(record{Type: "access", Record: registry.Record{Access: &registry.AccessRecord{ID: prov.ID, TempCelsius: 25}}})
 	}
 	return buf
 }
@@ -229,6 +229,35 @@ func TestFuzzSeedCorpus(t *testing.T) {
 	var ce *CorruptionError
 	if !errors.As(err, &ce) {
 		t.Fatalf("flipped CRC: got %v, want *CorruptionError", err)
+	}
+}
+
+// TestReplayRefusesMalformedRecords: recovery refuses, as corruption, any
+// CRC-valid frame the writer would never have produced. A frame with two
+// variants must not replay one of them and silently drop the other, and
+// a frame whose type tag disagrees with its variant is damage too.
+func TestReplayRefusesMalformedRecords(t *testing.T) {
+	valid := fuzzSegment(t) // frames 0-3: a provision, then three accesses
+	for _, tc := range []struct{ name, payload string }{
+		{"no variant", `{"t":"access"}`},
+		{"two variants", `{"t":"access","a":{"id":"arch-000001","temp_celsius":25},"p":{"id":"arch-000002","seed":1}}`},
+		{"mismatched tag", `{"t":"stress","a":{"id":"arch-000001","temp_celsius":25}}`},
+		{"unknown tag", `{"t":"wipe","a":{"id":"arch-000001","temp_celsius":25}}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data, err := appendFrame(append([]byte(nil), valid...), []byte(tc.payload))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, stats, err := recoverBytes(t, data)
+			var ce *CorruptionError
+			if !errors.As(err, &ce) {
+				t.Fatalf("got %v (stats %+v), want *CorruptionError", err, stats)
+			}
+			if ce.File != segName(1) || ce.Record != 4 {
+				t.Fatalf("error names %s record %d, want %s record 4: %v", ce.File, ce.Record, segName(1), err)
+			}
+		})
 	}
 }
 

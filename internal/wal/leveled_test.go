@@ -304,17 +304,17 @@ func wearFuzzSegment(tb testing.TB) ([]byte, int) {
 			tb.Fatal(err)
 		}
 	}
-	frame(record{Type: "provision", Provision: &prov})
-	frame(record{Type: "stress", Stress: &registry.StressRecord{ID: prov.ID, TempCelsius: 400, Indices: []int{0, 1}, Pulses: 2}})
-	frame(record{Type: "access", Access: &registry.AccessRecord{ID: prov.ID, TempCelsius: 25}})
-	frame(record{Type: "retire", Retire: &registry.RetireRecord{ID: prov.ID, Copy: 0, Physical: 0}})
+	frame(record{Type: "provision", Record: registry.Record{Provision: &prov}})
+	frame(record{Type: "stress", Record: registry.Record{Stress: &registry.StressRecord{ID: prov.ID, TempCelsius: 400, Indices: []int{0, 1}, Pulses: 2}}})
+	frame(record{Type: "access", Record: registry.Record{Access: &registry.AccessRecord{ID: prov.ID, TempCelsius: 25}}})
+	frame(record{Type: "retire", Record: registry.Record{Retire: &registry.RetireRecord{ID: prov.ID, Copy: 0, Physical: 0}}})
 	remapStart := len(buf)
 	assign := make([]int, design.N)
 	for i := range assign {
 		assign[i] = i
 	}
 	assign[0] = design.N // rotate logical slot 0 onto the first spare
-	frame(record{Type: "remap", Remap: &registry.RemapRecord{ID: prov.ID, Copy: 0, Assign: assign}})
+	frame(record{Type: "remap", Record: registry.Record{Remap: &registry.RemapRecord{ID: prov.ID, Copy: 0, Assign: assign}}})
 	return buf, remapStart
 }
 

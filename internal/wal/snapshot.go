@@ -257,7 +257,7 @@ func (s *DiskStore) restoreSnapshot(reg *registry.Registry, epoch uint64) (snaps
 		if err != nil {
 			return rebuiltArch{err: err}
 		}
-		arch, err := rebuildArch(a.Design, a.Secret, a.Seed, a.Spares, a.RemapEpoch)
+		arch, err := registry.RebuildArch(a.Design, a.Secret, a.Seed, a.Spares, a.RemapEpoch)
 		if err != nil {
 			return rebuiltArch{err: fmt.Errorf("wal: snapshot arch %s: rebuild: %w", a.ID, err)}
 		}

@@ -12,13 +12,9 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"lemonade/internal/core"
-	"lemonade/internal/dse"
 	"lemonade/internal/fault"
 	"lemonade/internal/metrics"
-	"lemonade/internal/nems"
 	"lemonade/internal/registry"
-	"lemonade/internal/rng"
 )
 
 // Config parameterizes a DiskStore.
@@ -52,15 +48,15 @@ const (
 	maxQueue = 1024
 )
 
-// record is the JSON payload of one WAL frame.
+// record is the JSON payload of one WAL frame: a registry record tagged
+// with its kind name (registry.RecordKinds), so jq reads the type first.
 type record struct {
-	Type      string                    `json:"t"` // "provision" | "access" | "stress" | "remap" | "retire"
-	Provision *registry.ProvisionRecord `json:"p,omitempty"`
-	Access    *registry.AccessRecord    `json:"a,omitempty"`
-	Stress    *registry.StressRecord    `json:"s,omitempty"`
-	Remap     *registry.RemapRecord     `json:"r,omitempty"`
-	Retire    *registry.RetireRecord    `json:"x,omitempty"`
+	Type string `json:"t"`
+	registry.Record
 }
+
+// numKinds is the number of record kinds the WAL counts.
+const numKinds = len(registry.RecordKinds)
 
 // RecoveryStats summarizes what Recover did, for startup logging and the
 // recovery metrics.
@@ -75,6 +71,12 @@ type RecoveryStats struct {
 	ReplayedRemaps           int
 	TornBytesTruncated       int64
 	Segments                 int // segments replayed
+}
+
+// replayed returns the counter of record kind k.
+func (st *RecoveryStats) replayed(k int) *int {
+	return [numKinds]*int{&st.ReplayedProvisions, &st.ReplayedAccesses, &st.ReplayedStresses,
+		&st.ReplayedRemaps, &st.ReplayedRetires}[k]
 }
 
 // ReplayedRecords is the total record count the recovery replayed.
@@ -134,37 +136,25 @@ type DiskStore struct {
 
 	snapCh chan struct{}
 
-	mAppendProv   *metrics.Counter
-	mAppendAcc    *metrics.Counter
-	mAppendStress *metrics.Counter
-	mAppendRemap  *metrics.Counter
-	mAppendRetire *metrics.Counter
-	mAppendErrs   *metrics.Counter
-	hFsync        *metrics.Histogram
-	hBatchSize    *metrics.Histogram
-	mGroupSyncs   *metrics.Counter
-	mReplayProv   *metrics.Counter
-	mReplayAcc    *metrics.Counter
-	mReplayStress *metrics.Counter
-	mReplayRemap  *metrics.Counter
-	mReplayRetire *metrics.Counter
-	mSnapshots    *metrics.Counter
-	mTornTrunc    *metrics.Counter
-	gSnapUnix     *metrics.Gauge
-	gRecovered    *metrics.Gauge
+	mAppends    [numKinds]*metrics.Counter // by record kind
+	mAppendErrs *metrics.Counter
+	hFsync      *metrics.Histogram
+	hBatchSize  *metrics.Histogram
+	mGroupSyncs *metrics.Counter
+	mReplayed   [numKinds]*metrics.Counter // by record kind
+	mSnapshots  *metrics.Counter
+	mTornTrunc  *metrics.Counter
+	gSnapUnix   *metrics.Gauge
+	gRecovered  *metrics.Gauge
 }
 
 // commitReq is one Append staged for the committer: its records already
 // framed, its ticket waiting for the group's fsync.
 type commitReq struct {
-	frames  []byte
-	nRecs   int
-	nProv   uint64
-	nAcc    uint64
-	nStress uint64
-	nRemap  uint64
-	nRetire uint64
-	tkt     *groupTicket
+	frames []byte
+	nRecs  int
+	kinds  [numKinds]uint64 // records by kind
+	tkt    *groupTicket
 }
 
 // GroupError is the failure every ticket of one commit group resolves
@@ -267,28 +257,29 @@ func Open(cfg Config) (*DiskStore, error) {
 		committerDone: make(chan struct{}),
 		snapCh:        make(chan struct{}, 1),
 
-		mAppendProv:   m.Counter("lemonaded_wal_appends_total", `type="provision"`, "durable WAL appends by record type"),
-		mAppendAcc:    m.Counter("lemonaded_wal_appends_total", `type="access"`, "durable WAL appends by record type"),
-		mAppendStress: m.Counter("lemonaded_wal_appends_total", `type="stress"`, "durable WAL appends by record type"),
-		mAppendRemap:  m.Counter("lemonaded_wal_appends_total", `type="remap"`, "durable WAL appends by record type"),
-		mAppendRetire: m.Counter("lemonaded_wal_appends_total", `type="retire"`, "durable WAL appends by record type"),
-		mAppendErrs:   m.Counter("lemonaded_wal_append_failures_total", "", "WAL appends that failed (each is a failed-closed operation)"),
-		hFsync:        m.Histogram("lemonaded_wal_fsync_seconds", "", "fsync latency of WAL commits", nil),
-		hBatchSize:    m.Histogram("lemonaded_wal_batch_size", "", "records per group-commit write", []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}),
-		mGroupSyncs:   m.Counter("lemonaded_wal_group_fsyncs_total", "", "group-commit fsyncs issued (each covers a whole batch)"),
-		mReplayProv:   m.Counter("lemonaded_wal_replayed_records_total", `type="provision"`, "records replayed during recovery"),
-		mReplayAcc:    m.Counter("lemonaded_wal_replayed_records_total", `type="access"`, "records replayed during recovery"),
-		mReplayStress: m.Counter("lemonaded_wal_replayed_records_total", `type="stress"`, "records replayed during recovery"),
-		mReplayRemap:  m.Counter("lemonaded_wal_replayed_records_total", `type="remap"`, "records replayed during recovery"),
-		mReplayRetire: m.Counter("lemonaded_wal_replayed_records_total", `type="retire"`, "records replayed during recovery"),
-		mSnapshots:    m.Counter("lemonaded_wal_snapshots_total", "", "snapshots written"),
-		mTornTrunc:    m.Counter("lemonaded_wal_torn_tail_truncations_total", "", "torn WAL tails truncated during recovery"),
-		gSnapUnix:     m.Gauge("lemonaded_wal_last_snapshot_unix_seconds", "", "creation time of the newest snapshot (snapshot age = now minus this)"),
-		gRecovered:    m.Gauge("lemonaded_wal_recovered_architectures", "", "architectures reconstructed by the last recovery"),
+		mAppends:    kindCounters(m, "lemonaded_wal_appends_total", "durable WAL appends by record type"),
+		mAppendErrs: m.Counter("lemonaded_wal_append_failures_total", "", "WAL appends that failed (each is a failed-closed operation)"),
+		hFsync:      m.Histogram("lemonaded_wal_fsync_seconds", "", "fsync latency of WAL commits", nil),
+		hBatchSize:  m.Histogram("lemonaded_wal_batch_size", "", "records per group-commit write", []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}),
+		mGroupSyncs: m.Counter("lemonaded_wal_group_fsyncs_total", "", "group-commit fsyncs issued (each covers a whole batch)"),
+		mReplayed:   kindCounters(m, "lemonaded_wal_replayed_records_total", "records replayed during recovery"),
+		mSnapshots:  m.Counter("lemonaded_wal_snapshots_total", "", "snapshots written"),
+		mTornTrunc:  m.Counter("lemonaded_wal_torn_tail_truncations_total", "", "torn WAL tails truncated during recovery"),
+		gSnapUnix:   m.Gauge("lemonaded_wal_last_snapshot_unix_seconds", "", "creation time of the newest snapshot (snapshot age = now minus this)"),
+		gRecovered:  m.Gauge("lemonaded_wal_recovered_architectures", "", "architectures reconstructed by the last recovery"),
 	}
 	s.qCond.L = &s.qMu
 	go s.committer()
 	return s, nil
+}
+
+// kindCounters registers one series of the counter family name per
+// record kind, labelled by the kind's name.
+func kindCounters(m *metrics.Registry, name, help string) (cs [numKinds]*metrics.Counter) {
+	for k, kind := range registry.RecordKinds {
+		cs[k] = m.Counter(name, `type="`+kind+`"`, help)
+	}
+	return cs
 }
 
 // SnapshotNeeded signals (on a 1-buffered channel) when the records
@@ -312,13 +303,13 @@ func (s *DiskStore) RecordsSinceSnapshot() int {
 // Ticket.Wait as a *GroupError.
 func (s *DiskStore) Append(recs []registry.Record) (registry.Ticket, error) {
 	req := &commitReq{tkt: &groupTicket{ch: make(chan struct{})}}
-	for i := range recs {
-		r, err := walRecord(&recs[i])
+	for _, rec := range recs {
+		k, err := rec.Kind()
 		if err != nil {
 			s.mAppendErrs.Inc()
-			return nil, err
+			return nil, fmt.Errorf("wal: %w", err)
 		}
-		payload, err := json.Marshal(r)
+		payload, err := json.Marshal(record{Type: registry.RecordKinds[k], Record: rec})
 		if err != nil {
 			s.mAppendErrs.Inc()
 			return nil, fmt.Errorf("wal: encoding record: %w", err)
@@ -328,18 +319,7 @@ func (s *DiskStore) Append(recs []registry.Record) (registry.Ticket, error) {
 			return nil, err
 		}
 		req.nRecs++
-		switch {
-		case r.Provision != nil:
-			req.nProv++
-		case r.Access != nil:
-			req.nAcc++
-		case r.Stress != nil:
-			req.nStress++
-		case r.Remap != nil:
-			req.nRemap++
-		case r.Retire != nil:
-			req.nRetire++
-		}
+		req.kinds[k]++
 	}
 	if req.nRecs == 0 {
 		return immediateTicket{}, nil
@@ -374,42 +354,6 @@ func (s *DiskStore) Append(recs []registry.Record) (registry.Ticket, error) {
 	s.qCond.Broadcast()
 	s.qMu.Unlock()
 	return req.tkt, nil
-}
-
-// walRecord converts a registry.Record into the WAL's framed form,
-// rejecting shapes that would not survive replay: exactly one variant
-// must be set.
-func walRecord(rec *registry.Record) (record, error) {
-	set := 0
-	var out record
-	if rec.Provision != nil {
-		set++
-		out = record{Type: "provision", Provision: rec.Provision}
-	}
-	if rec.Access != nil {
-		set++
-		out = record{Type: "access", Access: rec.Access}
-	}
-	if rec.Stress != nil {
-		set++
-		out = record{Type: "stress", Stress: rec.Stress}
-	}
-	if rec.Remap != nil {
-		set++
-		out = record{Type: "remap", Remap: rec.Remap}
-	}
-	if rec.Retire != nil {
-		set++
-		out = record{Type: "retire", Retire: rec.Retire}
-	}
-	switch set {
-	case 0:
-		return record{}, errors.New("wal: empty record")
-	case 1:
-		return out, nil
-	default:
-		return record{}, errors.New("wal: record sets more than one variant")
-	}
 }
 
 // committer is the single goroutine that turns the queue into durable
@@ -553,11 +497,9 @@ func (s *DiskStore) commitGroup(batch []*commitReq) {
 		}
 	}
 	for _, req := range batch {
-		s.mAppendProv.Add(req.nProv)
-		s.mAppendAcc.Add(req.nAcc)
-		s.mAppendStress.Add(req.nStress)
-		s.mAppendRemap.Add(req.nRemap)
-		s.mAppendRetire.Add(req.nRetire)
+		for k, n := range req.kinds {
+			s.mAppends[k].Add(n)
+		}
 		req.tkt.resolve(nil)
 	}
 }
@@ -776,16 +718,6 @@ func (s *DiskStore) Recover(reg *registry.Registry) (RecoveryStats, error) {
 	return stats, nil
 }
 
-// rebuildArch deterministically refabricates an architecture from its
-// provisioning parameters, choosing the wear-leveled variant when the
-// durable record pinned one.
-func rebuildArch(design dse.Design, secret []byte, seed uint64, spares int, epoch uint64) (*core.Architecture, error) {
-	if spares > 0 || epoch > 0 {
-		return core.BuildLeveled(design, secret, core.Leveling{Spares: spares, Epoch: epoch}, rng.New(seed))
-	}
-	return core.Build(design, secret, rng.New(seed))
-}
-
 // replaySegment applies every record of one segment. Only the final
 // segment may carry a torn tail; it is truncated in place (and the
 // truncation fsynced) so appends resume on a clean frame boundary.
@@ -829,112 +761,31 @@ func (s *DiskStore) replaySegment(reg *registry.Registry, seq uint64, isLast boo
 	return torn, nil
 }
 
-// applyRecord applies one WAL record to the registry.
+// applyRecord decodes one WAL record and replays it into the registry.
+// A frame the writer would never have written — no variant, several, or
+// a type tag that disagrees with its variant — is corruption, and so is
+// a record that does not apply to the recovered state.
 func (s *DiskStore) applyRecord(reg *registry.Registry, file string, idx int, payload []byte, stats *RecoveryStats) error {
+	corrupt := func(reason string) error {
+		return &CorruptionError{File: file, Record: idx, Offset: -1, Reason: reason}
+	}
 	var r record
 	if err := json.Unmarshal(payload, &r); err != nil {
-		return &CorruptionError{File: file, Record: idx, Offset: -1,
-			Reason: "record is not valid JSON: " + err.Error()}
+		return corrupt("record is not valid JSON: " + err.Error())
 	}
-	switch r.Type {
-	case "provision":
-		if r.Provision == nil {
-			return &CorruptionError{File: file, Record: idx, Offset: -1,
-				Reason: "provision record without payload"}
-		}
-		p := r.Provision
-		arch, err := rebuildArch(p.Design, p.Secret, p.Seed, p.Spares, p.RemapEpoch)
-		if err != nil {
-			return fmt.Errorf("wal: %s record %d: rebuilding %s: %w", file, idx, p.ID, err)
-		}
-		if _, err := reg.Restore(p.ID, arch, p.Seed, p.Secret); err != nil {
-			return fmt.Errorf("wal: %s record %d: %w", file, idx, err)
-		}
-		s.mReplayProv.Inc()
-		stats.ReplayedProvisions++
-		return nil
-	case "access":
-		if r.Access == nil {
-			return &CorruptionError{File: file, Record: idx, Offset: -1,
-				Reason: "access record without payload"}
-		}
-		e, ok := reg.Get(r.Access.ID)
-		if !ok {
-			return &CorruptionError{File: file, Record: idx, Offset: -1,
-				Reason: fmt.Sprintf("access record for unknown architecture %s", r.Access.ID)}
-		}
-		// Replay fires the hardware directly — not Entry.Access, which
-		// would re-append. The outcome is discarded: it is fully determined
-		// by the state, exactly as it was the first time.
-		//lemonvet:allow logahead replay applies a record already durable in the log; appending again would double-count
-		_, _ = e.Arch.Access(nems.Environment{TempCelsius: r.Access.TempCelsius})
-		s.mReplayAcc.Inc()
-		stats.ReplayedAccesses++
-		return nil
-	case "stress":
-		if r.Stress == nil {
-			return &CorruptionError{File: file, Record: idx, Offset: -1,
-				Reason: "stress record without payload"}
-		}
-		e, ok := reg.Get(r.Stress.ID)
-		if !ok {
-			return &CorruptionError{File: file, Record: idx, Offset: -1,
-				Reason: fmt.Sprintf("stress record for unknown architecture %s", r.Stress.ID)}
-		}
-		// Outcome discarded for the same reason as access replay: the wear
-		// the pulses inflict is fully determined by the state.
-		//lemonvet:allow logahead replay applies a record already durable in the log; appending again would double-count
-		_, _ = e.Arch.Stress(nems.Environment{TempCelsius: r.Stress.TempCelsius}, r.Stress.Indices, r.Stress.Pulses)
-		s.mReplayStress.Inc()
-		stats.ReplayedStresses++
-		return nil
-	case "retire":
-		if r.Retire == nil {
-			return &CorruptionError{File: file, Record: idx, Offset: -1,
-				Reason: "retire record without payload"}
-		}
-		e, ok := reg.Get(r.Retire.ID)
-		if !ok {
-			return &CorruptionError{File: file, Record: idx, Offset: -1,
-				Reason: fmt.Sprintf("retire record for unknown architecture %s", r.Retire.ID)}
-		}
-		// A retire that no longer validates (wrong copy/physical for the
-		// rebuilt hardware) is corruption: the live path only logged plans it
-		// applied, so a mismatch means the history doesn't fit the state.
-		//lemonvet:allow logahead replay applies a record already durable in the log; appending again would double-count
-		if err := e.Arch.Retire(r.Retire.Copy, r.Retire.Physical); err != nil {
-			return &CorruptionError{File: file, Record: idx, Offset: -1,
-				Reason: fmt.Sprintf("retire record does not apply to %s: %v", r.Retire.ID, err)}
-		}
-		s.mReplayRetire.Inc()
-		stats.ReplayedRetires++
-		return nil
-	case "remap":
-		if r.Remap == nil {
-			return &CorruptionError{File: file, Record: idx, Offset: -1,
-				Reason: "remap record without payload"}
-		}
-		e, ok := reg.Get(r.Remap.ID)
-		if !ok {
-			return &CorruptionError{File: file, Record: idx, Offset: -1,
-				Reason: fmt.Sprintf("remap record for unknown architecture %s", r.Remap.ID)}
-		}
-		// The record carries the FULL assignment the live path installed —
-		// the remap decision was advisory, the recorded effect replays
-		// verbatim, so recovery agrees bit-for-bit even if the planning
-		// heuristic changes between versions.
-		//lemonvet:allow logahead replay applies a record already durable in the log; appending again would double-count
-		if err := e.Arch.ApplyRemap(r.Remap.Copy, r.Remap.Assign); err != nil {
-			return &CorruptionError{File: file, Record: idx, Offset: -1,
-				Reason: fmt.Sprintf("remap record does not apply to %s: %v", r.Remap.ID, err)}
-		}
-		s.mReplayRemap.Inc()
-		stats.ReplayedRemaps++
-		return nil
-	default:
-		return &CorruptionError{File: file, Record: idx, Offset: -1,
-			Reason: fmt.Sprintf("unknown record type %q", r.Type)}
+	k, err := r.Kind()
+	if err != nil {
+		return corrupt(fmt.Sprintf("%q record: %v", r.Type, err))
 	}
+	if r.Type != registry.RecordKinds[k] {
+		return corrupt(fmt.Sprintf("record tagged %q carries a %s payload", r.Type, registry.RecordKinds[k]))
+	}
+	if err := reg.Replay(r.Record); err != nil {
+		return corrupt(err.Error())
+	}
+	s.mReplayed[k].Inc()
+	*stats.replayed(k)++
+	return nil
 }
 
 // --- snapshots ------------------------------------------------------------
