@@ -10,10 +10,13 @@ package cluster_test
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -328,7 +331,8 @@ func runSeededSchedule(t *testing.T, dir string, seed uint64) ([]transcriptEntry
 // (same reveals, same lockout point) AND byte-identical recovered
 // states — and recovering any node's WAL twice must agree with itself.
 func TestClusterSeededScheduleBitIdentical(t *testing.T) {
-	traceA, firstA, secondA := runSeededSchedule(t, t.TempDir(), 42)
+	dirA := t.TempDir()
+	traceA, firstA, secondA := runSeededSchedule(t, dirA, 42)
 	traceB, firstB, _ := runSeededSchedule(t, t.TempDir(), 42)
 
 	ja, _ := json.Marshal(traceA)
@@ -360,6 +364,51 @@ func TestClusterSeededScheduleBitIdentical(t *testing.T) {
 		if string(a) != string(b) {
 			t.Fatalf("node n%d: recovered state differs across same-seed runs", i)
 		}
+	}
+	checkScheduleGolden(t, ja, firstA, dirA)
+}
+
+// checkScheduleGolden compares run A of the seeded schedule with
+// testdata/seeded-schedule-seed42.golden: one "name sha256" line for
+// the transcript JSON, for each node's recovered-state JSON and for
+// each node's first WAL segment. Two same-seed runs agreeing with each
+// other says nothing about a change that moves both the same way (other
+// share payloads, build seeds or record bytes); the golden does.
+// Regenerate with -update (and justify the diff in review).
+func checkScheduleGolden(t *testing.T, transcript []byte, states []map[string]string, dir string) {
+	t.Helper()
+	var got strings.Builder
+	line := func(name string, b []byte) {
+		sum := sha256.Sum256(b)
+		fmt.Fprintf(&got, "%s %s\n", name, hex.EncodeToString(sum[:]))
+	}
+	line("transcript", transcript)
+	for i, st := range states {
+		blob, err := json.Marshal(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		line(fmt.Sprintf("n%d/state", i), blob)
+	}
+	for i := range states {
+		seg, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("n%d", i), "wal-00000001.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		line(fmt.Sprintf("n%d/wal-00000001.log", i), seg)
+	}
+	path := filepath.Join("testdata", "seeded-schedule-seed42.golden")
+	if *update {
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading golden file (run with -update to create): %v", err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("seeded schedule drifted from %s:\ngot:\n%swant:\n%s", path, got.String(), want)
 	}
 }
 
