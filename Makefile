@@ -44,6 +44,7 @@ race:
 
 ## repeat: the attack and cluster harness tests 50 times over, so an
 ## interleaving-dependent failure shows up here rather than in tier-1
+## (CI's attack job runs this target)
 repeat:
 	$(GO) test -count=50 ./internal/attack/ ./internal/cluster/
 

@@ -92,7 +92,7 @@ func NewClient(base string, opts ...Option) (*Client, error) {
 // Provision fabricates a new architecture.
 func (c *Client) Provision(ctx context.Context, req ProvisionRequest) (*ProvisionResponse, error) {
 	var out ProvisionResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/architectures", req, &out); err != nil {
+	if _, err := c.do(ctx, http.MethodPost, "/v1/architectures", req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -102,7 +102,7 @@ func (c *Client) Provision(ctx context.Context, req ProvisionRequest) (*Provisio
 // access.
 func (c *Client) Status(ctx context.Context, id string) (*StatusResponse, error) {
 	var out StatusResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/architectures/"+url.PathEscape(id), nil, &out); err != nil {
+	if _, err := c.do(ctx, http.MethodGet, "/v1/architectures/"+url.PathEscape(id), nil, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -111,7 +111,7 @@ func (c *Client) Status(ctx context.Context, id string) (*StatusResponse, error)
 // Access performs one real, wearout-consuming access.
 func (c *Client) Access(ctx context.Context, id string, req AccessRequest) (*AccessResponse, error) {
 	var out AccessResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/architectures/"+url.PathEscape(id)+"/access", req, &out); err != nil {
+	if _, err := c.do(ctx, http.MethodPost, "/v1/architectures/"+url.PathEscape(id)+"/access", req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -122,7 +122,7 @@ func (c *Client) Access(ctx context.Context, id string, req AccessRequest) (*Acc
 // response never carries key material.
 func (c *Client) Stress(ctx context.Context, id string, req StressRequest) (*StressResponse, error) {
 	var out StressResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/architectures/"+url.PathEscape(id)+"/stress", req, &out); err != nil {
+	if _, err := c.do(ctx, http.MethodPost, "/v1/architectures/"+url.PathEscape(id)+"/stress", req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -136,29 +136,7 @@ func (c *Client) Events(ctx context.Context, id string, max int) (*EventsRespons
 		path += "?max=" + strconv.Itoa(max)
 	}
 	var out EventsResponse
-	if err := c.do(ctx, http.MethodGet, path, nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// ClusterShare provisions one Shamir share onto this node. The node
-// verifies ownership against its ring and refuses misrouted shares with
-// 421 Misdirected Request; a share ID already provisioned is 409.
-func (c *Client) ClusterShare(ctx context.Context, req ClusterShareRequest) (*ClusterShareResponse, error) {
-	var out ClusterShareResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/cluster/shares", req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// ClusterAccess performs one wearout-consuming access against the
-// architecture guarding one share on this node. The response carries
-// that single share's payload, never the cluster secret.
-func (c *Client) ClusterAccess(ctx context.Context, req ClusterAccessRequest) (*ClusterAccessResponse, error) {
-	var out ClusterAccessResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/cluster/access", req, &out); err != nil {
+	if _, err := c.do(ctx, http.MethodGet, path, nil, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -167,51 +145,38 @@ func (c *Client) ClusterAccess(ctx context.Context, req ClusterAccessRequest) (*
 // MetricsText fetches the raw Prometheus exposition, for scripted
 // assertions on counters.
 func (c *Client) MetricsText(ctx context.Context) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/metrics", nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := c.httpc.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer func() { _ = resp.Body.Close() }()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return "", &Error{StatusCode: resp.StatusCode, Message: strings.TrimSpace(string(body))}
-	}
-	return string(body), nil
+	body, err := c.do(ctx, http.MethodGet, "/metrics", nil, nil)
+	return string(body), err
 }
 
 // do executes one API call: marshal, send, decode into out (skipped
-// when out is nil).
-func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
+// when out is nil). It returns the raw response body, for callers that
+// want it undecoded. A non-2xx answer is an *Error whose message is the
+// JSON error body's, or else the trimmed body text.
+func (c *Client) do(ctx context.Context, method, path string, in, out any) ([]byte, error) {
 	var rd io.Reader
 	if in != nil {
 		body, err := json.Marshal(in)
 		if err != nil {
-			return fmt.Errorf("api: encoding request: %w", err)
+			return nil, fmt.Errorf("api: encoding request: %w", err)
 		}
 		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
-		return fmt.Errorf("api: building request: %w", err)
+		return nil, fmt.Errorf("api: building request: %w", err)
 	}
 	if in != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.httpc.Do(req)
 	if err != nil {
-		return fmt.Errorf("api: %s %s: %w", method, path, err)
+		return nil, fmt.Errorf("api: %s %s: %w", method, path, err)
 	}
 	defer func() { _ = resp.Body.Close() }()
 	payload, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return fmt.Errorf("api: reading response: %w", err)
+		return nil, fmt.Errorf("api: reading response: %w", err)
 	}
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		ae := &Error{StatusCode: resp.StatusCode}
@@ -221,13 +186,12 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		} else {
 			ae.Message = strings.TrimSpace(string(payload))
 		}
-		return ae
+		return nil, ae
 	}
-	if out == nil {
-		return nil
+	if out != nil {
+		if err := json.Unmarshal(payload, out); err != nil {
+			return nil, fmt.Errorf("api: decoding %s %s response: %w", method, path, err)
+		}
 	}
-	if err := json.Unmarshal(payload, out); err != nil {
-		return fmt.Errorf("api: decoding %s %s response: %w", method, path, err)
-	}
-	return nil
+	return payload, nil
 }

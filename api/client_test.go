@@ -3,6 +3,7 @@ package api
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -95,18 +96,46 @@ func TestErrorClassification(t *testing.T) {
 	})
 	c, _ := newTestClient(t, mux)
 
-	err := c.do(context.Background(), http.MethodGet, "/gone", nil, nil)
+	_, err := c.do(context.Background(), http.MethodGet, "/gone", nil, nil)
 	if !IsExhausted(err) || IsTransient(err) {
 		t.Errorf("410: IsExhausted=%t IsTransient=%t", IsExhausted(err), IsTransient(err))
 	}
 	var ae *Error
-	err = c.do(context.Background(), http.MethodGet, "/missing", nil, nil)
+	_, err = c.do(context.Background(), http.MethodGet, "/missing", nil, nil)
 	if !asAPIError(err, &ae) || ae.StatusCode != http.StatusNotFound || IsExhausted(err) || IsTransient(err) {
 		t.Errorf("404 error = %v", err)
 	}
-	err = c.do(context.Background(), http.MethodGet, "/bad", nil, nil)
+	_, err = c.do(context.Background(), http.MethodGet, "/bad", nil, nil)
 	if !asAPIError(err, &ae) || ae.Field != "alpha" || ae.StatusCode != http.StatusBadRequest {
 		t.Errorf("400 error = %v", err)
+	}
+}
+
+// TestMetricsText: the exposition comes back verbatim, and a failed
+// scrape is an *Error carrying the trimmed plain-text body.
+func TestMetricsText(t *testing.T) {
+	const exposition = "# TYPE x counter\nx 1\n"
+	var fail atomic.Bool
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet || r.URL.Path != "/metrics" {
+			t.Errorf("scrape = %s %s", r.Method, r.URL.Path)
+		}
+		if fail.Load() {
+			http.Error(w, "  registry closed ", http.StatusInternalServerError)
+			return
+		}
+		_, _ = io.WriteString(w, exposition)
+	})
+	c, _ := newTestClient(t, h)
+	text, err := c.MetricsText(context.Background())
+	if err != nil || text != exposition {
+		t.Fatalf("MetricsText = %q, %v", text, err)
+	}
+	fail.Store(true)
+	var ae *Error
+	if _, err := c.MetricsText(context.Background()); !asAPIError(err, &ae) ||
+		ae.StatusCode != http.StatusInternalServerError || ae.Message != "registry closed" {
+		t.Fatalf("failed scrape error = %v", err)
 	}
 }
 

@@ -161,13 +161,11 @@ func (cc *ClusterClient) Provision(ctx context.Context, req ClusterProvision) (*
 	}
 	for i, owner := range owners {
 		payload := cluster.EncodeShare(shares[i].X, shares[i].Data)
-		_, err := cc.clients[owner].ClusterShare(ctx, ClusterShareRequest{
-			ClusterID:  id,
-			ShareIndex: i,
-			ShareTotal: req.ShareN,
-			Spec:       req.Spec,
-			ShareHex:   hex.EncodeToString(payload),
-			Seed:       rng.New(req.Seed).DeriveIndex("cluster/arch", i).Uint64(),
+		_, err := cc.clients[owner].Provision(ctx, ProvisionRequest{
+			Spec:      req.Spec,
+			SecretHex: hex.EncodeToString(payload),
+			Seed:      rng.New(req.Seed).DeriveIndex("cluster/arch", i).Uint64(),
+			Share:     &SharePlacement{ClusterID: id, ShareIndex: i, ShareTotal: req.ShareN},
 		})
 		if err != nil {
 			return nil, fmt.Errorf("api: cluster: provisioning share %d on %q: %w", i, owner, err)
@@ -243,7 +241,8 @@ type shareResult struct {
 //	503 — owner down: a node could not be reached at all (transport
 //	      error). Retryable; spares may cover it on the next call.
 //	503 — quorum unreachable: owners answered but fewer than k could
-//	      serve (degraded stores, shedding, replays). Retryable.
+//	      serve (degraded stores, shedding, replays, a share the node
+//	      does not hold). Retryable.
 func (cc *ClusterClient) Access(ctx context.Context, id string, req AccessRequest) (*ClusterAccessResult, error) {
 	geo, ok := cc.geometry(id)
 	if !ok {
@@ -260,15 +259,10 @@ func (cc *ClusterClient) Access(ctx context.Context, id string, req AccessReques
 	launch := func(i int) {
 		go func() {
 			r := shareResult{idx: i, node: owners[i]}
-			out, err := cc.clients[owners[i]].ClusterAccess(rctx, ClusterAccessRequest{
-				ClusterID:   id,
-				ShareIndex:  i,
-				ShareTotal:  geo.N,
-				TempCelsius: req.TempCelsius,
-			})
+			out, err := cc.clients[owners[i]].Access(rctx, cluster.ShareID(id, i), req)
 			if err != nil {
 				r.err = err
-			} else if sh, derr := decodeShareHex(out.ShareHex); derr != nil {
+			} else if sh, derr := decodeShareHex(out.SecretHex); derr != nil {
 				// A malformed payload is a decode failure, not an owner
 				// outage — classify it as the node's 422 would be.
 				r.err = &Error{StatusCode: http.StatusUnprocessableEntity, Message: "malformed share payload: " + derr.Error()}
@@ -370,11 +364,12 @@ func (cc *ClusterClient) ShareStatuses(ctx context.Context, id string) ([]*Statu
 	return out, nil
 }
 
-// decodeShareHex unpacks one wire share payload.
-func decodeShareHex(shareHex string) (shamir.Share, error) {
-	payload, err := hex.DecodeString(shareHex)
+// decodeShareHex unpacks one wire share payload: the secret_hex a
+// share architecture's access reveals.
+func decodeShareHex(secretHex string) (shamir.Share, error) {
+	payload, err := hex.DecodeString(secretHex)
 	if err != nil {
-		return shamir.Share{}, fmt.Errorf("share_hex: %w", err)
+		return shamir.Share{}, fmt.Errorf("secret_hex: %w", err)
 	}
 	x, data, err := cluster.DecodeShare(payload)
 	if err != nil {

@@ -8,6 +8,8 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,49 +21,55 @@ import (
 )
 
 // fakeNode is one scripted cluster member: it owns a set of shares and
-// serves POST /v1/cluster/access from them, with an optional per-node
-// behavior override. It counts how often it is asked, because "each
-// owner asked at most once per call" is a wear guarantee, not a perf
-// nicety.
+// serves POST /v1/architectures/{id}/access from them, with an optional
+// per-node behavior override. It counts how often it is asked, because
+// "each owner asked at most once per call" is a wear guarantee, not a
+// perf nicety.
 type fakeNode struct {
 	name   string
 	srv    *httptest.Server
 	hits   atomic.Int64
 	shares map[int]shamir.Share // share index -> share
-	// behave, when non-nil, runs instead of the default share reply.
-	behave func(w http.ResponseWriter, r *http.Request, req ClusterAccessRequest)
+	// behave, when non-nil, runs instead of the default share reply;
+	// idx is the share index the request's architecture ID names.
+	behave func(w http.ResponseWriter, r *http.Request, idx int)
 }
 
 func (f *fakeNode) handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/v1/cluster/access" {
-			http.NotFound(w, r)
-			return
-		}
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/architectures/{id}/access", func(w http.ResponseWriter, r *http.Request) {
 		f.hits.Add(1)
-		var req ClusterAccessRequest
+		// Reading the body to EOF is also what lets the server notice a
+		// client that cancels (the straggler tests rely on it).
+		var req AccessRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			w.WriteHeader(http.StatusBadRequest)
 			return
 		}
-		if f.behave != nil {
-			f.behave(w, r, req)
+		_, num, _ := strings.Cut(r.PathValue("id"), "@s")
+		idx, err := strconv.Atoi(num)
+		if err != nil {
+			w.WriteHeader(http.StatusNotFound)
 			return
 		}
-		f.reply(w, req)
+		if f.behave != nil {
+			f.behave(w, r, idx)
+			return
+		}
+		f.reply(w, idx)
 	})
+	return mux
 }
 
-func (f *fakeNode) reply(w http.ResponseWriter, req ClusterAccessRequest) {
-	sh, ok := f.shares[req.ShareIndex]
+func (f *fakeNode) reply(w http.ResponseWriter, idx int) {
+	sh, ok := f.shares[idx]
 	if !ok {
 		w.WriteHeader(http.StatusNotFound)
-		json.NewEncoder(w).Encode(ErrorResponse{Error: "unknown share"})
+		json.NewEncoder(w).Encode(ErrorResponse{Error: "unknown architecture"})
 		return
 	}
-	json.NewEncoder(w).Encode(ClusterAccessResponse{
-		Node:     f.name,
-		ShareHex: hex.EncodeToString(cluster.EncodeShare(sh.X, sh.Data)),
+	json.NewEncoder(w).Encode(AccessResponse{
+		SecretHex: hex.EncodeToString(cluster.EncodeShare(sh.X, sh.Data)),
 	})
 }
 
@@ -110,7 +118,7 @@ func TestClusterHedgeFiresAfterDelay(t *testing.T) {
 	release := make(chan struct{})
 	cancelled := make(chan struct{})
 	arrived := make(chan struct{})
-	nodes[owners[0]].behave = func(w http.ResponseWriter, r *http.Request, req ClusterAccessRequest) {
+	nodes[owners[0]].behave = func(w http.ResponseWriter, r *http.Request, idx int) {
 		close(arrived)
 		select {
 		case <-r.Context().Done():
@@ -125,10 +133,10 @@ func TestClusterHedgeFiresAfterDelay(t *testing.T) {
 	// leaves the client, and cancelling it then never reaches the node.
 	for _, name := range owners[1:] {
 		f := nodes[name]
-		f.behave = func(w http.ResponseWriter, r *http.Request, req ClusterAccessRequest) {
+		f.behave = func(w http.ResponseWriter, r *http.Request, idx int) {
 			select {
 			case <-arrived:
-				f.reply(w, req)
+				f.reply(w, idx)
 			case <-r.Context().Done():
 				w.WriteHeader(http.StatusServiceUnavailable)
 			}
@@ -206,7 +214,7 @@ func TestClusterFailoverWithoutHedge(t *testing.T) {
 	const id = "arch-000001"
 	secret := []byte{9, 9, 9, 9}
 	nodes, owners, urls := fakeCluster(t, id, secret, 2, 3)
-	nodes[owners[1]].behave = func(w http.ResponseWriter, r *http.Request, req ClusterAccessRequest) {
+	nodes[owners[1]].behave = func(w http.ResponseWriter, r *http.Request, idx int) {
 		w.WriteHeader(http.StatusServiceUnavailable)
 		json.NewEncoder(w).Encode(ErrorResponse{Error: "degraded"})
 	}
@@ -249,7 +257,7 @@ func TestClusterHedgeSleepCappedByContext(t *testing.T) {
 	nodes, owners, urls := fakeCluster(t, id, secret, 1, 2)
 	release := make(chan struct{})
 	defer close(release)
-	nodes[owners[0]].behave = func(w http.ResponseWriter, r *http.Request, req ClusterAccessRequest) {
+	nodes[owners[0]].behave = func(w http.ResponseWriter, r *http.Request, idx int) {
 		select {
 		case <-r.Context().Done():
 		case <-release:
@@ -298,10 +306,9 @@ func TestClusterMalformedShareIs422(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			nodes, owners, urls := fakeCluster(t, id, []byte{1, 2, 3, 4, 5, 6, 7, 8}, 2, 3)
 			bad := tc.forge(nodes[owners[1]].shares[1], nodes[owners[0]].shares[0])
-			nodes[owners[1]].behave = func(w http.ResponseWriter, r *http.Request, req ClusterAccessRequest) {
-				json.NewEncoder(w).Encode(ClusterAccessResponse{
-					Node:     owners[1],
-					ShareHex: hex.EncodeToString(cluster.EncodeShare(bad.X, bad.Data)),
+			nodes[owners[1]].behave = func(w http.ResponseWriter, r *http.Request, idx int) {
+				json.NewEncoder(w).Encode(AccessResponse{
+					SecretHex: hex.EncodeToString(cluster.EncodeShare(bad.X, bad.Data)),
 				})
 			}
 			cc, err := NewClusterClient(urls, 42)

@@ -55,6 +55,21 @@ type ProvisionRequest struct {
 	// RemapEpoch is the rotation schedule in operations; 0 with Spares set
 	// lets the server pick its default epoch.
 	RemapEpoch uint64 `json:"remap_epoch,omitempty"`
+	// Share, when set, provisions one Shamir share of a cluster
+	// architecture: SecretHex carries the encoded share payload (one X
+	// byte, then the share data) and the architecture is registered
+	// under the placement's share ID. Only cluster nodes accept it.
+	Share *SharePlacement `json:"share,omitempty"`
+}
+
+// SharePlacement names one share of a cluster architecture. The
+// receiving node re-derives placement from its ring — ClusterID placed
+// with ShareTotal owners must put ShareIndex on this node, or the
+// provision is refused with 421 Misdirected Request.
+type SharePlacement struct {
+	ClusterID  string `json:"cluster_id"`
+	ShareIndex int    `json:"share_index"`
+	ShareTotal int    `json:"share_total"`
 }
 
 // ProvisionResponse identifies the provisioned architecture.
@@ -172,52 +187,6 @@ type ExploreResponse struct {
 type FrontierResponse struct {
 	Count   int              `json:"count"`
 	Designs []DesignResponse `json:"designs"`
-}
-
-// ClusterShareRequest provisions one Shamir share of a cluster-level
-// architecture onto the node that owns it. The receiving node verifies
-// ownership against its ring — ClusterID placed with ShareTotal owners
-// must put ShareIndex on this node, or the request is refused with 421
-// Misdirected Request — and then fabricates a limited-use architecture
-// from Spec whose protected secret is the encoded share payload.
-type ClusterShareRequest struct {
-	ClusterID  string      `json:"cluster_id"`
-	ShareIndex int         `json:"share_index"`
-	ShareTotal int         `json:"share_total"`
-	Spec       SpecRequest `json:"spec"`
-	// ShareHex is the hex-encoded share payload (one X byte followed by
-	// the share data) that the node's architecture will guard.
-	ShareHex string `json:"share_hex"`
-	Seed     uint64 `json:"seed"`
-}
-
-// ClusterShareResponse identifies one provisioned share.
-type ClusterShareResponse struct {
-	ID     string         `json:"id"`   // the node-local share ID (cluster_id + "@s" + index)
-	Node   string         `json:"node"` // the answering node's name
-	Seed   uint64         `json:"seed"`
-	Design DesignResponse `json:"design"`
-}
-
-// ClusterAccessRequest asks the owning node for one wearout-consuming
-// access against the architecture guarding a single share. ShareTotal
-// rides along so the node can re-derive placement and refuse misrouted
-// requests without any peer traffic.
-type ClusterAccessRequest struct {
-	ClusterID   string  `json:"cluster_id"`
-	ShareIndex  int     `json:"share_index"`
-	ShareTotal  int     `json:"share_total"`
-	TempCelsius float64 `json:"temp_celsius,omitempty"`
-}
-
-// ClusterAccessResponse reports one successful share access. It carries
-// one share's payload only — never the cluster secret, which no single
-// node can reconstruct.
-type ClusterAccessResponse struct {
-	Node       string `json:"node"`
-	ShareHex   string `json:"share_hex"`
-	Attempts   uint64 `json:"attempts"`
-	Successful uint64 `json:"successful"`
 }
 
 // RingResponse answers GET /v1/cluster/ring: the node's view of the

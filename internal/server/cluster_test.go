@@ -13,7 +13,7 @@ import (
 
 // clusterTestServer mounts a Server with a 3-node ring identity. Only
 // this node is real — peer URLs point nowhere, which is fine because
-// the share endpoints never call out (no read-path coordinator).
+// a node never calls out to serve a share (no read-path coordinator).
 func clusterTestServer(t *testing.T, self string) (*Server, *httptest.Server) {
 	t.Helper()
 	node, err := cluster.NewNode(cluster.Config{
@@ -53,15 +53,18 @@ func shareOn(t *testing.T, self, clusterID string, n int) int {
 	return -1
 }
 
-func clusterShareReq(clusterID string, idx int) ClusterShareRequest {
-	return ClusterShareRequest{
-		ClusterID:  clusterID,
-		ShareIndex: idx,
-		ShareTotal: 3,
-		Spec:       goldenSpec,
-		ShareHex:   goldenSecretHex, // any well-formed payload; servers don't decode shares
-		Seed:       7,
+func clusterShareReq(clusterID string, idx int) ProvisionRequest {
+	return ProvisionRequest{
+		Spec:      goldenSpec,
+		SecretHex: goldenSecretHex, // any well-formed payload; servers don't decode shares
+		Seed:      7,
+		Share:     &SharePlacement{ClusterID: clusterID, ShareIndex: idx, ShareTotal: 3},
 	}
+}
+
+// shareAccessURL is the plain access route of one share architecture.
+func shareAccessURL(base, clusterID string, idx int) string {
+	return base + "/v1/architectures/" + cluster.ShareID(clusterID, idx) + "/access"
 }
 
 // TestClusterShareRoundTrip provisions this node's share of a 3-of-3
@@ -75,30 +78,28 @@ func TestClusterShareRoundTrip(t *testing.T) {
 		t.Fatalf("node %s owns no share of %s on the test ring", self, clusterID)
 	}
 
-	resp, body := postJSON(t, ts.URL+"/v1/cluster/shares", clusterShareReq(clusterID, idx))
+	resp, body := postJSON(t, ts.URL+"/v1/architectures", clusterShareReq(clusterID, idx))
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("provision: %d %s", resp.StatusCode, body)
 	}
-	var pr ClusterShareResponse
+	var pr ProvisionResponse
 	if err := json.Unmarshal(body, &pr); err != nil {
 		t.Fatal(err)
 	}
-	if pr.ID != cluster.ShareID(clusterID, idx) || pr.Node != self {
+	if pr.ID != cluster.ShareID(clusterID, idx) {
 		t.Fatalf("share response = %+v", pr)
 	}
 
 	reveals := 0
 	for i := 0; i < pr.Design.MaxAllowedAccesses*4; i++ {
-		resp, body := postJSON(t, ts.URL+"/v1/cluster/access", ClusterAccessRequest{
-			ClusterID: clusterID, ShareIndex: idx, ShareTotal: 3,
-		})
+		resp, body := postJSON(t, shareAccessURL(ts.URL, clusterID, idx), AccessRequest{})
 		switch resp.StatusCode {
 		case http.StatusOK:
-			var ar ClusterAccessResponse
+			var ar AccessResponse
 			if err := json.Unmarshal(body, &ar); err != nil {
 				t.Fatal(err)
 			}
-			if ar.ShareHex != goldenSecretHex || ar.Node != self {
+			if ar.SecretHex != goldenSecretHex {
 				t.Fatalf("access returned %+v", ar)
 			}
 			reveals++
@@ -116,24 +117,24 @@ func TestClusterShareRoundTrip(t *testing.T) {
 	t.Fatal("share never locked out")
 }
 
-// TestClusterShareMisroute pins the 421 guard: a share posted to (or
-// read from) a node the ring does not name as its owner is refused as
-// misdirected — ring disagreement must fail loudly, not scatter shares.
+// TestClusterShareMisroute pins the misroute guards: a share posted to
+// a node the ring does not name as its owner is refused as misdirected
+// (421) — ring disagreement must fail loudly, not scatter shares — and
+// an access to a share the node does not hold is 404, which the cluster
+// client classifies like a 421.
 func TestClusterShareMisroute(t *testing.T) {
 	const self, clusterID = "n0", "arch-000001"
 	_, ts := clusterTestServer(t, self)
 	owned := shareOn(t, self, clusterID, 3)
 	wrong := (owned + 1) % 3 // some index this node does not front
 
-	resp, body := postJSON(t, ts.URL+"/v1/cluster/shares", clusterShareReq(clusterID, wrong))
+	resp, body := postJSON(t, ts.URL+"/v1/architectures", clusterShareReq(clusterID, wrong))
 	if resp.StatusCode != http.StatusMisdirectedRequest {
 		t.Fatalf("misrouted provision: %d %s, want 421", resp.StatusCode, body)
 	}
-	resp, body = postJSON(t, ts.URL+"/v1/cluster/access", ClusterAccessRequest{
-		ClusterID: clusterID, ShareIndex: wrong, ShareTotal: 3,
-	})
-	if resp.StatusCode != http.StatusMisdirectedRequest {
-		t.Fatalf("misrouted access: %d %s, want 421", resp.StatusCode, body)
+	resp, body = postJSON(t, shareAccessURL(ts.URL, clusterID, wrong), AccessRequest{})
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("misrouted access: %d %s, want 404", resp.StatusCode, body)
 	}
 }
 
@@ -145,10 +146,10 @@ func TestClusterShareDuplicate(t *testing.T) {
 	_, ts := clusterTestServer(t, self)
 	idx := shareOn(t, self, clusterID, 3)
 
-	if resp, body := postJSON(t, ts.URL+"/v1/cluster/shares", clusterShareReq(clusterID, idx)); resp.StatusCode != http.StatusCreated {
+	if resp, body := postJSON(t, ts.URL+"/v1/architectures", clusterShareReq(clusterID, idx)); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("first provision: %d %s", resp.StatusCode, body)
 	}
-	resp, body := postJSON(t, ts.URL+"/v1/cluster/shares", clusterShareReq(clusterID, idx))
+	resp, body := postJSON(t, ts.URL+"/v1/architectures", clusterShareReq(clusterID, idx))
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("duplicate provision: %d %s, want 409", resp.StatusCode, body)
 	}
@@ -160,36 +161,45 @@ func TestClusterAccessUnknownShare(t *testing.T) {
 	const self, clusterID = "n0", "arch-000001"
 	_, ts := clusterTestServer(t, self)
 	idx := shareOn(t, self, clusterID, 3)
-	resp, body := postJSON(t, ts.URL+"/v1/cluster/access", ClusterAccessRequest{
-		ClusterID: clusterID, ShareIndex: idx, ShareTotal: 3,
-	})
+	resp, body := postJSON(t, shareAccessURL(ts.URL, clusterID, idx), AccessRequest{})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown share access: %d %s, want 404", resp.StatusCode, body)
 	}
 }
 
-// TestClusterShareValidation sweeps the 400 guards on both endpoints.
+// TestClusterShareValidation sweeps the 400 guards of a share
+// provision, each naming the offending field.
 func TestClusterShareValidation(t *testing.T) {
 	const self = "n0"
-	_, ts := clusterTestServer(t, self)
-	bad := []ClusterShareRequest{
-		func() ClusterShareRequest { r := clusterShareReq("", 0); return r }(),                               // empty cluster ID
-		func() ClusterShareRequest { r := clusterShareReq("arch-000001", 0); r.ShareTotal = 0; return r }(),  // zero total
-		func() ClusterShareRequest { r := clusterShareReq("arch-000001", 0); r.ShareTotal = 99; return r }(), // total > ring
-		func() ClusterShareRequest { r := clusterShareReq("arch-000001", 3); return r }(),                    // index out of range
-		func() ClusterShareRequest { r := clusterShareReq("arch-000001", -1); return r }(),                   // negative index
+	s, ts := clusterTestServer(t, self)
+	idx := shareOn(t, self, "arch-000001", 3)
+	// Each case breaks one thing of a well-placed share provision.
+	bad := []struct {
+		name, field string
+		mutate      func(r *ProvisionRequest)
+	}{
+		{"empty cluster ID", "cluster_id", func(r *ProvisionRequest) { r.Share.ClusterID = "" }},
+		{"zero total", "share_total", func(r *ProvisionRequest) { r.Share.ShareTotal = 0 }},
+		{"total > ring", "share_total", func(r *ProvisionRequest) { r.Share.ShareTotal = 99 }},
+		{"index out of range", "share_index", func(r *ProvisionRequest) { r.Share.ShareIndex = 3 }},
+		{"negative index", "share_index", func(r *ProvisionRequest) { r.Share.ShareIndex = -1 }},
+		{"garbage hex", "secret_hex", func(r *ProvisionRequest) { r.SecretHex = "zz" }},
+		{"1-byte payload (no data after the X byte)", "secret_hex", func(r *ProvisionRequest) { r.SecretHex = "01" }},
 	}
-	for i, req := range bad {
-		if resp, body := postJSON(t, ts.URL+"/v1/cluster/shares", req); resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("bad request %d: %d %s, want 400", i, resp.StatusCode, body)
+	for _, tc := range bad {
+		req := clusterShareReq("arch-000001", idx)
+		tc.mutate(&req)
+		resp, body := postJSON(t, ts.URL+"/v1/architectures", req)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: %d %s, want 400", tc.name, resp.StatusCode, body)
+		}
+		var er ErrorResponse
+		if err := json.Unmarshal(body, &er); err != nil || er.Field != tc.field {
+			t.Fatalf("%s: field %q (%v), want %q", tc.name, er.Field, err, tc.field)
 		}
 	}
-	// Well-placed but garbage payload: hex error is 400 too.
-	idx := shareOn(t, self, "arch-000001", 3)
-	r := clusterShareReq("arch-000001", idx)
-	r.ShareHex = "zz"
-	if resp, body := postJSON(t, ts.URL+"/v1/cluster/shares", r); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("garbage share_hex: %d %s, want 400", resp.StatusCode, body)
+	if n := s.Registry().Len(); n != 0 {
+		t.Fatalf("refused shares registered %d architectures", n)
 	}
 }
 
@@ -211,26 +221,20 @@ func TestClusterRingEndpoint(t *testing.T) {
 }
 
 // TestClusterRoutesAbsentOutsideClusterMode: a single-node lemonaded
-// must not expose cluster endpoints at all.
+// mounts no ring endpoint and refuses a share placement with 400 before
+// anything is registered.
 func TestClusterRoutesAbsentOutsideClusterMode(t *testing.T) {
-	_, ts := testServer(t)
-	for _, probe := range []struct{ method, path string }{
-		{"POST", "/v1/cluster/shares"},
-		{"POST", "/v1/cluster/access"},
-		{"GET", "/v1/cluster/ring"},
-	} {
-		req, err := http.NewRequest(probe.method, ts.URL+probe.path, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("%s %s on a non-cluster server: %d, want 404", probe.method, probe.path, resp.StatusCode)
-		}
+	s, ts := testServer(t)
+	resp, body := getJSON(t, ts.URL+"/v1/cluster/ring")
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /v1/cluster/ring on a non-cluster server: %d, want 404", resp.StatusCode)
+	}
+	resp, body = postJSON(t, ts.URL+"/v1/architectures", clusterShareReq("arch-000001", 0))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("share placement on a non-cluster server: %d %s, want 400", resp.StatusCode, body)
+	}
+	if n := s.Registry().Len(); n != 0 {
+		t.Fatalf("refused share registered %d architectures", n)
 	}
 }
 

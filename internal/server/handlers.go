@@ -9,6 +9,7 @@ import (
 	"strconv"
 
 	"lemonade/api"
+	"lemonade/internal/cluster"
 	"lemonade/internal/core"
 	"lemonade/internal/dse"
 	"lemonade/internal/nems"
@@ -66,6 +67,13 @@ const (
 // register it. A provision whose record cannot be persisted fails closed
 // with 500 — an architecture the log does not know about would resurrect
 // with a fresh budget after a restart.
+//
+// A provision carrying a share placement fabricates the architecture
+// guarding one share of a cluster architecture: the placement must name
+// this node (validateClusterPlacement), the secret is the encoded share
+// payload, and the entry is registered under the share's ID. A
+// duplicate share ID (a retried or raced provision) is refused with 409
+// before anything is logged.
 func (s *Server) handleProvision(w http.ResponseWriter, r *http.Request) {
 	if s.refuseDegraded(w) {
 		return
@@ -75,14 +83,21 @@ func (s *Server) handleProvision(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 		return
 	}
+	minSecret := 1
+	if req.Share != nil {
+		if !s.validateClusterPlacement(w, req.Share) {
+			return
+		}
+		minSecret = 2 // a share payload is one X byte plus the data
+	}
 	secret, err := hex.DecodeString(req.SecretHex)
 	if err != nil {
 		s.writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "secret_hex: " + err.Error(), Field: "secret_hex"})
 		return
 	}
-	if len(secret) == 0 || len(secret) > maxSecretBytes {
+	if len(secret) < minSecret || len(secret) > maxSecretBytes {
 		s.writeJSON(w, http.StatusBadRequest, ErrorResponse{
-			Error: fmt.Sprintf("secret_hex must encode 1..%d bytes, got %d", maxSecretBytes, len(secret)),
+			Error: fmt.Sprintf("secret_hex must encode %d..%d bytes, got %d", minSecret, maxSecretBytes, len(secret)),
 			Field: "secret_hex",
 		})
 		return
@@ -122,7 +137,12 @@ func (s *Server) handleProvision(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	e, err := s.reg.Provision(arch, req.Seed, secret)
+	var e *registry.Entry
+	if req.Share != nil {
+		e, err = s.reg.ProvisionShare(cluster.ShareID(req.Share.ClusterID, req.Share.ShareIndex), arch, req.Seed, secret)
+	} else {
+		e, err = s.reg.Provision(arch, req.Seed, secret)
+	}
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -193,36 +213,24 @@ func (s *Server) handleAccess(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 		return
 	}
-	s.serveAccess(w, r, e, req.TempCelsius, func(secret []byte, total, okCount uint64) any {
-		return AccessResponse{
-			SecretHex:  hex.EncodeToString(secret),
-			Attempts:   total,
-			Successful: okCount,
-			Copy:       e.Arch.CurrentCopy(),
-		}
-	})
-}
-
-// serveAccess is the access body both access routes share: one
-// wearout-consuming access of e at the request temperature, inside the
-// resilience envelope, with its outcome counted. On success it writes
-// 200 with the body built from the revealed payload and e's access
-// counters; on failure it writes the mapped error.
-func (s *Server) serveAccess(w http.ResponseWriter, r *http.Request, e *registry.Entry, tempC float64,
-	body func(payload []byte, total, okCount uint64) any) {
 	ctx, done, ok := s.accessEnvelope(w, r)
 	if !ok {
 		return
 	}
 	defer done()
-	payload, err := e.Access(ctx, tempEnv(tempC))
+	secret, err := e.Access(ctx, tempEnv(req.TempCelsius))
 	total, okCount := e.Arch.Accesses()
 	s.countAccessOutcome(err)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, body(payload, total, okCount))
+	s.writeJSON(w, http.StatusOK, AccessResponse{
+		SecretHex:  hex.EncodeToString(secret),
+		Attempts:   total,
+		Successful: okCount,
+		Copy:       e.Arch.CurrentCopy(),
+	})
 }
 
 // tempEnv is the environment a request's temperature selects; zero (the

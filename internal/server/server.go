@@ -73,9 +73,9 @@ type Config struct {
 	// instead of pinning handlers forever.
 	AccessTimeout time.Duration
 	// Cluster, when non-nil, is this node's cluster identity — its name
-	// and the placement ring. Setting it mounts the cluster share
-	// endpoints (provision/access/ring); nil serves a single-node
-	// lemonade with those routes absent.
+	// and the placement ring. Setting it lets provisions carry a share
+	// placement and mounts GET /v1/cluster/ring; nil serves a
+	// single-node lemonade that refuses share placements.
 	Cluster *cluster.Node
 }
 
@@ -192,8 +192,6 @@ func New(cfg Config) *Server {
 	s.route("POST /v1/dse/explore", "explore", s.handleExplore)
 	s.route("POST /v1/dse/frontier", "frontier", s.handleFrontier)
 	if s.cluster != nil {
-		s.route("POST /v1/cluster/shares", "cluster_share", s.handleClusterShare)
-		s.route("POST /v1/cluster/access", "cluster_access", s.handleClusterAccess)
 		s.route("GET /v1/cluster/ring", "cluster_ring", s.handleClusterRing)
 	}
 	s.mux.Handle("GET /metrics", m)

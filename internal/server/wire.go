@@ -39,12 +39,8 @@ type (
 	ExploreResponse     = api.ExploreResponse
 	FrontierResponse    = api.FrontierResponse
 	ErrorResponse       = api.ErrorResponse
-
-	ClusterShareRequest   = api.ClusterShareRequest
-	ClusterShareResponse  = api.ClusterShareResponse
-	ClusterAccessRequest  = api.ClusterAccessRequest
-	ClusterAccessResponse = api.ClusterAccessResponse
-	RingResponse          = api.RingResponse
+	SharePlacement      = api.SharePlacement
+	RingResponse        = api.RingResponse
 )
 
 // specFromWire converts the wire form to a validated dse.Spec, applying

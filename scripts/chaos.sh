@@ -226,8 +226,7 @@ if [ "$mode" = cluster ]; then
     for name in n0 n1 n2; do
         base=$(cat "$workdir/url-$name")
         for idx in 0 1 2; do
-            code=$(curl -s -o /dev/null -w '%{http_code}' -X POST "$base/v1/cluster/access" \
-                -d "{\"cluster_id\": \"arch-000001\", \"share_index\": $idx, \"share_total\": 3}")
+            code=$(curl -s -o /dev/null -w '%{http_code}' -X POST "$base/v1/architectures/arch-000001@s$idx/access")
             [ "$code" = 410 ] && gone=$((gone + 1))
         done
     done
