@@ -400,6 +400,46 @@ func TestFormat1SnapshotRecovers(t *testing.T) {
 	}
 }
 
+// TestFormat2SnapshotRecovers: a data directory whose snapshot is format
+// 2 — every copy's wear in columns, every leveled copy's remap table
+// inline — still recovers, to the same state as its uninterrupted twins,
+// and re-snapshots in the current format to recover identically again.
+// Both fixture architectures hold copies that were touched and copies
+// that were not.
+func TestFormat2SnapshotRecovers(t *testing.T) {
+	dir := copyDir(t, filepath.Join("testdata", "format2"))
+	reg, st, stats := recoverInto(t, dir)
+	if stats.SnapshotEpoch != 2 || stats.SnapshotArchitectures != 2 {
+		t.Fatalf("recovery stats %+v: want the epoch-2 snapshot of 2 architectures", stats)
+	}
+	want := map[string]core.State{
+		"arch-000001": twin(t, 17).State(),
+		"arch-000002": leveledTwin(t, 16).Arch.State(),
+	}
+	if got := archStates(reg); !reflect.DeepEqual(got, want) {
+		t.Fatal("format-2 snapshot recovers a state different from its twins")
+	}
+
+	if err := st.Snapshot(reg); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, snapName(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hdr snapshotHeader
+	if err := json.Unmarshal(snapFrames(t, data)[0], &hdr); err != nil || hdr.Format != snapshotFormat {
+		t.Fatalf("snapshot after a format-2 recovery has format %d (%v), want %d", hdr.Format, err, snapshotFormat)
+	}
+	reg2, _, _ := recoverInto(t, dir)
+	if got := archStates(reg2); !reflect.DeepEqual(got, want) {
+		t.Fatal("re-snapshotted format-2 state does not recover identically")
+	}
+}
+
 // TestRecoveryIndependentOfGOMAXPROCS: the parallel rebuild yields the
 // same registry — states, size, next minted ID — on 1 and 4 workers.
 func TestRecoveryIndependentOfGOMAXPROCS(t *testing.T) {
