@@ -194,12 +194,14 @@ func (c *archCopy) slots() int {
 	return len(c.switches)
 }
 
-// actuate fires logical slot i, through the remap table if present.
-func (c *archCopy) actuate(i int, env nems.Environment) error {
+// actuate fires logical slot i, through the remap table if present,
+// adding accel (the environment's nems.Environment.Acceleration, which
+// callers compute once per access or stress call) to its wear.
+func (c *archCopy) actuate(i int, accel float64) error {
 	if c.bank != nil {
-		return c.bank.Actuate(i, env)
+		return c.bank.Actuate(i, accel)
 	}
-	return c.switches[i].Actuate(env)
+	return c.switches[i].ActuateBy(accel)
 }
 
 // alive reports whether the copy could still serve an access. Unleveled
@@ -228,10 +230,10 @@ func (c *archCopy) alive() bool {
 // failure) plus how many switches conducted. A non-nil error distinguishes
 // a decode failure (enough switches conducted, reconstruction failed) from
 // plain wearout below threshold.
-func (c *archCopy) access(env nems.Environment) ([]byte, int, error) {
+func (c *archCopy) access(accel float64) ([]byte, int, error) {
 	conducting := c.conducting[:0]
 	for i, n := 0, c.slots(); i < n; i++ {
-		if c.actuate(i, env) == nil {
+		if c.actuate(i, accel) == nil {
 			conducting = append(conducting, i)
 		}
 	}
@@ -335,7 +337,7 @@ func (a *Architecture) Access(env nems.Environment) ([]byte, error) {
 			a.cur++
 			continue
 		}
-		secret, conducting, decErr := c.access(env)
+		secret, conducting, decErr := c.access(env.Acceleration())
 		if secret == nil {
 			// The active copy could not serve this access: it degraded
 			// below threshold mid-access or its share state failed to

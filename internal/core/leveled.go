@@ -100,10 +100,10 @@ func (a *Architecture) Stress(env nems.Environment, indices []int, pulses int) (
 	if a.cur >= len(a.copies) {
 		return 0, ErrExhausted
 	}
-	c := a.copies[a.cur]
+	c, accel := a.copies[a.cur], env.Acceleration()
 	for p := 0; p < pulses; p++ {
 		for _, i := range indices {
-			if c.actuate(i, env) == nil {
+			if c.actuate(i, accel) == nil {
 				conducted++
 			}
 		}

@@ -83,6 +83,15 @@ func (a *Architecture) State() State {
 // shape of the state (copy and switch counts) is validated; its origin
 // cannot be, so callers (the WAL recovery path) are responsible for
 // pairing states with their provisioning records.
+//
+// A nil per-copy entry means "as fabricated": a nil Copies[ci] keeps
+// copy ci's switches as Build made them, a nil Assign[ci] keeps its
+// identity remap table and a nil Retired[ci] retires nothing. Restore
+// skips such an entry entirely — no validation, no overlay — so a caller
+// holding a state in which most copies were never touched (a sparse
+// snapshot) pays only for the copies that were. State never captures a
+// nil entry; callers whose format always carries every copy must refuse
+// one themselves.
 func (a *Architecture) Restore(st State) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -91,7 +100,7 @@ func (a *Architecture) Restore(st State) error {
 			len(st.Copies), len(a.copies))
 	}
 	for ci, sw := range st.Copies {
-		if len(sw) != len(a.copies[ci].switches) {
+		if sw != nil && len(sw) != len(a.copies[ci].switches) {
 			return fmt.Errorf("core: restore: copy %d has %d switch states, architecture has %d",
 				ci, len(sw), len(a.copies[ci].switches))
 		}
@@ -123,11 +132,14 @@ func (a *Architecture) Restore(st State) error {
 	// do not cover assignment width/range/distinctness.
 	if a.leveling != nil {
 		for ci := range st.Assign {
+			if st.Assign[ci] == nil && len(st.Retired[ci]) == 0 {
+				continue // as fabricated
+			}
 			scratch, err := nems.NewBank(a.copies[ci].switches, a.design.N)
 			if err != nil {
 				return fmt.Errorf("core: restore: copy %d: %w", ci, err)
 			}
-			if err := scratch.SetAssign(st.Assign[ci]); err != nil {
+			if err := restoreAssign(scratch, st.Assign[ci]); err != nil {
 				return fmt.Errorf("core: restore: copy %d: %w", ci, err)
 			}
 			for _, p := range st.Retired[ci] {
@@ -152,7 +164,7 @@ func (a *Architecture) Restore(st State) error {
 		a.remaps = st.Remaps
 		for ci := range st.Assign {
 			b := a.copies[ci].bank
-			if err := b.SetAssign(st.Assign[ci]); err != nil {
+			if err := restoreAssign(b, st.Assign[ci]); err != nil {
 				return fmt.Errorf("core: restore: copy %d: %w", ci, err)
 			}
 			for _, p := range st.Retired[ci] {
@@ -163,4 +175,13 @@ func (a *Architecture) Restore(st State) error {
 		}
 	}
 	return nil
+}
+
+// restoreAssign installs a restored remap table; nil keeps the bank's
+// fabricated identity table.
+func restoreAssign(b *nems.Bank, assign []int) error {
+	if assign == nil {
+		return nil
+	}
+	return b.SetAssign(assign)
 }

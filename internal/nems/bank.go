@@ -43,9 +43,10 @@ func NewBank(phys []Switch, n int) (*Bank, error) {
 	return b, nil
 }
 
-// Actuate fires the physical switch currently mapped under logical slot i.
-func (b *Bank) Actuate(logical int, env Environment) error {
-	return b.phys[b.assign[logical]].Actuate(env)
+// Actuate fires the physical switch currently mapped under logical slot
+// i, adding accel (an Environment's Acceleration) to its wear.
+func (b *Bank) Actuate(logical int, accel float64) error {
+	return b.phys[b.assign[logical]].ActuateBy(accel)
 }
 
 // Slots returns the logical width of the bank.

@@ -32,8 +32,8 @@ func TestWearoutAccelerationBoundaries(t *testing.T) {
 		{math.Inf(1), 10},           // no temperature exceeds the melting regime
 	}
 	for _, tc := range cases {
-		if got := (Environment{TempCelsius: tc.temp}).wearoutAcceleration(); got != tc.want {
-			t.Errorf("wearoutAcceleration(%v °C) = %v, want %v", tc.temp, got, tc.want)
+		if got := (Environment{TempCelsius: tc.temp}).Acceleration(); got != tc.want {
+			t.Errorf("Acceleration(%v °C) = %v, want %v", tc.temp, got, tc.want)
 		}
 	}
 }
@@ -44,13 +44,13 @@ func TestWearoutAccelerationBoundaries(t *testing.T) {
 // or any other environmental control.
 func TestWearoutAccelerationNeverBelowOne(t *testing.T) {
 	for temp := -300.0; temp <= 600.0; temp += 0.25 {
-		if got := (Environment{TempCelsius: temp}).wearoutAcceleration(); got < 1 {
-			t.Fatalf("wearoutAcceleration(%v °C) = %v < 1: environment extended device life", temp, got)
+		if got := (Environment{TempCelsius: temp}).Acceleration(); got < 1 {
+			t.Fatalf("Acceleration(%v °C) = %v < 1: environment extended device life", temp, got)
 		}
 	}
 	for _, temp := range []float64{math.Inf(-1), math.Inf(1)} {
-		if got := (Environment{TempCelsius: temp}).wearoutAcceleration(); got < 1 {
-			t.Fatalf("wearoutAcceleration(%v) = %v < 1", temp, got)
+		if got := (Environment{TempCelsius: temp}).Acceleration(); got < 1 {
+			t.Fatalf("Acceleration(%v) = %v < 1", temp, got)
 		}
 	}
 }
@@ -110,7 +110,7 @@ func TestBankSetAssignValidation(t *testing.T) {
 	}
 	// A dead target is legal (replay must reinstall any recorded table).
 	dead := deterministicBank(t, 2, 1, 0)
-	_ = dead.Actuate(0, RoomTemp) // kills phys 0 (lifetime 0)
+	_ = dead.Actuate(0, RoomTemp.Acceleration()) // kills phys 0 (lifetime 0)
 	if err := dead.SetAssign([]int{0, 1}); err != nil {
 		t.Fatalf("SetAssign onto a dead switch must be legal for replay: %v", err)
 	}
@@ -121,12 +121,12 @@ func TestBankPlanRemapRotatesOntoLeastWorn(t *testing.T) {
 	// Age slot 0 hard (10 cycles) and slot 1 lightly (2 cycles); the two
 	// spares are fresh. The plan must move service onto the fresh spares.
 	for i := 0; i < 10; i++ {
-		if err := b.Actuate(0, RoomTemp); err != nil {
+		if err := b.Actuate(0, RoomTemp.Acceleration()); err != nil {
 			t.Fatalf("actuate: %v", err)
 		}
 	}
 	for i := 0; i < 2; i++ {
-		if err := b.Actuate(1, RoomTemp); err != nil {
+		if err := b.Actuate(1, RoomTemp.Acceleration()); err != nil {
 			t.Fatalf("actuate: %v", err)
 		}
 	}
@@ -148,8 +148,8 @@ func TestBankPlanRemapRotatesOntoLeastWorn(t *testing.T) {
 func TestBankRetireSwapsSpareUnderSlot(t *testing.T) {
 	b := deterministicBank(t, 2, 1, 1)
 	// Kill slot 0's switch: one successful actuation then failure.
-	_ = b.Actuate(0, RoomTemp)
-	_ = b.Actuate(0, RoomTemp)
+	_ = b.Actuate(0, RoomTemp.Acceleration())
+	_ = b.Actuate(0, RoomTemp.Acceleration())
 	if slotWorking(b, 0) {
 		t.Fatal("slot 0 should be dead")
 	}
@@ -188,8 +188,8 @@ func TestBankRetireSwapsSpareUnderSlot(t *testing.T) {
 func TestBankPlanPadsWhenPoolExhausted(t *testing.T) {
 	b := deterministicBank(t, 2, 0, 0)
 	// Lifetime 0: first actuation kills each switch.
-	_ = b.Actuate(0, RoomTemp)
-	_ = b.Actuate(1, RoomTemp)
+	_ = b.Actuate(0, RoomTemp.Acceleration())
+	_ = b.Actuate(1, RoomTemp.Acceleration())
 	assign, retire := b.PlanRemap()
 	if len(retire) != 2 {
 		t.Fatalf("retire = %v, want both switches", retire)

@@ -50,10 +50,12 @@ type Environment struct {
 // RoomTemp is the nominal specification environment.
 var RoomTemp = Environment{TempCelsius: 25}
 
-// wearoutAcceleration returns the multiplicative factor applied to wear per
+// Acceleration returns the multiplicative factor applied to wear per
 // actuation. Always >= 1: the paper's devices cannot be life-extended by
-// environmental control.
-func (e Environment) wearoutAcceleration() float64 {
+// environmental control. It is fixed for an environment, so a caller
+// actuating many switches under one environment computes it once and
+// fires them through ActuateBy.
+func (e Environment) Acceleration() float64 {
 	switch {
 	case e.TempCelsius >= 400:
 		// SiC switches suffer melting-type failures at 500 °C; the paper
@@ -124,12 +126,15 @@ func FabricateDeterministic(lifetimeCycles uint64) *Switch {
 // during this actuation (the actuation that kills the switch does NOT
 // conduct: the paper counts a device as working "for t accesses" if access
 // t still succeeds).
-func (s *Switch) Actuate(env Environment) error {
+func (s *Switch) Actuate(env Environment) error { return s.ActuateBy(env.Acceleration()) }
+
+// ActuateBy is Actuate under an environment whose Acceleration is accel.
+func (s *Switch) ActuateBy(accel float64) error {
 	if s.failCycle != 0 {
 		return ErrFailed
 	}
 	s.actuated++
-	s.wear += env.wearoutAcceleration()
+	s.wear += accel
 	if s.wear > s.lifetime {
 		s.failCycle = s.actuated
 		return ErrFailed

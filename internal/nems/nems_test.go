@@ -136,7 +136,7 @@ func TestEnvironmentAccelerationFactors(t *testing.T) {
 		{25, 1}, {100, 1}, {200, 2}, {500, 10}, {-80, 2}, {0, 1},
 	}
 	for _, c := range cases {
-		if got := (Environment{TempCelsius: c.temp}).wearoutAcceleration(); got != c.want {
+		if got := (Environment{TempCelsius: c.temp}).Acceleration(); got != c.want {
 			t.Errorf("acceleration at %g°C = %g, want %g", c.temp, got, c.want)
 		}
 	}

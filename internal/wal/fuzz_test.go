@@ -261,8 +261,9 @@ func TestReplayRefusesMalformedRecords(t *testing.T) {
 	}
 }
 
-// fuzzSnapshot builds a well-formed format-2 snapshot file of two small
-// architectures, one of them wear-leveled, each a few operations in.
+// fuzzSnapshot builds a well-formed snapshot file, in the current format,
+// of two small architectures, one of them wear-leveled, each a few
+// operations in.
 func fuzzSnapshot(tb testing.TB) []byte {
 	tb.Helper()
 	d := testDesign(tb)
@@ -329,11 +330,13 @@ func FuzzSnapshotDecode(f *testing.F) {
 	valid := fuzzSnapshot(f)
 	f.Add(valid)
 	f.Add(valid[:len(valid)-9])
-	format1, err := os.ReadFile(filepath.Join("testdata", "format1", snapName(2)))
-	if err != nil {
-		f.Fatal(err)
+	for _, old := range []string{"format1", "format2"} {
+		data, err := os.ReadFile(filepath.Join("testdata", old, snapName(2)))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
 	}
-	f.Add(format1)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if !fuzzSnapshotRecoverable(data) {

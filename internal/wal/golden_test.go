@@ -84,7 +84,7 @@ func goldenRun(t *testing.T, m *metrics.Registry) (string, []byte, RecoveryStats
 }
 
 // TestOnDiskBytesGolden pins the exact bytes of a WAL segment and of a
-// format-2 snapshot written by the seeded leveled run against
+// snapshot (current format) written by the seeded leveled run against
 // testdata/ondisk.golden. The lemonbench checksums hash only recovered
 // state, so without this a change to record framing or JSON layout would
 // pass every other test while leaving older data directories unreadable.

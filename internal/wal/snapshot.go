@@ -16,19 +16,19 @@ import (
 	"lemonade/internal/registry"
 )
 
-// snapshotFormat is the layout every snapshot is written in. Format 1 —
-// one JSON frame carrying every architecture inline — is still read,
-// never written.
-const snapshotFormat = 2
+// snapshotFormat is the layout every snapshot is written in. Formats 1
+// (one JSON frame carrying every architecture inline) and 2 (one frame
+// per architecture carrying every copy) are still read, never written.
+const snapshotFormat = 3
 
 // wearBytes is the width of one switch across the three wear columns:
 // wear as float64 bits, actuations, fail cycle, each a u64le.
 const wearBytes = 24
 
-// snapshotHeader is the first frame of a snap-*.snap file. In format 2
-// it holds only the header, and ArchCount architecture frames follow it.
-// In format 1 it was the file's only frame, with every architecture
-// inline in Archs.
+// snapshotHeader is the first frame of a snap-*.snap file. In formats 2
+// and 3 it holds only the header, and ArchCount architecture frames
+// follow it. In format 1 it was the file's only frame, with every
+// architecture inline in Archs.
 type snapshotHeader struct {
 	Format           int            `json:"format"`
 	Epoch            uint64         `json:"epoch"` // first segment NOT covered
@@ -50,10 +50,20 @@ type snapshotArch struct {
 	// the architecture is unleveled.
 	Spares     int    `json:"spares,omitempty"`
 	RemapEpoch uint64 `json:"remap_epoch,omitempty"`
-	// Switches is the per-copy switch count of a format-2 frame: the shape
-	// of the wear columns that stand in for State.Copies.
+	// Switches is the switch count of each copy the frame carries — every
+	// copy in format 2, the touched ones in format 3: the shape of the
+	// wear columns that stand in for State.Copies.
 	Switches []int `json:"switches,omitempty"`
+	// Touched lists, ascending, the copies a format-3 frame carries: those
+	// whose state differs from what RebuildArch fabricates. Every other
+	// copy restores as fabricated. Switches and the State.Assign and
+	// State.Retired entries are aligned with Touched.
+	Touched []int `json:"touched,omitempty"`
 }
+
+// leveled reports whether the architecture is the wear-leveled variant,
+// by the rule RebuildArch applies.
+func (a *snapshotArch) leveled() bool { return a.Spares > 0 || a.RemapEpoch > 0 }
 
 // captureArch records one registry entry for a snapshot.
 func captureArch(e *registry.Entry) snapshotArch {
@@ -68,17 +78,18 @@ func captureArch(e *registry.Entry) snapshotArch {
 	return sa
 }
 
-// encodeSnapshot lays out a format-2 snapshot file: the JSON header
+// encodeSnapshot lays out a format-3 snapshot file: the JSON header
 // frame, then one frame per architecture whose payload is
 //
 //	[meta len u32le][meta JSON][wear f64 bits × S][actuated × S][fail cycle × S]
 //
-// S is the architecture's switch count over all copies in order, and
-// meta is its snapshotArch with State.Copies replaced by Switches. Only
-// the wear is binary: it is nearly all of the bytes and nearly all of
-// the decode time as JSON, while the header and every metadata part stay
-// readable with jq. Every frame must fit the frame cap, or the snapshot
-// is refused.
+// Only the copies in Touched (see touchedCopies) are written: S is their
+// switch count, in order, and meta is the snapshotArch with State.Copies
+// replaced by Touched and Switches and State.Assign and State.Retired cut
+// to the touched copies. Only the wear is binary: it is nearly all of the
+// bytes and nearly all of the decode time as JSON, while the header and
+// every metadata part stay readable with jq. Every frame must fit the
+// frame cap, or the snapshot is refused.
 func encodeSnapshot(hdr snapshotHeader, archs []snapshotArch) ([]byte, error) {
 	hdr.ArchCount = len(archs)
 	head, err := json.Marshal(hdr)
@@ -86,13 +97,19 @@ func encodeSnapshot(hdr snapshotHeader, archs []snapshotArch) ([]byte, error) {
 		return nil, fmt.Errorf("wal: encoding snapshot header: %w", err)
 	}
 	metas := make([][]byte, len(archs))
+	touched := make([][]int, len(archs))
 	size := frameHeader + len(head)
 	for i := range archs {
 		m := archs[i]
-		m.Switches = make([]int, len(m.State.Copies))
-		for ci, sw := range m.State.Copies {
-			m.Switches[ci] = len(sw)
-			size += wearBytes * len(sw)
+		touched[i] = touchedCopies(m.State)
+		m.Touched = touched[i]
+		m.Switches = make([]int, len(m.Touched))
+		for j, ci := range m.Touched {
+			m.Switches[j] = len(m.State.Copies[ci])
+			size += wearBytes * m.Switches[j]
+		}
+		if m.State.Assign != nil {
+			m.State.Assign, m.State.Retired = pick(m.State.Assign, m.Touched), pick(m.State.Retired, m.Touched)
 		}
 		m.State.Copies = nil
 		if metas[i], err = json.Marshal(m); err != nil {
@@ -106,7 +123,7 @@ func encodeSnapshot(hdr snapshotHeader, archs []snapshotArch) ([]byte, error) {
 	}
 	var payload []byte
 	for i := range archs {
-		copies := archs[i].State.Copies
+		copies := pick(archs[i].State.Copies, touched[i])
 		payload = binary.LittleEndian.AppendUint32(payload[:0], uint32(len(metas[i])))
 		payload = append(payload, metas[i]...)
 		for _, sw := range copies {
@@ -131,9 +148,54 @@ func encodeSnapshot(hdr snapshotHeader, archs []snapshotArch) ([]byte, error) {
 	return buf, nil
 }
 
-// decodeArchFrame decodes one format-2 architecture frame payload. The
-// column length must match the declared copy shape exactly.
-func decodeArchFrame(payload []byte) (*snapshotArch, error) {
+// touchedCopies returns, ascending, the copies of st that differ from
+// what RebuildArch fabricates: a copy with any switch whose wear,
+// actuation count or fail cycle is non-zero, or a leveled copy whose
+// remap table is not the identity or that has retired a switch. Leaving
+// the others out refunds nothing: a fresh build reproduces each of them
+// bit for bit, which is exactly what restoring it would write.
+func touchedCopies(st core.State) []int {
+	var touched []int
+	for ci := range st.Copies {
+		if copyTouched(st, ci) {
+			touched = append(touched, ci)
+		}
+	}
+	return touched
+}
+
+func copyTouched(st core.State, ci int) bool {
+	for _, s := range st.Copies[ci] {
+		if math.Float64bits(s.Wear) != 0 || s.Actuated != 0 || s.FailCycle != 0 {
+			return true
+		}
+	}
+	if st.Assign == nil {
+		return false
+	}
+	for i, p := range st.Assign[ci] {
+		if p != i {
+			return true
+		}
+	}
+	return len(st.Retired[ci]) > 0
+}
+
+// pick returns the entries of per-copy table xs at the given copies.
+func pick[T any](xs []T, copies []int) []T {
+	out := make([]T, len(copies))
+	for j, ci := range copies {
+		out[j] = xs[ci]
+	}
+	return out
+}
+
+// decodeArchFrame decodes one format-2 or format-3 architecture frame
+// payload into a snapshotArch whose State has one entry per copy. The
+// column length must match the declared copy shape exactly. A format-3
+// frame's untouched copies get nil entries, which core.Restore keeps as
+// fabricated; a format-2 frame must carry every copy.
+func decodeArchFrame(payload []byte, format int) (*snapshotArch, error) {
 	if len(payload) < 4 {
 		return nil, fmt.Errorf("%d-byte architecture frame has no metadata length", len(payload))
 	}
@@ -144,6 +206,11 @@ func decodeArchFrame(payload []byte) (*snapshotArch, error) {
 	a := new(snapshotArch)
 	if err := json.Unmarshal(payload[4:4+n], a); err != nil {
 		return nil, fmt.Errorf("architecture metadata is not valid JSON: %v", err)
+	}
+	if format == snapshotFormat {
+		if err := a.checkTouched(); err != nil {
+			return nil, err
+		}
 	}
 	cols := payload[4+n:]
 	limit, total := len(cols)/wearBytes, 0
@@ -167,11 +234,80 @@ func decodeArchFrame(payload []byte) (*snapshotArch, error) {
 			FailCycle: binary.LittleEndian.Uint64(fail[8*i:]),
 		}
 	}
-	a.State.Copies = make([][]nems.State, len(a.Switches))
-	for ci, k := range a.Switches {
-		a.State.Copies[ci], flat = flat[:k:k], flat[k:]
+	copies := make([][]nems.State, len(a.Switches))
+	for j, k := range a.Switches {
+		copies[j], flat = flat[:k:k], flat[k:]
+	}
+	if format != snapshotFormat {
+		a.State.Copies = copies
+		return a, checkDense(a.ID, a.State)
+	}
+	st := &a.State
+	st.Copies = spread(copies, a.Touched, a.Design.Copies)
+	if a.leveled() {
+		st.Assign = spread(st.Assign, a.Touched, a.Design.Copies)
+		st.Retired = spread(st.Retired, a.Touched, a.Design.Copies)
 	}
 	return a, nil
+}
+
+// checkTouched validates a format-3 frame's sparse shape before its
+// columns are read: Touched ascends without repeats inside the design's
+// copies, and Switches and (leveled) the remap tables and retirement
+// sets hold one entry per touched copy, as (unleveled) they hold none.
+func (a *snapshotArch) checkTouched() error {
+	if a.Design.Copies < 1 {
+		return fmt.Errorf("%s: design has %d copies", a.ID, a.Design.Copies)
+	}
+	prev := -1
+	for _, ci := range a.Touched {
+		if ci <= prev || ci >= a.Design.Copies {
+			return fmt.Errorf("%s: touched copies %v do not ascend inside the design's %d copies",
+				a.ID, a.Touched, a.Design.Copies)
+		}
+		prev = ci
+	}
+	if len(a.Switches) != len(a.Touched) {
+		return fmt.Errorf("%s: %d switch counts for %d touched copies", a.ID, len(a.Switches), len(a.Touched))
+	}
+	tables := 0
+	if a.leveled() {
+		tables = len(a.Touched)
+	}
+	if len(a.State.Assign) != tables || len(a.State.Retired) != tables {
+		return fmt.Errorf("%s: %d remap tables and %d retirement sets, want %d for %d touched copies",
+			a.ID, len(a.State.Assign), len(a.State.Retired), tables, len(a.Touched))
+	}
+	return nil
+}
+
+// spread places the touched copies' entries at their copy indices of a
+// per-copy table of length copies; every other entry stays nil, "as
+// fabricated" to core.Restore.
+func spread[T any](xs []T, touched []int, copies int) []T {
+	out := make([]T, copies)
+	for j, ci := range touched {
+		out[ci] = xs[j]
+	}
+	return out
+}
+
+// checkDense refuses a format-1 or format-2 state with a nil per-copy
+// switch or remap entry. Those formats carry every copy, so such an
+// entry is damage — a shape error before core.Restore read nil as "as
+// fabricated", and it still is.
+func checkDense(id string, st core.State) error {
+	for ci, sw := range st.Copies {
+		if sw == nil {
+			return fmt.Errorf("%s: copy %d has no switch states", id, ci)
+		}
+	}
+	for ci, as := range st.Assign {
+		if as == nil {
+			return fmt.Errorf("%s: copy %d has no remap table", id, ci)
+		}
+	}
+	return nil
 }
 
 // restoreSnapshot loads the snapshot for epoch into reg. Every frame's
@@ -214,7 +350,7 @@ func (s *DiskStore) restoreSnapshot(reg *registry.Registry, epoch uint64) (snaps
 				Reason: "format-1 snapshot holds more than one frame"}
 		}
 		hdr.ArchCount = len(hdr.Archs)
-	case snapshotFormat:
+	case 2, snapshotFormat:
 		if n := len(frames) - 1; hdr.ArchCount != n {
 			ce := &CorruptionError{File: name, Record: 0, Offset: 0,
 				Reason: fmt.Sprintf("header declares %d architectures, the file holds %d", hdr.ArchCount, n)}
@@ -241,11 +377,13 @@ func (s *DiskStore) restoreSnapshot(reg *registry.Registry, epoch uint64) (snaps
 		}
 		return i + 1, offs[i+1]
 	}
-	decode := func(i int) (*snapshotArch, error) {
+	decode := func(i int) (a *snapshotArch, err error) {
 		if hdr.Format == 1 {
-			return &hdr.Archs[i], nil
+			a = &hdr.Archs[i]
+			err = checkDense(a.ID, a.State)
+		} else {
+			a, err = decodeArchFrame(frames[i+1], hdr.Format)
 		}
-		a, err := decodeArchFrame(frames[i+1])
 		if err != nil {
 			rec, off := where(i)
 			return nil, &CorruptionError{File: name, Record: rec, Offset: off, Reason: err.Error()}

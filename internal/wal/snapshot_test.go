@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -15,6 +16,7 @@ import (
 	"lemonade/internal/core"
 	"lemonade/internal/dse"
 	"lemonade/internal/metrics"
+	"lemonade/internal/nems"
 	"lemonade/internal/registry"
 	"lemonade/internal/reliability"
 	"lemonade/internal/rng"
@@ -182,10 +184,27 @@ func editMeta(t *testing.T, p []byte, edit func(*snapshotArch)) []byte {
 	return append(append(out, meta...), p[4+n:]...)
 }
 
+// wearEveryCopy overlays one hot actuation's wear on every switch of
+// every copy of a fresh architecture, standing in for a long history:
+// every copy then differs from a fresh build, so a snapshot carries all
+// of them.
+func wearEveryCopy(tb testing.TB, arch *core.Architecture) {
+	tb.Helper()
+	st := arch.State()
+	for _, sw := range st.Copies {
+		for i := range sw {
+			sw[i] = nems.State{Wear: 2, Actuated: 1}
+		}
+	}
+	if err := arch.Restore(st); err != nil {
+		tb.Fatal(err)
+	}
+}
+
 // TestSnapshotOverFrameCap is the regression for snapshots larger than
 // the 16 MiB frame cap, which a single-frame snapshot wrote and recovery
-// then refused: 96 paper-point architectures snapshot, restart and
-// recover with identical state.
+// then refused: 96 paper-point architectures, every copy of each worn,
+// snapshot, restart and recover with identical state.
 func TestSnapshotOverFrameCap(t *testing.T) {
 	d, err := dse.Explore(dse.Spec{
 		Dist:        weibull.MustNew(14, 8),
@@ -204,7 +223,9 @@ func TestSnapshotOverFrameCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 96; i++ {
-		e, err := reg.Provision(buildFleetArch(t, d, i), uint64(testSeed+i), testSecret())
+		arch := buildFleetArch(t, d, i)
+		wearEveryCopy(t, arch)
+		e, err := reg.Provision(arch, uint64(testSeed+i), testSecret())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,8 +313,8 @@ func TestSnapshotRefusesOversizedFrame(t *testing.T) {
 	}
 }
 
-// TestSnapshotCorruption: every way a format-2 snapshot can be damaged
-// or inconsistent is refused with a *CorruptionError naming the file
+// TestSnapshotCorruption: every way a snapshot can be damaged or
+// inconsistent is refused with a *CorruptionError naming the file
 // and the record, and never panics.
 func TestSnapshotCorruption(t *testing.T) {
 	src := t.TempDir()
@@ -348,18 +369,220 @@ func TestSnapshotCorruption(t *testing.T) {
 		{"duplicate id", meta(2, func(m *snapshotArch) { m.ID = "arch-000001" }), 2},
 		{"header only", joinFrames(t, frames[:1]), 1},
 	}
+	// refused asserts data is refused as corruption of the given record,
+	// for a reason that contains reason.
+	refused := func(t *testing.T, data []byte, record int, reason string) {
+		t.Helper()
+		_, err := recoverSnapshotBytes(t, data)
+		var ce *CorruptionError
+		if !errors.As(err, &ce) {
+			t.Fatalf("got %v, want *CorruptionError", err)
+		}
+		if ce.File != snapName(2) || ce.Record != record {
+			t.Fatalf("error names %s record %d, want %s record %d (%v)",
+				ce.File, ce.Record, snapName(2), record, ce)
+		}
+		if !strings.Contains(ce.Reason, reason) {
+			t.Fatalf("reason %q does not say %q", ce.Reason, reason)
+		}
+	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := recoverSnapshotBytes(t, tc.data)
-			var ce *CorruptionError
-			if !errors.As(err, &ce) {
-				t.Fatalf("got %v, want *CorruptionError", err)
+		t.Run(tc.name, func(t *testing.T) { refused(t, tc.data, tc.record, "") })
+	}
+
+	// The sparse shape of format 3, on the twins' snapshot: frame 1 is
+	// unleveled with copies 0-2 touched, frame 2 leveled with copies 0-1.
+	twins := snapFrames(t, twinSnapshot(t))
+	if _, err := recoverSnapshotBytes(t, joinFrames(t, twins)); err != nil {
+		t.Fatalf("undamaged twin snapshot refused: %v", err)
+	}
+	sparse := func(i int, edit func(*snapshotArch)) []byte {
+		fs := append([][]byte(nil), twins...)
+		fs[i] = editMeta(t, fs[i], edit)
+		return joinFrames(t, fs)
+	}
+	// Old formats carry every copy: a nil entry is still damage there,
+	// not "as fabricated".
+	format1, err := os.ReadFile(filepath.Join("testdata", "format1", snapName(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	format2, err := os.ReadFile(filepath.Join("testdata", "format2", snapName(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f2 := snapFrames(t, format2)
+	f2[2] = editMeta(t, f2[2], func(m *snapshotArch) { m.State.Assign[3] = nil })
+	for _, tc := range []struct {
+		name   string
+		data   []byte
+		record int
+		reason string
+	}{
+		{"touched copy out of range", sparse(1, func(m *snapshotArch) { m.Touched[2] = m.Design.Copies }), 1, "do not ascend"},
+		{"negative touched copy", sparse(1, func(m *snapshotArch) { m.Touched[0] = -1 }), 1, "do not ascend"},
+		{"touched copies unsorted", sparse(1, func(m *snapshotArch) { m.Touched[0], m.Touched[1] = m.Touched[1], m.Touched[0] }), 1, "do not ascend"},
+		{"touched copy duplicated", sparse(2, func(m *snapshotArch) { m.Touched[1] = m.Touched[0] }), 2, "do not ascend"},
+		{"switch counts do not match touched", sparse(1, func(m *snapshotArch) { m.Switches = m.Switches[:2] }), 1, "switch counts for 3 touched copies"},
+		{"wear columns do not match touched shape", sparse(1, func(m *snapshotArch) {
+			m.Touched, m.Switches = m.Touched[:2], m.Switches[:2]
+		}), 1, "wear columns hold"},
+		{"remap tables not one per touched copy", sparse(2, func(m *snapshotArch) { m.State.Assign = m.State.Assign[:1] }), 2, "remap tables"},
+		{"retirement sets not one per touched copy", sparse(2, func(m *snapshotArch) { m.State.Retired = append(m.State.Retired, nil) }), 2, "retirement sets"},
+		{"remap tables on an unleveled frame", sparse(1, func(m *snapshotArch) { m.State.Assign = [][]int{{0}, {1}, {2}} }), 1, "remap tables"},
+		{"design without copies", sparse(1, func(m *snapshotArch) { m.Design.Copies = -1 }), 1, "design has -1 copies"},
+		{"format-1 copy without switch states", joinFrames(t, [][]byte{editHeader(t, snapFrames(t, format1)[0], func(h *snapshotHeader) {
+			h.Archs[0].State.Copies[4] = nil
+		})}), 0, "copy 4 has no switch states"},
+		{"format-2 copy without remap table", joinFrames(t, f2), 2, "copy 3 has no remap table"},
+	} {
+		t.Run(tc.name, func(t *testing.T) { refused(t, tc.data, tc.record, tc.reason) })
+	}
+}
+
+// twinSnapshot encodes, in the current format, the twins of the format-2
+// fixture: arch-000001 is unleveled 17 accesses in (copies 0-2 touched),
+// arch-000002 leveled 16 mixed ops in (copies 0-1 touched); both have
+// untouched copies after those.
+func twinSnapshot(t *testing.T) []byte {
+	t.Helper()
+	d, lv := testDesign(t), testLeveling()
+	archs := []snapshotArch{
+		{ID: "arch-000001", Seed: testSeed, Secret: testSecret(), Design: d, State: twin(t, 17).State()},
+		{ID: "arch-000002", Seed: testSeed, Secret: testSecret(), Design: d, State: leveledTwin(t, 16).Arch.State(),
+			Spares: lv.Spares, RemapEpoch: lv.Epoch},
+	}
+	data, err := encodeSnapshot(snapshotHeader{Format: snapshotFormat, Epoch: 2, CreatedUnixNanos: 1}, archs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// The ways TestSparseSnapshotRoundTrip sets a copy apart from a fresh
+// build; the last three apply to leveled copies only.
+const (
+	keepFabricated = iota
+	wearOnly
+	assignOnly
+	retiredOnly
+	everyKind
+)
+
+// touchCopy sets copy ci of st apart from a fresh build in the given way,
+// drawing the details from r. Any one non-zero wear field, one spare
+// under a logical slot or one retired switch is enough.
+func touchCopy(st *core.State, ci, kind, n int, r *rng.RNG) {
+	if kind == wearOnly || kind == everyKind {
+		sw := st.Copies[ci]
+		s := &sw[r.Intn(len(sw))]
+		switch r.Intn(3) {
+		case 0:
+			s.Wear = 1 + 9*r.Float64()
+		case 1:
+			s.Actuated = uint64(1 + r.Intn(40))
+		default:
+			s.FailCycle = uint64(1 + r.Intn(40))
+		}
+	}
+	if kind == assignOnly || kind == everyKind {
+		spares := len(st.Copies[ci]) - n
+		st.Assign[ci][r.Intn(n)] = n + r.Intn(spares)
+	}
+	if kind == retiredOnly || kind == everyKind {
+		st.Retired[ci] = append(st.Retired[ci], r.Intn(len(st.Copies[ci])))
+	}
+}
+
+// TestSparseSnapshotRoundTrip is the seeded property behind format 3:
+// whichever copies are touched — none, every one or only some, by wear
+// alone, a remap table alone or a retirement alone — encode, decode and
+// Restore give back the core.State JSON byte for byte, and the frame
+// carries exactly the touched copies.
+func TestSparseSnapshotRoundTrip(t *testing.T) {
+	d, lv := testDesign(t), testLeveling()
+	r := rng.New(2026)
+	var seen [everyKind + 1]int
+	for trial := 0; trial < 36; trial++ {
+		var archs []snapshotArch
+		var touched [][]int
+		for i, leveled := range []bool{false, true} {
+			seed := uint64(testSeed + 2*trial + i)
+			var arch *core.Architecture
+			var err error
+			if leveled {
+				arch, err = core.BuildLeveled(d, testSecret(), lv, rng.New(seed))
+			} else {
+				arch, err = core.Build(d, testSecret(), rng.New(seed))
 			}
-			if ce.File != snapName(2) || ce.Record != tc.record {
-				t.Fatalf("error names %s record %d, want %s record %d (%v)",
-					ce.File, ce.Record, snapName(2), tc.record, ce)
+			if err != nil {
+				t.Fatal(err)
 			}
-		})
+			st := arch.State()
+			kinds := 1 // wear is the only way an unleveled copy can differ
+			if leveled {
+				kinds = everyKind
+			}
+			var want []int
+			for ci := range st.Copies {
+				kind := keepFabricated
+				switch trial % 3 {
+				case 1: // every copy
+					kind = 1 + r.Intn(kinds)
+				case 2: // some copies: the trial's copy is kept, the next touched
+					if ci == (trial+1)%d.Copies || (ci != trial%d.Copies && r.Bool()) {
+						kind = 1 + r.Intn(kinds)
+					}
+				}
+				seen[kind]++
+				if kind != keepFabricated {
+					touchCopy(&st, ci, kind, d.N, r)
+					want = append(want, ci)
+				}
+			}
+			if err := arch.Restore(st); err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
+			sa := snapshotArch{ID: fmt.Sprintf("arch-%06d", i+1), Seed: seed, Secret: testSecret(), Design: d, State: arch.State()}
+			if leveled {
+				sa.Spares, sa.RemapEpoch = lv.Spares, lv.Epoch
+			}
+			archs, touched = append(archs, sa), append(touched, want)
+		}
+		data, err := encodeSnapshot(snapshotHeader{Format: snapshotFormat, Epoch: 2, CreatedUnixNanos: 1}, archs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range snapFrames(t, data)[1:] {
+			editMeta(t, p, func(m *snapshotArch) {
+				if fmt.Sprint(m.Touched) != fmt.Sprint(touched[i]) {
+					t.Fatalf("trial %d %s: frame carries copies %v, want %v", trial, m.ID, m.Touched, touched[i])
+				}
+			})
+		}
+		reg, err := recoverSnapshotBytes(t, data)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		got := archStates(reg)
+		for _, sa := range archs {
+			want, err := json.Marshal(sa.State)
+			if err != nil {
+				t.Fatal(err)
+			}
+			have, err := json.Marshal(got[sa.ID])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(have, want) {
+				t.Fatalf("trial %d %s: restored state differs from the encoded one\n got %s\nwant %s", trial, sa.ID, have, want)
+			}
+		}
+	}
+	for kind, n := range seen {
+		if n == 0 {
+			t.Fatalf("no copy was touched in way %d; the seed no longer covers every case", kind)
+		}
 	}
 }
 

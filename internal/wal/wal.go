@@ -38,16 +38,20 @@
 // Every frame is [len u32le][crc32(payload) u32le][payload], and no
 // payload may exceed maxRecordLen: the writer refuses what recovery
 // would refuse. Log records are JSON for debuggability (corrupted state
-// must be diagnosable with od and jq at 3am). A snapshot (format 2) is a
+// must be diagnosable with od and jq at 3am). A snapshot (format 3) is a
 // JSON header frame — format, epoch, creation time, architecture count —
 // followed by one frame per architecture: a length-prefixed JSON
-// metadata part (ID, seed, secret, design, counters, RNG, leveling
-// tables, per-copy switch counts), then the switch wear as three
-// fixed-width little-endian columns (wear as float64 bits, actuations,
-// fail cycle). Only the wear is binary, because it is nearly all of a
-// snapshot's bytes and nearly all of its JSON decode time; jq still
-// reads the header and every metadata part. Format-1 snapshots, one JSON
-// frame holding everything, are still read but never written.
+// metadata part (ID, seed, secret, design, counters, RNG, the touched
+// copies, their switch counts and leveling tables), then the touched
+// copies' switch wear as three fixed-width little-endian columns (wear
+// as float64 bits, actuations, fail cycle). A copy is touched when its
+// state differs from what a fresh build fabricates; every other copy is
+// restored as fabricated, which refunds nothing. Only the wear is
+// binary, because it is nearly all of a snapshot's bytes and nearly all
+// of its JSON decode time; jq still reads the header and every metadata
+// part. Format-1 snapshots (one JSON frame holding everything) and
+// format-2 snapshots (format 3 with every copy written) are still read
+// but never written.
 //
 // A snapshot with epoch E captures all effects of segments < E, so
 // recovery is: load the newest snapshot (its architectures rebuilt in

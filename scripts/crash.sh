@@ -68,11 +68,20 @@ kill -9 "$pid"
 wait "$pid" 2>/dev/null || true
 
 # ---- Phase 2: restart on the same directory and finish the budget. ----
+phase1_lines=$(wc -l <"$workdir/log")
 start_daemon
 echo "crash: phase 2 on $base"
-grep -q 'lemonaded: recovered' "$workdir/log" || {
+recovered=$(tail -n +"$((phase1_lines + 1))" "$workdir/log" | grep 'lemonaded: recovered' || true)
+[ -n "$recovered" ] || {
     echo "crash: no recovery log line"; tail "$workdir/log"; exit 1
 }
+# Phase 1 crossed the snapshot threshold, so the restart must restore a
+# snapshot (epoch > 0) and not only replay segments.
+epoch=$(echo "$recovered" | sed -n 's/.*snapshot epoch \([0-9]*\).*/\1/p')
+[ "${epoch:-0}" -gt 0 ] || {
+    echo "crash: restart restored no snapshot: $recovered"; exit 1
+}
+echo "crash: restart restored snapshot epoch $epoch"
 status=$(curl -sf "$base/v1/architectures/$id")
 echo "$status" | grep -q '"attempts": 17' || {
     echo "crash: recovered state lost attempts:"; echo "$status"; exit 1
