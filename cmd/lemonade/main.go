@@ -1,27 +1,32 @@
-// Command lemonade is the CLI front end of the library.
+// Command lemonade is the parametric CLI front end of the library: design-space
+// exploration (§4–5), the one-time-pad equations (Eqs 9–15) and M-way plans.
 //
 // Subcommands:
 //
-//	dse     — explore the design space for a device model and usage target
-//	sim     — Monte-Carlo a design's empirical access bounds
-//	otp     — analyze a one-time-pad parameter point (Eqs 9–15)
-//	attack  — run the brute-force race against a design
-//	wearattack — targeted-wearout attack vs the wear-leveling defense
+//	dse      — explore the design space for a device model and usage target
+//	sim      — Monte-Carlo a design's empirical access bounds
+//	otp      — analyze a one-time-pad parameter point (Eqs 9–15)
+//	attack   — run the brute-force race against a design
+//	fit      — characterize a simulated lot, then design from the fitted model
+//	plan     — M-way replication plan for a deployment (§4.1.5)
+//	chipplan — size a one-time-pad chip
 //
-// Every subcommand takes -seed for reproducibility.
+// `lemonade <subcommand> -h` lists a subcommand's flags. The randomized
+// subcommands (sim, attack, fit) take -seed for reproducibility.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"lemonade/internal/attack"
 	"lemonade/internal/connection"
 	"lemonade/internal/dse"
-	"lemonade/internal/figures"
 	"lemonade/internal/montecarlo"
 	"lemonade/internal/nems"
 	"lemonade/internal/otp"
@@ -32,59 +37,72 @@ import (
 	"lemonade/internal/weibull"
 )
 
+// A subcommand defines its flags on fs and returns the action that runs
+// once they are parsed. usage prints example and the golden test runs it.
+type subcommand struct {
+	name, example string
+	flags         func(fs *flag.FlagSet) func(w io.Writer) error
+}
+
+var subcommands = []subcommand{
+	{"dse", "-alpha 14 -beta 8 -lab 91250 -kfrac 0.1", dseFlags},
+	{"sim", "-alpha 12 -beta 8 -lab 100 -kfrac 0.1", simFlags},
+	{"otp", "-alpha 10 -beta 1 -height 8 -copies 128 -k 8", otpFlags},
+	{"attack", "-alpha 12 -beta 8 -lab 200 -kfrac 0.1", attackFlags},
+	{"fit", "-alpha 14 -beta 8 -samples 3000", fitFlags},
+	{"plan", "-alpha 14 -beta 8 -daily 500", planFlags},
+	{"chipplan", "-messages 100 -size 256", chipPlanFlags},
+}
+
 func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes one command line and returns its exit status: 0 on
+// success or help, 1 when the subcommand fails, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 {
+		usage(stderr)
+		return 2
 	}
-	var err error
-	switch os.Args[1] {
-	case "dse":
-		err = runDSE(os.Args[2:])
-	case "sim":
-		err = runSim(os.Args[2:])
-	case "otp":
-		err = runOTP(os.Args[2:])
-	case "attack":
-		err = runAttack(os.Args[2:])
-	case "wearattack":
-		err = runWearAttack(os.Args[2:])
-	case "fit":
-		err = runFit(os.Args[2:])
-	case "frontier":
-		err = runFrontier(os.Args[2:])
-	case "chipplan":
-		err = runChipPlan(os.Args[2:])
-	case "plan":
-		err = runPlan(os.Args[2:])
+	switch args[0] {
 	case "-h", "--help", "help":
-		usage()
-	default:
-		fmt.Fprintf(os.Stderr, "lemonade: unknown subcommand %q\n", os.Args[1])
-		usage()
-		os.Exit(2)
+		usage(stderr)
+		return 0
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "lemonade:", err)
-		os.Exit(1)
+	for _, c := range subcommands {
+		if c.name != args[0] {
+			continue
+		}
+		fs := flag.NewFlagSet(c.name, flag.ContinueOnError)
+		fs.SetOutput(stderr)
+		action := c.flags(fs)
+		if err := fs.Parse(args[1:]); errors.Is(err, flag.ErrHelp) {
+			return 0
+		} else if err != nil {
+			return 2
+		}
+		if err := action(stdout); err != nil {
+			fmt.Fprintln(stderr, "lemonade:", err)
+			return 1
+		}
+		return 0
+	}
+	fmt.Fprintf(stderr, "lemonade: unknown subcommand %q\n", args[0])
+	usage(stderr)
+	return 2
+}
+
+func usage(w io.Writer) {
+	fmt.Fprintln(w, "usage: lemonade <subcommand> [flags]; lemonade <subcommand> -h lists its flags")
+	for _, c := range subcommands {
+		fmt.Fprintf(w, "  %-8s %s\n", c.name, c.example)
 	}
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage: lemonade <dse|sim|otp|attack|wearattack|fit|plan|chipplan> [flags]
-
-  dse    -alpha 14 -beta 8 -lab 91250 -kfrac 0.1 [-upper N] [-minwork .99] [-overrun .01]
-  sim    -alpha 12 -beta 8 -lab 100 -kfrac 0.1 [-trials 200] [-seed 1]
-  otp    -alpha 10 -beta 1 -height 8 -copies 128 -k 8
-  attack -alpha 12 -beta 8 -lab 200 -kfrac 0.1 [-trials 20] [-seed 1]
-  wearattack                                                       (Extension E4: attack vs wear leveling)
-  fit    -alpha 14 -beta 8 -samples 3000 [-cutoff 100] [-seed 1]   (characterize a lot, then design)
-  plan   -alpha 14 -beta 8 -daily 500 [-years 5]                   (M-way replication plan, §4.1.5)
-  chipplan -messages 100 -size 256 [-copies 128 -k 8]              (size a one-time-pad chip)
-  frontier -alpha 14 -beta 12 -lab 1000 -kfrac 0 [-limit 12]       (all feasible designs)`)
-}
-
-func specFlags(fs *flag.FlagSet) func() (dse.Spec, error) {
+// specFlags defines the design-spec flags on fs. The function it returns
+// builds the spec from the parsed flags and explores it.
+func specFlags(fs *flag.FlagSet) func() (dse.Spec, dse.Design, error) {
 	alpha := fs.Float64("alpha", 14, "Weibull scale (mean lifetime, cycles)")
 	beta := fs.Float64("beta", 8, "Weibull shape (consistency)")
 	lab := fs.Int("lab", 91250, "legitimate access bound")
@@ -92,175 +110,145 @@ func specFlags(fs *flag.FlagSet) func() (dse.Spec, error) {
 	kfrac := fs.Float64("kfrac", 0.1, "encoding threshold fraction (0 = no encoding)")
 	minWork := fs.Float64("minwork", 0.99, "per-copy reliability requirement")
 	overrun := fs.Float64("overrun", 0.01, "per-copy max overrun probability")
-	return func() (dse.Spec, error) {
+	return func() (dse.Spec, dse.Design, error) {
 		d, err := weibull.New(*alpha, *beta)
 		if err != nil {
-			return dse.Spec{}, err
+			return dse.Spec{}, dse.Design{}, err
 		}
-		return dse.Spec{
+		spec := dse.Spec{
 			Dist:        d,
 			Criteria:    reliability.Criteria{MinWork: *minWork, MaxOverrun: *overrun},
 			LAB:         *lab,
 			UpperBound:  *upper,
 			KFrac:       *kfrac,
 			ContinuousT: true,
-		}, nil
+		}
+		design, err := dse.Explore(spec)
+		return spec, design, err
 	}
 }
 
-func runDSE(args []string) error {
-	fs := flag.NewFlagSet("dse", flag.ExitOnError)
-	getSpec := specFlags(fs)
+func dseFlags(fs *flag.FlagSet) func(io.Writer) error {
+	explore := specFlags(fs)
 	keyBits := fs.Int("keybits", 256, "protected secret size for area accounting")
-	if err := fs.Parse(args); err != nil {
-		return err
+	return func(w io.Writer) error {
+		_, d, err := explore()
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(w, d)
+		fmt.Fprintf(w, "  per-copy target T        = %d accesses (%.2f continuous)\n", d.T, d.TReal)
+		fmt.Fprintf(w, "  per-copy upper bound     = %d accesses\n", d.UpperT)
+		fmt.Fprintf(w, "  copies                   = %d\n", d.Copies)
+		fmt.Fprintf(w, "  devices per structure    = %d (k = %d)\n", d.N, d.K)
+		fmt.Fprintf(w, "  total devices            = %d\n", d.TotalDevices)
+		fmt.Fprintf(w, "  guaranteed min accesses  = %d\n", d.GuaranteedMinAccesses())
+		fmt.Fprintf(w, "  max allowed accesses     = %d\n", d.MaxAllowedAccesses())
+		fmt.Fprintf(w, "  per-copy work prob       = %.6f\n", d.WorkProb)
+		fmt.Fprintf(w, "  per-copy overrun prob    = %.2e\n", d.OverrunProb)
+		fmt.Fprintf(w, "  area                     = %.4g mm²\n", d.Area(*keyBits).Mm2())
+		fmt.Fprintf(w, "  energy per access        = %.3g J\n", float64(d.EnergyPerAccess()))
+		fmt.Fprintf(w, "  switching latency        = %.0f ns\n", d.LatencyPerAccess().Ns())
+		return nil
 	}
-	spec, err := getSpec()
-	if err != nil {
-		return err
-	}
-	d, err := dse.Explore(spec)
-	if err != nil {
-		return err
-	}
-	fmt.Println(d)
-	fmt.Printf("  per-copy target T        = %d accesses (%.2f continuous)\n", d.T, d.TReal)
-	fmt.Printf("  per-copy upper bound     = %d accesses\n", d.UpperT)
-	fmt.Printf("  copies                   = %d\n", d.Copies)
-	fmt.Printf("  devices per structure    = %d (k = %d)\n", d.N, d.K)
-	fmt.Printf("  total devices            = %d\n", d.TotalDevices)
-	fmt.Printf("  guaranteed min accesses  = %d\n", d.GuaranteedMinAccesses())
-	fmt.Printf("  max allowed accesses     = %d\n", d.MaxAllowedAccesses())
-	fmt.Printf("  per-copy work prob       = %.6f\n", d.WorkProb)
-	fmt.Printf("  per-copy overrun prob    = %.2e\n", d.OverrunProb)
-	fmt.Printf("  area                     = %.4g mm²\n", d.Area(*keyBits).Mm2())
-	fmt.Printf("  energy per access        = %.3g J\n", float64(d.EnergyPerAccess()))
-	fmt.Printf("  switching latency        = %.0f ns\n", d.LatencyPerAccess().Ns())
-	return nil
 }
 
-func runSim(args []string) error {
-	fs := flag.NewFlagSet("sim", flag.ExitOnError)
-	getSpec := specFlags(fs)
+func simFlags(fs *flag.FlagSet) func(io.Writer) error {
+	explore := specFlags(fs)
 	trials := fs.Int("trials", 200, "Monte-Carlo trials")
 	seed := fs.Uint64("seed", 1, "RNG seed")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	spec, err := getSpec()
-	if err != nil {
-		return err
-	}
-	d, err := dse.Explore(spec)
-	if err != nil {
-		return err
-	}
-	fmt.Println(d)
-	sum, err := montecarlo.RunParallel(context.Background(), *seed, *trials, func(r *rng.RNG) float64 {
-		copies := make([]structure.Structure, d.Copies)
-		for i := range copies {
-			p, err := structure.NewParallel(spec.Dist, d.N, d.K, r)
-			if err != nil {
-				panic(err)
-			}
-			copies[i] = p
+	return func(w io.Writer) error {
+		spec, d, err := explore()
+		if err != nil {
+			return err
 		}
-		sys := structure.NewSerialCopies(copies)
-		return float64(structure.CountSuccessfulAccesses(sys, nems.RoomTemp, d.MaxAllowedAccesses()*3))
-	})
-	if err != nil {
-		return err
+		fmt.Fprintln(w, d)
+		sum, err := montecarlo.RunParallel(context.Background(), *seed, *trials, func(r *rng.RNG) float64 {
+			copies := make([]structure.Structure, d.Copies)
+			for i := range copies {
+				p, err := structure.NewParallel(spec.Dist, d.N, d.K, r)
+				if err != nil {
+					panic(err)
+				}
+				copies[i] = p
+			}
+			sys := structure.NewSerialCopies(copies)
+			return float64(structure.CountSuccessfulAccesses(sys, nems.RoomTemp, d.MaxAllowedAccesses()*3))
+		})
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "  empirical total accesses: %v\n", sum)
+		fmt.Fprintf(w, "  min observed / LAB      : %g / %d\n", sum.Min, spec.LAB)
+		fmt.Fprintf(w, "  max observed / allowed  : %g / %d\n", sum.Max, d.MaxAllowedAccesses())
+		fmt.Fprintf(w, "  quantiles p01/p50/p99   : %.0f / %.0f / %.0f\n",
+			sum.Quantile(0.01), sum.Median(), sum.Quantile(0.99))
+		return nil
 	}
-	fmt.Printf("  empirical total accesses: %v\n", sum)
-	fmt.Printf("  min observed / LAB      : %g / %d\n", sum.Min, spec.LAB)
-	fmt.Printf("  max observed / allowed  : %g / %d\n", sum.Max, d.MaxAllowedAccesses())
-	fmt.Printf("  quantiles p01/p50/p99   : %.0f / %.0f / %.0f\n",
-		sum.Quantile(0.01), sum.Median(), sum.Quantile(0.99))
-	return nil
 }
 
-func runOTP(args []string) error {
-	fs := flag.NewFlagSet("otp", flag.ExitOnError)
+func otpFlags(fs *flag.FlagSet) func(io.Writer) error {
 	alpha := fs.Float64("alpha", 10, "Weibull scale")
 	beta := fs.Float64("beta", 1, "Weibull shape")
 	height := fs.Int("height", 8, "decision-tree height H")
 	copies := fs.Int("copies", 128, "tree copies n")
 	k := fs.Int("k", 8, "Shamir threshold")
 	chip := fs.Float64("chip", 1, "chip area in mm² for density")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	d, err := weibull.New(*alpha, *beta)
-	if err != nil {
-		return err
-	}
-	p := otp.Params{Dist: d, Height: *height, Copies: *copies, K: *k}
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	fmt.Printf("one-time pad %s H=%d n=%d k=%d\n", d, p.Height, p.Copies, p.K)
-	fmt.Printf("  candidate keys per tree  = %d\n", p.Paths())
-	fmt.Printf("  key size                 = %d bits\n", p.KeyBits())
-	fmt.Printf("  path success (Eq 9/12)   = %.6f\n", p.PathSuccessProb())
-	fmt.Printf("  receiver success (Eq 10) = %.6f\n", p.ReceiverSuccess())
-	fmt.Printf("  adversary success (Eq15) = %.3e\n", p.AdversarySuccess())
-	fmt.Printf("  retrieval latency        = %.5f ms\n", p.RetrievalLatency().Ms())
-	fmt.Printf("  retrieval energy         = %.3g J\n", float64(p.RetrievalEnergy()))
-	fmt.Printf("  pads per %.3g mm² chip    = %d\n", *chip, p.PadsPerChip(*chip))
-	return nil
-}
-
-func runAttack(args []string) error {
-	fs := flag.NewFlagSet("attack", flag.ExitOnError)
-	getSpec := specFlags(fs)
-	trials := fs.Int("trials", 20, "race trials")
-	seed := fs.Uint64("seed", 1, "RNG seed")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	spec, err := getSpec()
-	if err != nil {
-		return err
-	}
-	d, err := dse.Explore(spec)
-	if err != nil {
-		return err
-	}
-	curve := password.UrEtAl()
-	fmt.Println(d)
-	fmt.Printf("  analytic crack probability at the hardware bound: %.3e\n",
-		attack.BruteForceAnalytic(d, curve))
-	cracked := 0
-	base := rng.New(*seed)
-	for i := 0; i < *trials; i++ {
-		out, err := attack.BruteForce(context.Background(), d, curve, base.Derive(fmt.Sprintf("race-%d", i)))
+	return func(w io.Writer) error {
+		d, err := weibull.New(*alpha, *beta)
 		if err != nil {
 			return err
 		}
-		state := "locked out"
-		if out.Cracked {
-			state = "CRACKED"
-			cracked++
+		p := otp.Params{Dist: d, Height: *height, Copies: *copies, K: *k}
+		if err := p.Validate(); err != nil {
+			return err
 		}
-		fmt.Printf("  race %2d: %s after %d attempts (user rank %d)\n", i, state, out.Attempts, out.UserRank)
+		fmt.Fprintf(w, "one-time pad %s H=%d n=%d k=%d\n", d, p.Height, p.Copies, p.K)
+		fmt.Fprintf(w, "  candidate keys per tree  = %d\n", p.Paths())
+		fmt.Fprintf(w, "  key size                 = %d bits\n", p.KeyBits())
+		fmt.Fprintf(w, "  path success (Eq 9/12)   = %.6f\n", p.PathSuccessProb())
+		fmt.Fprintf(w, "  receiver success (Eq 10) = %.6f\n", p.ReceiverSuccess())
+		fmt.Fprintf(w, "  adversary success (Eq15) = %.3e\n", p.AdversarySuccess())
+		fmt.Fprintf(w, "  retrieval latency        = %.5f ms\n", p.RetrievalLatency().Ms())
+		fmt.Fprintf(w, "  retrieval energy         = %.3g J\n", float64(p.RetrievalEnergy()))
+		fmt.Fprintf(w, "  pads per %.3g mm² chip    = %d\n", *chip, p.PadsPerChip(*chip))
+		return nil
 	}
-	fmt.Printf("  cracked %d/%d races\n", cracked, *trials)
-	return nil
 }
 
-func runWearAttack(args []string) error {
-	fs := flag.NewFlagSet("wearattack", flag.ExitOnError)
-	if err := fs.Parse(args); err != nil {
-		return err
+func attackFlags(fs *flag.FlagSet) func(io.Writer) error {
+	explore := specFlags(fs)
+	trials := fs.Int("trials", 20, "race trials")
+	seed := fs.Uint64("seed", 1, "RNG seed")
+	return func(w io.Writer) error {
+		_, d, err := explore()
+		if err != nil {
+			return err
+		}
+		curve := password.UrEtAl()
+		fmt.Fprintln(w, d)
+		fmt.Fprintf(w, "  analytic crack probability at the hardware bound: %.3e\n",
+			attack.BruteForceAnalytic(d, curve))
+		cracked := 0
+		base := rng.New(*seed)
+		for i := 0; i < *trials; i++ {
+			out, err := attack.BruteForce(context.Background(), d, curve, base.Derive(fmt.Sprintf("race-%d", i)))
+			if err != nil {
+				return err
+			}
+			state := "locked out"
+			if out.Cracked {
+				state = "CRACKED"
+				cracked++
+			}
+			fmt.Fprintf(w, "  race %2d: %s after %d attempts (user rank %d)\n", i, state, out.Attempts, out.UserRank)
+		}
+		fmt.Fprintf(w, "  cracked %d/%d races\n", cracked, *trials)
+		return nil
 	}
-	// The experiment is fully seeded inside the figures package, so the
-	// printed table is bit-identical across runs and machines.
-	fmt.Println(figures.WearLevelingDefense().Render())
-	return nil
 }
 
-func runFit(args []string) error {
-	fs := flag.NewFlagSet("fit", flag.ExitOnError)
+func fitFlags(fs *flag.FlagSet) func(io.Writer) error {
 	alpha := fs.Float64("alpha", 14, "true Weibull scale of the simulated lot")
 	beta := fs.Float64("beta", 8, "true Weibull shape of the simulated lot")
 	cvAlpha := fs.Float64("cvalpha", 0, "per-device alpha variation (coefficient of variation)")
@@ -270,126 +258,88 @@ func runFit(args []string) error {
 	lab := fs.Int("lab", 91250, "usage target for the follow-on design")
 	kfrac := fs.Float64("kfrac", 0.1, "encoding threshold fraction")
 	seed := fs.Uint64("seed", 1, "RNG seed")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	truth, err := weibull.New(*alpha, *beta)
-	if err != nil {
-		return err
-	}
-	lot := nems.NewPopulation(truth, *cvAlpha, *cvBeta, rng.New(*seed))
-	fmt.Printf("characterizing a lot of %s (%d samples, cutoff %d cycles)\n", truth, *samples, *cutoff)
-	obs := lot.MeasureLifetimes(*samples, *cutoff)
-	censored := 0
-	for _, o := range obs {
-		if o.Censored {
-			censored++
+	return func(w io.Writer) error {
+		truth, err := weibull.New(*alpha, *beta)
+		if err != nil {
+			return err
 		}
+		lot := nems.NewPopulation(truth, *cvAlpha, *cvBeta, rng.New(*seed))
+		fmt.Fprintf(w, "characterizing a lot of %s (%d samples, cutoff %d cycles)\n", truth, *samples, *cutoff)
+		obs := lot.MeasureLifetimes(*samples, *cutoff)
+		censored := 0
+		for _, o := range obs {
+			if o.Censored {
+				censored++
+			}
+		}
+		fitted, err := weibull.Fit(obs)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "  observed failures  : %d (%d censored at cutoff)\n", *samples-censored, censored)
+		fmt.Fprintf(w, "  fitted model       : %s\n", fitted)
+		fmt.Fprintf(w, "  fitted mean / true : %.2f / %.2f cycles\n", fitted.Mean(), truth.Mean())
+		d, err := dse.Explore(dse.Spec{
+			Dist:        fitted,
+			Criteria:    reliability.DefaultCriteria,
+			LAB:         *lab,
+			KFrac:       *kfrac,
+			ContinuousT: true,
+		})
+		if err != nil {
+			return fmt.Errorf("design from fitted model: %w", err)
+		}
+		fmt.Fprintf(w, "  design from fit    : %v\n", d)
+		return nil
 	}
-	fitted, err := weibull.Fit(obs)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("  observed failures  : %d (%d censored at cutoff)\n", *samples-censored, censored)
-	fmt.Printf("  fitted model       : %s\n", fitted)
-	fmt.Printf("  fitted mean / true : %.2f / %.2f cycles\n", fitted.Mean(), truth.Mean())
-	spec := dse.Spec{
-		Dist:        fitted,
-		Criteria:    reliability.DefaultCriteria,
-		LAB:         *lab,
-		KFrac:       *kfrac,
-		ContinuousT: true,
-	}
-	d, err := dse.Explore(spec)
-	if err != nil {
-		return fmt.Errorf("design from fitted model: %w", err)
-	}
-	fmt.Printf("  design from fit    : %v\n", d)
-	return nil
 }
 
-func runPlan(args []string) error {
-	fs := flag.NewFlagSet("plan", flag.ExitOnError)
-	getSpec := specFlags(fs)
+func planFlags(fs *flag.FlagSet) func(io.Writer) error {
+	explore := specFlags(fs)
 	daily := fs.Int("daily", 500, "required unlocks per day")
 	years := fs.Float64("years", 5, "deployment lifetime in years")
-	if err := fs.Parse(args); err != nil {
-		return err
+	return func(w io.Writer) error {
+		_, design, err := explore()
+		if err != nil {
+			return err
+		}
+		plan, err := connection.PlanMWay(design, *daily, time.Duration(*years*365*24)*time.Hour)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(w, plan)
+		fmt.Fprintf(w, "  per-module design : %v\n", design)
+		fmt.Fprintf(w, "  lifetime accesses : %d\n", plan.TotalAccesses)
+		fmt.Fprintf(w, "  user burden       : new passcode + storage re-encryption every %.1f months\n",
+			plan.MigrateEvery.Hours()/24/30)
+		return nil
 	}
-	spec, err := getSpec()
-	if err != nil {
-		return err
-	}
-	design, err := dse.Explore(spec)
-	if err != nil {
-		return err
-	}
-	plan, err := connection.PlanMWay(design, *daily, time.Duration(*years*365*24)*time.Hour)
-	if err != nil {
-		return err
-	}
-	fmt.Println(plan)
-	fmt.Printf("  per-module design : %v\n", design)
-	fmt.Printf("  lifetime accesses : %d\n", plan.TotalAccesses)
-	fmt.Printf("  user burden       : new passcode + storage re-encryption every %.1f months\n",
-		plan.MigrateEvery.Hours()/24/30)
-	return nil
 }
 
-func runChipPlan(args []string) error {
-	fs := flag.NewFlagSet("chipplan", flag.ExitOnError)
+func chipPlanFlags(fs *flag.FlagSet) func(io.Writer) error {
 	alpha := fs.Float64("alpha", 10, "Weibull scale")
 	beta := fs.Float64("beta", 1, "Weibull shape")
 	messages := fs.Int("messages", 100, "messages the chip must support")
 	size := fs.Int("size", 256, "max message size in bytes")
 	copies := fs.Int("copies", 128, "tree copies per pad")
 	k := fs.Int("k", 8, "Shamir threshold")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	d, err := weibull.New(*alpha, *beta)
-	if err != nil {
-		return err
-	}
-	plan, err := otp.PlanChip(d, *messages, *size, *copies, *k)
-	if err != nil {
-		return err
-	}
-	fmt.Println(plan)
-	fmt.Printf("  tree height          = %d (%d candidate keys per pad)\n",
-		plan.Params.Height, plan.Params.Paths())
-	fmt.Printf("  per-message capacity = %d bytes\n", plan.MaxMessageBytes)
-	fmt.Printf("  chip area            = %.4g mm²\n", plan.AreaMm2)
-	fmt.Printf("  retrieval latency    = %.4f ms\n", plan.Params.RetrievalLatency().Ms())
-	fmt.Printf("  receiver success     = %.6f\n", plan.ReceiverSuccess)
-	fmt.Printf("  adversary success    = %.3e\n", plan.AdversarySucces)
-	return nil
-}
-
-func runFrontier(args []string) error {
-	fs := flag.NewFlagSet("frontier", flag.ExitOnError)
-	getSpec := specFlags(fs)
-	limit := fs.Int("limit", 12, "show at most this many designs")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	spec, err := getSpec()
-	if err != nil {
-		return err
-	}
-	spec.ContinuousT = false // the frontier enumerates integer targets
-	frontier, err := dse.ExploreFrontier(context.Background(), spec)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%d feasible designs (best first):\n", len(frontier))
-	for i, d := range frontier {
-		if i >= *limit {
-			fmt.Printf("  ... %d more\n", len(frontier)-*limit)
-			break
+	return func(w io.Writer) error {
+		d, err := weibull.New(*alpha, *beta)
+		if err != nil {
+			return err
 		}
-		fmt.Printf("  T=%-4d copies=%-6d n=%-8d k=%-6d total=%d\n",
-			d.T, d.Copies, d.N, d.K, d.TotalDevices)
+		plan, err := otp.PlanChip(d, *messages, *size, *copies, *k)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(w, plan)
+		fmt.Fprintf(w, "  tree height          = %d (%d candidate keys per pad)\n",
+			plan.Params.Height, plan.Params.Paths())
+		fmt.Fprintf(w, "  per-message capacity = %d bytes\n", plan.MaxMessageBytes)
+		fmt.Fprintf(w, "  chip area            = %.4g mm²\n", plan.AreaMm2)
+		fmt.Fprintf(w, "  retrieval latency    = %.4f ms\n", plan.Params.RetrievalLatency().Ms())
+		fmt.Fprintf(w, "  receiver success     = %.6f\n", plan.ReceiverSuccess)
+		fmt.Fprintf(w, "  adversary success    = %.3e\n", plan.AdversarySucces)
+		return nil
 	}
-	return nil
 }
