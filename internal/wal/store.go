@@ -284,7 +284,8 @@ func kindCounters(m *metrics.Registry, name, help string) (cs [numKinds]*metrics
 
 // SnapshotNeeded signals (on a 1-buffered channel) when the records
 // appended since the last snapshot cross Config.SnapshotThreshold. The
-// daemon selects on it next to its interval ticker.
+// daemon selects on it next to its interval ticker. Snapshot drops a
+// signal raised before its rotation.
 func (s *DiskStore) SnapshotNeeded() <-chan struct{} { return s.snapCh }
 
 // RecordsSinceSnapshot reports how many records have accumulated in the
@@ -835,6 +836,13 @@ func (s *DiskStore) Snapshot(reg *registry.Registry) error {
 	old := s.cur
 	oldSeq := s.curSeq
 	s.cur, s.curSeq, s.curOff, s.recsSince = f, newSeq, 0, 0
+	// Every group signals before it releases its barrier hold, so any
+	// signal from before the rotation is buffered by now; it counted
+	// records this snapshot covers, so drop it.
+	select {
+	case <-s.snapCh:
+	default:
+	}
 	s.mu.Unlock()
 	s.barrier.Unlock()
 

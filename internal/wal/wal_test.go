@@ -378,6 +378,36 @@ func TestSnapshotThresholdSignals(t *testing.T) {
 	}
 }
 
+// TestSnapshotDropsStaleSignal: a signal raised before a snapshot
+// rotates the segment counted records the snapshot now covers, so the
+// rotation drops it rather than leave the snapshot loop a second,
+// immediate snapshot to take.
+func TestSnapshotDropsStaleSignal(t *testing.T) {
+	st := openStore(t, t.TempDir(), 2)
+	reg, e := provisionVia(t, st)
+	drive(t, e, 1) // 1 provision + 1 access = 2 records
+	select {
+	case <-st.SnapshotNeeded():
+	default:
+		t.Fatal("no signal after crossing threshold")
+	}
+	drive(t, e, 1) // still over the threshold: signals again
+	if err := st.Snapshot(reg); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-st.SnapshotNeeded():
+		t.Fatalf("signal still buffered after the snapshot (%d records since it)", st.RecordsSinceSnapshot())
+	default:
+	}
+	drive(t, e, 2)
+	select {
+	case <-st.SnapshotNeeded():
+	default:
+		t.Fatal("no signal after crossing threshold again")
+	}
+}
+
 // TestAppendBeforeRecoverFails pins the arming contract.
 func TestAppendBeforeRecoverFails(t *testing.T) {
 	st := openStore(t, t.TempDir(), 0)
