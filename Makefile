@@ -64,15 +64,20 @@ bench-compare:
 	$(GO) run ./cmd/lemonaded bench compare "$(OLD)" \
 		"$${NEW:-BENCH_$$(git rev-parse --short=12 HEAD).json}"
 
-## fuzz-smoke: short native-fuzz runs over the WAL frame and snapshot
-## decoders, both Shamir fields and the survival-table lifetime draw (the
-## CI check job runs this target; `go test -fuzz` for a long local run)
+## fuzz-smoke: short native-fuzz runs of every fuzz target: the WAL frame,
+## snapshot and wear-record decoders, both Shamir fields, Shamir split and
+## combine, and the survival-table lifetime draw (the CI check job runs this
+## target; `go test -fuzz` for a long local run). The decoder targets run a
+## fixed number of inputs: each input is a full recovery, and with a time
+## budget the workers spend it minimizing the first new-coverage inputs.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz 'FuzzWALFrameDecode' -fuzztime 30s ./internal/wal/
-	$(GO) test -run '^$$' -fuzz 'FuzzSnapshotDecode' -fuzztime 15s ./internal/wal/
-	$(GO) test -run '^$$' -fuzz 'FuzzWearRecordDecode' -fuzztime 15s ./internal/wal/
+	$(GO) test -run '^$$' -fuzz 'FuzzWALFrameDecode' -fuzztime 10000x ./internal/wal/
+	$(GO) test -run '^$$' -fuzz 'FuzzSnapshotDecode' -fuzztime 10000x ./internal/wal/
+	$(GO) test -run '^$$' -fuzz 'FuzzWearRecordDecode' -fuzztime 5000x ./internal/wal/
 	$(GO) test -run '^$$' -fuzz 'FuzzShamirReconstruct' -fuzztime 15s ./internal/shamir/
 	$(GO) test -run '^$$' -fuzz 'FuzzShamir16Reconstruct' -fuzztime 15s ./internal/shamir/
+	$(GO) test -run '^$$' -fuzz '^FuzzSplitCombine$$' -fuzztime 20000x ./internal/shamir/
+	$(GO) test -run '^$$' -fuzz '^FuzzSplitCombineInto$$' -fuzztime 20000x ./internal/shamir/
 	$(GO) test -run '^$$' -fuzz 'FuzzCycleTable' -fuzztime 15s ./internal/weibull/
 
 ## crash: crash-recovery test (SIGKILL mid-budget, restart, exact wear)
