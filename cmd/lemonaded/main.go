@@ -478,7 +478,8 @@ func runClusterLoadgen(cfg clusterLoadgenConfig) error {
 	return nil
 }
 
-// parseNodeList parses "name=url,name=url,..." cluster membership.
+// parseNodeList parses "name=url,name=url,..." cluster membership. Space
+// around each member, name and URL is ignored.
 func parseNodeList(s string) (map[string]string, error) {
 	members := map[string]string{}
 	for _, kv := range strings.Split(s, ",") {
@@ -487,6 +488,7 @@ func parseNodeList(s string) (map[string]string, error) {
 			continue
 		}
 		name, url, ok := strings.Cut(kv, "=")
+		name, url = strings.TrimSpace(name), strings.TrimSpace(url)
 		if !ok || name == "" || url == "" {
 			return nil, fmt.Errorf("bad ring member %q (want name=url)", kv)
 		}

@@ -21,6 +21,12 @@ func TestParseNodeList(t *testing.T) {
 		{"whitespace and trailing commas", " a=http://h:1 ,\tb=http://h:2 ,, ,",
 			map[string]string{"a": "http://h:1", "b": "http://h:2"}, ""},
 		{"url keeps later equals signs", "a=http://h:1/?x=y", map[string]string{"a": "http://h:1/?x=y"}, ""},
+		{"spaces around equals", "a = http://h:1", map[string]string{"a": "http://h:1"}, ""},
+		{"spaces around equals in every member", " a = http://h:1 ,b =http://h:2,c=\thttp://h:3",
+			map[string]string{"a": "http://h:1", "b": "http://h:2", "c": "http://h:3"}, ""},
+		{"duplicate member after trimming", "a=http://h:1,a =http://h:2", nil, `duplicate ring member "a"`},
+		{"blank name", " =http://h:1", nil, `bad ring member "=http://h:1"`},
+		{"blank url", "a = ,b=http://h:2", nil, `bad ring member "a ="`},
 		{"member without equals", "a=http://h:1,b", nil, `bad ring member "b"`},
 		{"empty name", "=http://h:1", nil, `bad ring member "=http://h:1"`},
 		{"empty url", "a=", nil, `bad ring member "a="`},

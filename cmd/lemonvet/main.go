@@ -1,8 +1,10 @@
 // Command lemonvet runs the repo-specific static-analysis suite from
-// internal/analysis over the given packages (default ./...): the five
-// local determinism passes plus the whole-program concurrency and
-// durability passes (guardedby, lockorder, logahead, ctxflow) built on
-// the stdlib-only call graph.
+// internal/analysis over the given packages (default ./...). Every pass
+// runs on one engine over the loaded program and its stdlib-only call
+// graph: the five determinism passes read one package at a time, and the
+// concurrency and durability passes (guardedby, lockorder, logahead,
+// ctxflow) follow calls across packages. One table decides in which
+// packages each pass's findings count.
 //
 // Usage:
 //

@@ -8,75 +8,82 @@ import (
 	"testing"
 )
 
-// loadFixture loads one fixture package from testdata/src.
-func loadFixture(t *testing.T, name string) *Package {
+// loadFixture loads the fixture tree of one analyzer from testdata/src
+// (logahead spans three packages, connected by the call graph).
+func loadFixture(t *testing.T, name string) []*Package {
 	t.Helper()
-	pkgs, err := Load(".", "./testdata/src/"+name)
+	pkgs, err := Load(".", "./testdata/src/"+name+"/...")
 	if err != nil {
 		t.Fatalf("load fixture %s: %v", name, err)
 	}
-	if len(pkgs) != 1 {
-		t.Fatalf("fixture %s: got %d packages, want 1", name, len(pkgs))
+	if len(pkgs) == 0 {
+		t.Fatalf("fixture %s matched no packages", name)
 	}
-	return pkgs[0]
+	return pkgs
 }
 
-// wantMarkers extracts "// want <analyzer>" comments, keyed by line.
-func wantMarkers(pkg *Package) map[int]string {
-	want := make(map[int]string)
-	for _, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				rest, ok := strings.CutPrefix(c.Text, "// want ")
-				if !ok {
-					continue
+// wantMarkers extracts "// want <analyzer>" comments across a fixture
+// tree, keyed by "file:line".
+func wantMarkers(pkgs []*Package) map[string]string {
+	want := make(map[string]string)
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					rest, ok := strings.CutPrefix(c.Text, "// want ")
+					if !ok {
+						continue
+					}
+					pos := pkg.Fset.Position(c.Pos())
+					want[fmt.Sprintf("%s:%d", pos.Filename, pos.Line)] = strings.TrimSpace(rest)
 				}
-				want[pkg.Fset.Position(c.Pos()).Line] = strings.TrimSpace(rest)
 			}
 		}
 	}
 	return want
 }
 
-// TestAnalyzers runs each analyzer against its fixture package and checks
+// TestAnalyzers runs each analyzer against its fixture tree and checks
 // the findings against the fixture's "// want" markers: every marked line
 // must be reported, no unmarked line may be, and each fixture's
 // //lemonvet:allow example must suppress exactly one finding.
+//
+// The Bad* cases of the logahead and lockorder fixtures double as
+// regression demonstrations: deleting the checked ticket wait before a
+// wear mutation (BadNoAppend / BadUncheckedAppend) makes logahead fire,
+// and swapping a lock order (BA, DC) makes lockorder fire.
 func TestAnalyzers(t *testing.T) {
-	for _, name := range []string{"nodeterminism", "rngcapture", "floateq", "panicpolicy", "errcheck"} {
-		t.Run(name, func(t *testing.T) {
-			a := ByName(name)
-			if a == nil {
-				t.Fatalf("no analyzer named %q", name)
-			}
-			pkg := loadFixture(t, name)
-			findings, suppressed := Check(pkg, []*Analyzer{a})
-			want := wantMarkers(pkg)
+	for _, a := range All() {
+		t.Run(a.Name, func(t *testing.T) {
+			pkgs := loadFixture(t, a.Name)
+			findings, suppressed := Check(pkgs, []*Analyzer{a})
+			want := wantMarkers(pkgs)
 			if len(want) == 0 {
-				t.Fatalf("fixture %s has no // want markers", name)
+				t.Fatalf("fixture %s has no // want markers", a.Name)
 			}
-			got := make(map[int]bool)
+			got := make(map[string]bool)
 			for _, f := range findings {
-				if f.Analyzer != name {
+				if f.Analyzer != a.Name {
 					t.Errorf("unexpected analyzer %q in finding %s", f.Analyzer, f)
 				}
-				if _, expected := want[f.Pos.Line]; !expected {
+				key := fmt.Sprintf("%s:%d", f.Pos.Filename, f.Pos.Line)
+				if _, expected := want[key]; !expected {
 					t.Errorf("unexpected finding: %s", f)
 				}
-				got[f.Pos.Line] = true
+				got[key] = true
 			}
-			var missed []int
-			for line, wantAnalyzer := range want {
-				if wantAnalyzer != name {
-					t.Errorf("line %d wants %q, fixture belongs to %q", line, wantAnalyzer, name)
+			var missed []string
+			for key, wantAnalyzer := range want {
+				if wantAnalyzer != a.Name {
+					t.Errorf("%s wants %q, fixture belongs to %q", key, wantAnalyzer, a.Name)
 				}
-				if !got[line] {
-					missed = append(missed, line)
+				if !got[key] {
+					missed = append(missed, key)
 				}
 			}
-			sort.Ints(missed)
-			for _, line := range missed {
-				t.Errorf("no finding on line %d, want one", line)
+			sort.Strings(missed)
+			for _, key := range missed {
+				t.Errorf("no finding at %s, want one", key)
 			}
 			if suppressed != 1 {
 				t.Errorf("suppressed = %d, want 1 (each fixture carries one //lemonvet:allow example)", suppressed)
@@ -85,57 +92,61 @@ func TestAnalyzers(t *testing.T) {
 	}
 }
 
-// TestRepoClean is the self-hosting check: lemonvet over the entire module
-// must produce zero unsuppressed findings. This is exactly what makes
-// `go run ./cmd/lemonvet ./...` exit 0 in CI; any new violation fails this
-// test first.
-func TestRepoClean(t *testing.T) {
+// TestAnalyzersForConfig pins the driver's applicability rules.
+func TestAnalyzersForConfig(t *testing.T) {
+	const (
+		all     = "nodeterminism,rngcapture,floateq,panicpolicy,errcheck,guardedby,lockorder,logahead,ctxflow"
+		library = "nodeterminism,rngcapture,floateq,panicpolicy,errcheck,guardedby,lockorder,ctxflow"
+		command = "rngcapture,floateq,errcheck,guardedby,lockorder"
+	)
+	cases := []struct {
+		path    string
+		pkgName string
+		want    string
+	}{
+		{"lemonade/internal/montecarlo", "montecarlo", library},
+		{"lemonade/internal/rng", "rng", library},
+		{"lemonade/internal/registry", "registry", all},
+		{"lemonade/internal/wal", "wal", all},
+		{"lemonade/cmd/lemonade", "main", command},
+		{"lemonade/cmd/lemonaded", "main", command},
+		{"lemonade/examples/quickstart", "main", "nodeterminism,rngcapture,floateq,panicpolicy,errcheck,guardedby,lockorder"},
+		{"lemonade/internal/analysis/testdata/src/floateq", "floateq", ""},
+		{"lemonade/internal/analysis/testdata/src/guardedby", "guardedby", ""},
+	}
+	for _, c := range cases {
+		var names []string
+		for _, a := range analyzersFor(c.path, c.pkgName) {
+			names = append(names, a.Name)
+		}
+		if got := strings.Join(names, ","); got != c.want {
+			t.Errorf("analyzersFor(%q, %q) = %q, want %q", c.path, c.pkgName, got, c.want)
+		}
+	}
+}
+
+// TestRunCleanTree is the self-hosting check: the full driver (every
+// analyzer, applicability table and suppression resolution) over the
+// entire module must produce zero findings and zero stale allow comments
+// — the exact condition that makes
+// `go run ./cmd/lemonvet -strict-suppress ./...` exit 0 in CI.
+func TestRunCleanTree(t *testing.T) {
 	pkgs, err := Load("../..", "./...")
 	if err != nil {
 		t.Fatalf("load module: %v", err)
 	}
-	if len(pkgs) < 20 {
-		t.Fatalf("loaded only %d packages; pattern ./... no longer covers the module?", len(pkgs))
+	res := Run(pkgs)
+	if res.Packages < 20 {
+		t.Fatalf("analyzed only %d packages; pattern ./... no longer covers the module?", res.Packages)
 	}
-	checked := 0
-	for _, pkg := range pkgs {
-		analyzers := AnalyzersFor(pkg.ImportPath)
-		if len(analyzers) == 0 {
-			continue
-		}
-		checked++
-		findings, _ := Check(pkg, analyzers)
-		for _, f := range findings {
-			t.Errorf("%s", f)
-		}
+	for _, f := range res.Findings {
+		t.Errorf("finding: %s", f)
 	}
-	if checked == 0 {
-		t.Fatal("no packages checked")
+	for _, f := range res.Stale {
+		t.Errorf("stale allow: %s", f)
 	}
-}
-
-// TestAnalyzersForConfig pins the driver's applicability rules.
-func TestAnalyzersForConfig(t *testing.T) {
-	names := func(as []*Analyzer) string {
-		var ns []string
-		for _, a := range as {
-			ns = append(ns, a.Name)
-		}
-		return strings.Join(ns, ",")
-	}
-	cases := []struct {
-		path string
-		want string
-	}{
-		{"lemonade/internal/montecarlo", "nodeterminism,rngcapture,floateq,panicpolicy,errcheck"},
-		{"lemonade/internal/rng", "nodeterminism,rngcapture,floateq,panicpolicy,errcheck"},
-		{"lemonade/cmd/lemonade", "rngcapture,floateq,errcheck"},
-		{"lemonade/internal/analysis/testdata/src/floateq", ""},
-	}
-	for _, c := range cases {
-		if got := names(AnalyzersFor(c.path)); got != c.want {
-			t.Errorf("AnalyzersFor(%q) = %q, want %q", c.path, got, c.want)
-		}
+	if res.Suppressed == 0 {
+		t.Error("suppressed = 0: the tree's documented //lemonvet:allow comments were not resolved")
 	}
 }
 
@@ -158,8 +169,7 @@ func TestCommandExitCode(t *testing.T) {
 
 // TestFindingString pins the text output format CI consumers grep for.
 func TestFindingString(t *testing.T) {
-	pkg := loadFixture(t, "panicpolicy")
-	findings, _ := Check(pkg, []*Analyzer{PanicPolicy})
+	findings, _ := Check(loadFixture(t, "panicpolicy"), []*Analyzer{PanicPolicy})
 	if len(findings) == 0 {
 		t.Fatal("no findings")
 	}

@@ -32,9 +32,6 @@ type Program struct {
 	// funcsInOrder lists every analyzed function in deterministic
 	// (package, file, declaration) order.
 	funcsInOrder []*FuncInfo
-	// pkgOfFile maps each parsed file back to its package so program
-	// passes can recover per-package type info from a position.
-	pkgOfFile map[*ast.File]*Package
 }
 
 // FuncInfo is one declared function or method with a body.
@@ -60,9 +57,8 @@ type CallSite struct {
 // call edges between them.
 func BuildProgram(pkgs []*Package) *Program {
 	prog := &Program{
-		Pkgs:      pkgs,
-		Funcs:     make(map[*types.Func]*FuncInfo),
-		pkgOfFile: make(map[*ast.File]*Package),
+		Pkgs:  pkgs,
+		Funcs: make(map[*types.Func]*FuncInfo),
 	}
 	if len(pkgs) > 0 {
 		prog.Fset = pkgs[0].Fset
@@ -71,7 +67,6 @@ func BuildProgram(pkgs []*Package) *Program {
 	// Pass 1: index declared functions.
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
-			prog.pkgOfFile[file] = pkg
 			for _, decl := range file.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
 				if !ok || fd.Body == nil {
@@ -92,7 +87,6 @@ func BuildProgram(pkgs []*Package) *Program {
 
 	// Pass 2: resolve calls.
 	for _, fi := range prog.funcsInOrder {
-		fi := fi
 		ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {

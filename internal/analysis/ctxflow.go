@@ -12,35 +12,33 @@ import (
 // cancellation and deadlines propagate to every blocking callee.
 // Documented bit-identical fast paths keep an explicit
 // //lemonvet:allow ctxflow <reason>.
-var CtxFlow = &ProgramAnalyzer{
+var CtxFlow = &Analyzer{
 	Name: "ctxflow",
 	Doc:  "exported functions take ctx first; no context.Background()/TODO() outside main and tests",
-	Run:  runCtxFlow,
+	Run:  perPackage(runCtxFlow),
 }
 
-func runCtxFlow(p *ProgramPass) {
-	for _, pkg := range p.Prog.Pkgs {
-		info := pkg.Info
-		for _, file := range pkg.Files {
-			ast.Inspect(file, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.FuncDecl:
-					checkCtxPosition(p, info, n)
-				case *ast.CallExpr:
-					if name, ok := isContextRoot(info, n); ok {
-						p.Reportf("ctxflow", n.Pos(),
-							"context.%s() in library code: thread the caller's ctx (or annotate a documented fast path)", name)
-					}
+func runCtxFlow(p *Pass, pkg *Package) {
+	info := pkg.Info
+	for _, file := range pkg.Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				checkCtxPosition(p, info, n)
+			case *ast.CallExpr:
+				if name, ok := isContextRoot(info, n); ok {
+					p.Reportf("ctxflow", n.Pos(),
+						"context.%s() in library code: thread the caller's ctx (or annotate a documented fast path)", name)
 				}
-				return true
-			})
-		}
+			}
+			return true
+		})
 	}
 }
 
 // checkCtxPosition flags exported functions that accept a context.Context
 // anywhere but first.
-func checkCtxPosition(p *ProgramPass, info *types.Info, fd *ast.FuncDecl) {
+func checkCtxPosition(p *Pass, info *types.Info, fd *ast.FuncDecl) {
 	if !fd.Name.IsExported() || fd.Type.Params == nil {
 		return
 	}

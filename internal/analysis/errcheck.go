@@ -15,7 +15,7 @@ import (
 var ErrCheck = &Analyzer{
 	Name: "errcheck",
 	Doc:  "flag call statements that discard an error result",
-	Run:  runErrCheck,
+	Run:  perPackage(runErrCheck),
 }
 
 // errcheckExemptFuncs lists fully-qualified functions whose error results
@@ -48,8 +48,8 @@ var errcheckStrictMethods = map[string]map[string]bool{
 	"lemonade/internal/fault.FS":   {"Rename": true, "Truncate": true},
 }
 
-func runErrCheck(pass *Pass) {
-	for _, file := range pass.Files {
+func runErrCheck(pass *Pass, pkg *Package) {
+	for _, file := range pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch stmt := n.(type) {
 			case *ast.ExprStmt:
@@ -57,7 +57,7 @@ func runErrCheck(pass *Pass) {
 				if !ok {
 					return true
 				}
-				if !returnsError(pass, call) || exemptCall(pass, call) {
+				if !returnsError(pkg.Info, call) || exemptCall(pkg.Info, call) {
 					return true
 				}
 				pass.Reportf("errcheck", call.Pos(),
@@ -72,7 +72,7 @@ func runErrCheck(pass *Pass) {
 				if !ok {
 					return true
 				}
-				if name, strict := strictCall(pass, call); strict {
+				if name, strict := strictCall(pkg.Info, call); strict {
 					pass.Reportf("errcheck", call.Pos(),
 						"error result of durability-critical %s discarded; a dropped write/fsync error breaks the fail-closed guarantee", name)
 				}
@@ -96,12 +96,12 @@ func allBlank(lhs []ast.Expr) bool {
 
 // strictCall reports whether call is a method in errcheckStrictMethods,
 // resolved through the receiver's type.
-func strictCall(pass *Pass, call *ast.CallExpr) (string, bool) {
+func strictCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return "", false
 	}
-	selection, ok := pass.Info.Selections[sel]
+	selection, ok := info.Selections[sel]
 	if !ok {
 		return "", false
 	}
@@ -116,8 +116,8 @@ func strictCall(pass *Pass, call *ast.CallExpr) (string, bool) {
 	return callName(call), true
 }
 
-func returnsError(pass *Pass, call *ast.CallExpr) bool {
-	tv, ok := pass.Info.Types[call]
+func returnsError(info *types.Info, call *ast.CallExpr) bool {
+	tv, ok := info.Types[call]
 	if !ok || tv.Type == nil {
 		return false
 	}
@@ -140,20 +140,20 @@ func isErrorType(t types.Type) bool {
 	return types.Implements(t, errorInterface)
 }
 
-func exemptCall(pass *Pass, call *ast.CallExpr) bool {
+func exemptCall(info *types.Info, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
 	// Package-level function: fmt.Printf and friends.
 	if id, ok := sel.X.(*ast.Ident); ok {
-		if pkgName, ok := pass.Info.Uses[id].(*types.PkgName); ok {
+		if pkgName, ok := info.Uses[id].(*types.PkgName); ok {
 			qualified := pkgName.Imported().Path() + "." + sel.Sel.Name
 			return errcheckExemptFuncs[qualified]
 		}
 	}
 	// Method on an error-free writer: (*strings.Builder).WriteString etc.
-	if selection, ok := pass.Info.Selections[sel]; ok {
+	if selection, ok := info.Selections[sel]; ok {
 		recv := selection.Recv()
 		if ptr, ok := recv.(*types.Pointer); ok {
 			recv = ptr.Elem()

@@ -22,23 +22,23 @@ import (
 var FloatEq = &Analyzer{
 	Name: "floateq",
 	Doc:  "flag ==/!= between computed floating-point expressions",
-	Run:  runFloatEq,
+	Run:  perPackage(runFloatEq),
 }
 
-func runFloatEq(pass *Pass) {
-	for _, file := range pass.Files {
+func runFloatEq(pass *Pass, pkg *Package) {
+	for _, file := range pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			bin, ok := n.(*ast.BinaryExpr)
 			if !ok || (bin.Op != token.EQL && bin.Op != token.NEQ) {
 				return true
 			}
-			if !isFloat(pass, bin.X) && !isFloat(pass, bin.Y) {
+			if !isFloat(pkg.Info, bin.X) && !isFloat(pkg.Info, bin.Y) {
 				return true
 			}
 			if types.ExprString(bin.X) == types.ExprString(bin.Y) {
 				return true // NaN idiom: x != x
 			}
-			if isSentinel(pass, bin.X) || isSentinel(pass, bin.Y) {
+			if isSentinel(pkg.Info, bin.X) || isSentinel(pkg.Info, bin.Y) {
 				return true
 			}
 			pass.Reportf("floateq", bin.OpPos,
@@ -48,8 +48,8 @@ func runFloatEq(pass *Pass) {
 	}
 }
 
-func isFloat(pass *Pass, e ast.Expr) bool {
-	tv, ok := pass.Info.Types[e]
+func isFloat(info *types.Info, e ast.Expr) bool {
+	tv, ok := info.Types[e]
 	if !ok || tv.Type == nil {
 		return false
 	}
@@ -60,8 +60,8 @@ func isFloat(pass *Pass, e ast.Expr) bool {
 // isSentinel reports whether e is a compile-time constant or a direct
 // math.Inf(...) call — exactly representable values that code assigns and
 // later tests for, rather than results of arithmetic.
-func isSentinel(pass *Pass, e ast.Expr) bool {
-	if tv, ok := pass.Info.Types[e]; ok && tv.Value != nil {
+func isSentinel(info *types.Info, e ast.Expr) bool {
+	if tv, ok := info.Types[e]; ok && tv.Value != nil {
 		return true
 	}
 	call, ok := e.(*ast.CallExpr)
@@ -76,6 +76,6 @@ func isSentinel(pass *Pass, e ast.Expr) bool {
 	if !ok {
 		return false
 	}
-	pkgName, ok := pass.Info.Uses[id].(*types.PkgName)
+	pkgName, ok := info.Uses[id].(*types.PkgName)
 	return ok && pkgName.Imported().Path() == "math"
 }

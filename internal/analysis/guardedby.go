@@ -14,7 +14,7 @@ import (
 // access. Field accesses on freshly constructed objects (the base variable
 // is declared inside the function, so nothing else can see the object yet)
 // are exempt — constructors initialize fields before the object escapes.
-var GuardedBy = &ProgramAnalyzer{
+var GuardedBy = &Analyzer{
 	Name: "guardedby",
 	Doc:  "fields annotated `// guarded by <mu>` must only be accessed with the named mutex held",
 	Run:  runGuardedBy,
@@ -63,7 +63,7 @@ func guardNameOf(field *ast.Field) string {
 	return ""
 }
 
-func runGuardedBy(p *ProgramPass) {
+func runGuardedBy(p *Pass) {
 	prog := p.Prog
 	guards := guardAnnotations(prog)
 	if len(guards) == 0 {
@@ -86,13 +86,12 @@ func runGuardedBy(p *ProgramPass) {
 	freshByFn := make(map[*FuncInfo]map[types.Object]bool)
 
 	for _, fn := range prog.funcsInOrder {
-		fn := fn
 		freshByFn[fn] = freshLocals(fn)
 		parents := parentMap(fn.Decl)
 		walkFuncHeld(fn.Pkg.Info, fn.Decl.Body, func(n ast.Node, held []heldLock) {
 			switch n := n.(type) {
 			case *ast.CallExpr:
-				heldAtCall[n] = copyHeld(held)
+				heldAtCall[n] = held
 			case *ast.SelectorExpr:
 				selinfo := fn.Pkg.Info.Selections[n]
 				if selinfo == nil || selinfo.Kind() != types.FieldVal {
@@ -112,13 +111,52 @@ func runGuardedBy(p *ProgramPass) {
 					field: fv,
 					mu:    mu,
 					write: isWriteAccess(parents, n),
-					held:  copyHeld(held),
+					held:  held,
 				})
 			}
 		})
 	}
 
-	checker := &holderChecker{prog: prog, heldAtCall: heldAtCall, memo: make(map[holderKey]holderState)}
+	// receiverHolds reports whether every call path into fn holds
+	// <recv>.mu on fn's receiver (write-held if write). A call site holds
+	// it when the lock is lexically held there on the receiver expression
+	// of the call; it defers when that receiver is the caller's own
+	// receiver, so a helper called only by lock holders passes too.
+	type guard struct {
+		mu    string
+		write bool
+	}
+	memos := make(map[guard]map[*FuncInfo]bool)
+	receiverHolds := func(fn *FuncInfo, mu string, write bool) bool {
+		memo := memos[guard{mu, write}]
+		if memo == nil {
+			memo = make(map[*FuncInfo]bool)
+			memos[guard{mu, write}] = memo
+		}
+		return everyCaller(fn, memo, func(cs *CallSite) siteVerdict {
+			if cs.ViaInterface {
+				// An interface call site names the interface value, not
+				// the concrete receiver; no lock correlation is possible.
+				return siteFails
+			}
+			sel, ok := ast.Unparen(cs.Call.Fun).(*ast.SelectorExpr)
+			if !ok {
+				return siteFails // plain function call, no receiver to correlate
+			}
+			recv := ast.Unparen(sel.X)
+			if heldHas(heldAtCall[cs.Call], types.ExprString(recv)+"."+mu, write) {
+				return siteHolds
+			}
+			baseID := baseIdent(recv)
+			if baseID == nil {
+				return siteFails
+			}
+			if obj := identObj(cs.Caller.Pkg.Info, baseID); obj == nil || obj != receiverObj(cs.Caller) {
+				return siteFails
+			}
+			return siteDefers
+		})
+	}
 
 	for _, acc := range accesses {
 		base := ast.Unparen(acc.sel.X)
@@ -137,7 +175,7 @@ func runGuardedBy(p *ProgramPass) {
 			}
 			// Receiver access: accept if every call path to this function
 			// holds the guard on the same receiver.
-			if obj != nil && obj == receiverObj(acc.fn) && checker.allSitesHold(acc.fn, acc.mu, acc.write, nil) {
+			if obj != nil && obj == receiverObj(acc.fn) && receiverHolds(acc.fn, acc.mu, acc.write) {
 				continue
 			}
 		}
@@ -290,82 +328,4 @@ func receiverObj(fn *FuncInfo) types.Object {
 		return nil
 	}
 	return fn.Pkg.Info.Defs[names[0]]
-}
-
-// holderChecker answers "is fn only ever reached with <mu> held on the
-// receiver?" by walking the call graph upward through every caller.
-type holderChecker struct {
-	prog       *Program
-	heldAtCall map[*ast.CallExpr][]heldLock
-	memo       map[holderKey]holderState
-}
-
-type holderKey struct {
-	fn    *FuncInfo
-	mu    string
-	write bool
-}
-
-type holderState int
-
-const (
-	holderUnknown holderState = iota // in progress (cycle) → treated as not held
-	holderYes
-	holderNo
-)
-
-// allSitesHold reports whether every call site of fn is a method call on a
-// receiver expression whose `<recv>.<mu>` lock is lexically held at the
-// site (write-held if write), or is itself inside a function that
-// satisfies the same property recursively. A function with no call sites
-// fails: nothing proves its callers hold the lock.
-func (c *holderChecker) allSitesHold(fn *FuncInfo, mu string, write bool, _ []heldLock) bool {
-	key := holderKey{fn, mu, write}
-	if state, ok := c.memo[key]; ok {
-		return state == holderYes
-	}
-	c.memo[key] = holderUnknown // cycle guard: recursion does not prove holding
-	ok := c.computeAllSitesHold(fn, mu, write)
-	if ok {
-		c.memo[key] = holderYes
-	} else {
-		c.memo[key] = holderNo
-	}
-	return ok
-}
-
-func (c *holderChecker) computeAllSitesHold(fn *FuncInfo, mu string, write bool) bool {
-	if len(fn.Callers) == 0 {
-		return false
-	}
-	for _, cs := range fn.Callers {
-		if cs.ViaInterface {
-			// An interface call site names the interface value, not the
-			// concrete receiver; no lock correlation is possible.
-			return false
-		}
-		sel, ok := ast.Unparen(cs.Call.Fun).(*ast.SelectorExpr)
-		if !ok {
-			return false // plain function call, no receiver to correlate
-		}
-		recv := ast.Unparen(sel.X)
-		needKey := types.ExprString(recv) + "." + mu
-		if heldHas(c.heldAtCall[cs.Call], needKey, write) {
-			continue
-		}
-		// The caller may itself be a helper whose own receiver is the
-		// same object and whose callers all hold the lock.
-		baseID := baseIdent(recv)
-		if baseID == nil {
-			return false
-		}
-		obj := identObj(cs.Caller.Pkg.Info, baseID)
-		if obj == nil || obj != receiverObj(cs.Caller) {
-			return false
-		}
-		if !c.allSitesHold(cs.Caller, mu, write, nil) {
-			return false
-		}
-	}
-	return true
 }

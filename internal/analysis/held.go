@@ -128,207 +128,42 @@ func identObj(info *types.Info, id *ast.Ident) types.Object {
 	return info.Defs[id]
 }
 
-// walkFuncHeld traverses body in source order, tracking which locks are
+// walkFuncHeld walks body with walkFlow, tracking which locks are
 // lexically held at each point, and calls visit for every node with the
-// current held set. The tracking is branch-local: acquisitions and
-// releases inside a nested block (if/for/switch/select body) do not leak
-// into the statements that follow it, which keeps error paths of the form
-//
-//	mu.Lock()
-//	if bad { mu.Unlock(); return err }
-//	...
-//	mu.Unlock()
-//
-// tracked correctly (the lock is still held after the if). `defer
-// mu.Unlock()` leaves the lock held until the function returns, as it does
-// dynamically. Function literal bodies are walked with an empty held set:
-// the passes treat a closure's body as running at an unknown time.
+// held set in force there. The held slices it passes are never written
+// afterwards, so visit may keep them.
 func walkFuncHeld(info *types.Info, body *ast.BlockStmt, visit func(n ast.Node, held []heldLock)) {
-	w := &heldWalker{info: info, visit: visit}
-	held := []heldLock{}
-	w.stmts(body.List, &held)
-}
-
-type heldWalker struct {
-	info  *types.Info
-	visit func(n ast.Node, held []heldLock)
-}
-
-func copyHeld(held []heldLock) []heldLock {
-	out := make([]heldLock, len(held))
-	copy(out, held)
-	return out
-}
-
-func (w *heldWalker) stmts(list []ast.Stmt, held *[]heldLock) {
-	for _, s := range list {
-		w.stmt(s, held)
-	}
-}
-
-// branch walks a nested statement with a copy of the current held set, so
-// its lock effects stay local to the branch.
-func (w *heldWalker) branch(s ast.Stmt, held []heldLock) {
-	h := copyHeld(held)
-	w.stmt(s, &h)
-}
-
-// branchStmts walks a nested statement list with a copy of the current
-// held set.
-func (w *heldWalker) branchStmts(list []ast.Stmt, held []heldLock) {
-	h := copyHeld(held)
-	w.stmts(list, &h)
-}
-
-func (w *heldWalker) stmt(s ast.Stmt, held *[]heldLock) {
-	switch s := s.(type) {
-	case nil:
-		return
-	case *ast.BlockStmt:
-		w.branchStmts(s.List, *held)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, held)
-		}
-		w.expr(s.Cond, *held)
-		w.branchStmts(s.Body.List, *held)
-		if s.Else != nil {
-			w.branch(s.Else, *held)
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, held)
-		}
-		if s.Cond != nil {
-			w.expr(s.Cond, *held)
-		}
-		w.branchStmts(s.Body.List, *held)
-		if s.Post != nil {
-			w.branch(s.Post, *held)
-		}
-	case *ast.RangeStmt:
-		if s.Key != nil {
-			w.expr(s.Key, *held)
-		}
-		if s.Value != nil {
-			w.expr(s.Value, *held)
-		}
-		w.expr(s.X, *held)
-		w.branchStmts(s.Body.List, *held)
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, held)
-		}
-		if s.Tag != nil {
-			w.expr(s.Tag, *held)
-		}
-		for _, clause := range s.Body.List {
-			w.branch(clause, *held)
-		}
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, held)
-		}
-		w.branch(s.Assign, *held)
-		for _, clause := range s.Body.List {
-			w.branch(clause, *held)
-		}
-	case *ast.CaseClause:
-		for _, e := range s.List {
-			w.expr(e, *held)
-		}
-		w.stmts(s.Body, held)
-	case *ast.SelectStmt:
-		for _, clause := range s.Body.List {
-			w.branch(clause, *held)
-		}
-	case *ast.CommClause:
-		if s.Comm != nil {
-			w.stmt(s.Comm, held)
-		}
-		w.stmts(s.Body, held)
-	case *ast.LabeledStmt:
-		w.stmt(s.Stmt, held)
-	case *ast.DeferStmt:
-		// Visit the call (args and any function literal) but apply no
-		// lock effect: `defer mu.Unlock()` keeps the lock held for the
-		// remainder of the function.
-		w.expr(s.Call, *held)
-	case *ast.GoStmt:
-		w.expr(s.Call, *held)
-	case *ast.ExprStmt:
-		w.expr(s.X, *held)
-		if lk, acquire, ok := lockOpOf(w.info, s.X); ok {
-			applyLockOp(held, lk, acquire)
-		}
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			w.expr(e, *held)
-		}
-		for _, e := range s.Lhs {
-			w.expr(e, *held)
-		}
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			w.expr(e, *held)
-		}
-	case *ast.IncDecStmt:
-		w.expr(s.X, *held)
-	case *ast.SendStmt:
-		w.expr(s.Chan, *held)
-		w.expr(s.Value, *held)
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, e := range vs.Values {
-						w.expr(e, *held)
-					}
+	walkFlow(body,
+		func() *lockSet { return &lockSet{} },
+		func(n ast.Node, st *lockSet) { visit(n, st.held) },
+		func(s ast.Stmt, st *lockSet) {
+			if es, ok := s.(*ast.ExprStmt); ok {
+				if lk, acquire, ok := lockOpOf(info, es.X); ok {
+					st.held = applyLockOp(st.held, lk, acquire)
 				}
 			}
-		}
-	default:
-		// BranchStmt, EmptyStmt: nothing to visit.
-	}
+		})
 }
 
-// expr visits every node of e with the current held set, descending into
-// function literal bodies with an empty held set.
-func (w *heldWalker) expr(e ast.Expr, held []heldLock) {
-	if e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok {
-			w.visit(lit, held)
-			empty := []heldLock{}
-			w.stmts(lit.Body.List, &empty)
-			return false
-		}
-		if n != nil {
-			w.visit(n, held)
-		}
-		return true
-	})
-}
+// lockSet is the held-lock state of one path. applyLockOp never writes
+// into an existing held slice, so a clone may share it.
+type lockSet struct{ held []heldLock }
 
-func applyLockOp(held *[]heldLock, lk heldLock, acquire bool) {
+func (s *lockSet) clone() *lockSet { return &lockSet{held: s.held} }
+
+// applyLockOp returns held after one acquisition or release. A release
+// drops the most recent matching acquisition (same key; Unlock matches
+// Lock, RUnlock matches RLock).
+func applyLockOp(held []heldLock, lk heldLock, acquire bool) []heldLock {
 	if acquire {
-		*held = append(copyHeld(*held), lk)
-		return
+		return append(held[:len(held):len(held)], lk)
 	}
-	// Release the most recent matching acquisition (same key; Unlock
-	// matches Lock, RUnlock matches RLock).
-	h := *held
-	for i := len(h) - 1; i >= 0; i-- {
-		if h[i].key == lk.key && h[i].write == lk.write {
-			out := make([]heldLock, 0, len(h)-1)
-			out = append(out, h[:i]...)
-			out = append(out, h[i+1:]...)
-			*held = out
-			return
+	for i := len(held) - 1; i >= 0; i-- {
+		if held[i].key == lk.key && held[i].write == lk.write {
+			return append(held[:i:i], held[i+1:]...)
 		}
 	}
+	return held
 }
 
 // heldHas reports whether held contains the lock with the given key, and

@@ -17,7 +17,7 @@ import (
 // nest the same two classes in opposite orders form a cycle even if they
 // never call each other. Self-edges (acquiring a class while holding it)
 // are reported too: with sync.Mutex that is an immediate deadlock risk.
-var LockOrder = &ProgramAnalyzer{
+var LockOrder = &Analyzer{
 	Name: "lockorder",
 	Doc:  "the program-wide lock acquisition order must be acyclic (deadlock freedom)",
 	Run:  runLockOrder,
@@ -33,7 +33,7 @@ type lockEdge struct {
 	via string
 }
 
-func runLockOrder(p *ProgramPass) {
+func runLockOrder(p *Pass) {
 	prog := p.Prog
 
 	// Phase 1: per function, record direct acquisitions (for the
@@ -50,7 +50,6 @@ func runLockOrder(p *ProgramPass) {
 	callSitesByExpr := make(map[*FuncInfo]map[*ast.CallExpr][]*CallSite)
 
 	for _, fn := range prog.funcsInOrder {
-		fn := fn
 		direct[fn] = make(map[string]bool)
 		byExpr := make(map[*ast.CallExpr][]*CallSite)
 		for _, cs := range fn.Callees {
@@ -75,7 +74,7 @@ func runLockOrder(p *ProgramPass) {
 				return
 			}
 			if len(held) > 0 && len(byExpr[call]) > 0 {
-				callEvents = append(callEvents, callEvent{call: call, held: copyHeld(held), fn: fn})
+				callEvents = append(callEvents, callEvent{call: call, held: held, fn: fn})
 			}
 		})
 	}

@@ -38,11 +38,11 @@ var forbiddenTimeFuncs = map[string]bool{
 var NoDeterminism = &Analyzer{
 	Name: "nodeterminism",
 	Doc:  "forbid math/rand imports, time.Now/Since/Until, and sync.Pool without a New fallback in simulation packages",
-	Run:  runNoDeterminism,
+	Run:  perPackage(runNoDeterminism),
 }
 
-func runNoDeterminism(pass *Pass) {
-	for _, file := range pass.Files {
+func runNoDeterminism(pass *Pass, pkg *Package) {
+	for _, file := range pkg.Files {
 		for _, imp := range file.Imports {
 			path, err := strconv.Unquote(imp.Path.Value)
 			if err != nil {
@@ -62,7 +62,7 @@ func runNoDeterminism(pass *Pass) {
 			if !ok {
 				return true
 			}
-			pkgName, ok := pass.Info.Uses[id].(*types.PkgName)
+			pkgName, ok := pkg.Info.Uses[id].(*types.PkgName)
 			if !ok || pkgName.Imported().Path() != "time" {
 				return true
 			}
@@ -75,7 +75,7 @@ func runNoDeterminism(pass *Pass) {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CompositeLit:
-				if !isSyncPool(pass.Info.Types[n].Type) {
+				if !isSyncPool(pkg.Info.Types[n].Type) {
 					return true
 				}
 				for _, elt := range n.Elts {
@@ -96,7 +96,7 @@ func runNoDeterminism(pass *Pass) {
 					return true
 				}
 				for _, name := range n.Names {
-					obj := pass.Info.Defs[name]
+					obj := pkg.Info.Defs[name]
 					if obj != nil && isSyncPool(obj.Type()) {
 						pass.Reportf("nodeterminism", name.Pos(),
 							"zero-value sync.Pool: Get returns nil depending on GC timing; declare the deterministic-fallback seam (New) and fully overwrite pooled buffers before reading them")

@@ -15,11 +15,11 @@ import (
 var PanicPolicy = &Analyzer{
 	Name: "panicpolicy",
 	Doc:  "flag panic in library code; return errors or annotate //lemonvet:allow panic",
-	Run:  runPanicPolicy,
+	Run:  perPackage(runPanicPolicy),
 }
 
-func runPanicPolicy(pass *Pass) {
-	for _, file := range pass.Files {
+func runPanicPolicy(pass *Pass, pkg *Package) {
+	for _, file := range pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
@@ -29,7 +29,7 @@ func runPanicPolicy(pass *Pass) {
 			if !ok || id.Name != "panic" {
 				return true
 			}
-			if _, isBuiltin := pass.Info.Uses[id].(*types.Builtin); !isBuiltin {
+			if _, isBuiltin := pkg.Info.Uses[id].(*types.Builtin); !isBuiltin {
 				return true // a local function named panic, not the builtin
 			}
 			pass.Reportf("panicpolicy", call.Pos(),

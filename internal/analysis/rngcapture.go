@@ -19,7 +19,7 @@ import (
 var RNGCapture = &Analyzer{
 	Name: "rngcapture",
 	Doc:  "flag *rng.RNG shared with a goroutine without Derive/DeriveIndex/Split",
-	Run:  runRNGCapture,
+	Run:  perPackage(runRNGCapture),
 }
 
 // deriveOnlyMethods are the *rng.RNG methods that do not mutate the
@@ -47,26 +47,26 @@ func isRNGPointer(t types.Type) bool {
 	return path == "lemonade/internal/rng" || strings.HasSuffix(path, "/internal/rng")
 }
 
-func runRNGCapture(pass *Pass) {
-	for _, file := range pass.Files {
+func runRNGCapture(pass *Pass, pkg *Package) {
+	for _, file := range pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			g, ok := n.(*ast.GoStmt)
 			if !ok {
 				return true
 			}
-			checkGoCall(pass, g)
+			checkGoCall(pass, pkg.Info, g)
 			return true
 		})
 	}
 }
 
-func checkGoCall(pass *Pass, g *ast.GoStmt) {
+func checkGoCall(pass *Pass, info *types.Info, g *ast.GoStmt) {
 	// An RNG-typed argument evaluated at spawn time hands the parent's
 	// generator to the goroutine: `go worker(r)` races with any further use
 	// of r. `go worker(r.Split())` and `go worker(r.Derive("w"))` are fine —
 	// the child stream is created sequentially, before the goroutine runs.
 	for _, arg := range g.Call.Args {
-		tv, ok := pass.Info.Types[arg]
+		tv, ok := info.Types[arg]
 		if !ok || !isRNGPointer(tv.Type) {
 			continue
 		}
@@ -88,7 +88,7 @@ func checkGoCall(pass *Pass, g *ast.GoStmt) {
 		if !ok {
 			return true
 		}
-		obj := pass.Info.Uses[id]
+		obj := info.Uses[id]
 		if obj == nil || !isRNGPointer(obj.Type()) {
 			return true
 		}

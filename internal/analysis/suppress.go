@@ -31,20 +31,10 @@ var allowAliases = map[string]string{
 	"panic": "panicpolicy",
 }
 
-func newAllowSet() *allowSet {
-	return &allowSet{byLine: make(map[string]map[int][]*allowEntry)}
-}
-
-func collectAllows(fset *token.FileSet, files []*ast.File) *allowSet {
-	set := newAllowSet()
-	set.add(fset, files)
-	return set
-}
-
-// collectAllowsAll gathers the allow comments of every package into one
-// set, so program-analyzer findings in any package resolve against it.
-func collectAllowsAll(pkgs []*Package) *allowSet {
-	set := newAllowSet()
+// collectAllows gathers the allow comments of every package into one set,
+// so a finding in any package resolves against it.
+func collectAllows(pkgs []*Package) *allowSet {
+	set := &allowSet{byLine: make(map[string]map[int][]*allowEntry)}
 	for _, pkg := range pkgs {
 		set.add(pkg.Fset, pkg.Files)
 	}
@@ -52,10 +42,6 @@ func collectAllowsAll(pkgs []*Package) *allowSet {
 }
 
 func (s *allowSet) add(fset *token.FileSet, files []*ast.File) {
-	known := make(map[string]bool)
-	for _, name := range Names() {
-		known[name] = true
-	}
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -72,7 +58,7 @@ func (s *allowSet) add(fset *token.FileSet, files []*ast.File) {
 				if canon, ok := allowAliases[name]; ok {
 					name = canon
 				}
-				if !known[name] {
+				if ByName(name) == nil {
 					name = ""
 				}
 				entry := &allowEntry{name: name, raw: raw, pos: fset.Position(c.Pos())}

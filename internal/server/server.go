@@ -9,12 +9,16 @@
 // what the API exposes:
 //
 //	POST /v1/architectures             provision from a dse spec (explicit seed)
+//	GET  /v1/architectures             page through the fleet (?after_id=, ?limit=)
 //	GET  /v1/architectures/{id}        wearout status
 //	POST /v1/architectures/{id}/access one real access (consumes wearout)
+//	POST /v1/architectures/{id}/stress adversarial stress burst (consumes wearout, reveals no key)
+//	GET  /v1/architectures/{id}/events recent access events (?max=)
 //	POST /v1/dse/explore               cached design-space exploration
 //	POST /v1/dse/frontier              full frontier (cancellable)
+//	GET  /v1/cluster/ring              ring placement config (cluster mode only)
 //	GET  /metrics                      Prometheus text exposition
-//	GET  /healthz                      liveness
+//	GET  /healthz                      liveness ("degraded" while the breaker is open)
 //
 // Determinism through the HTTP layer is a feature, not an accident: every
 // provision takes an explicit seed, registry IDs are sequential, and the

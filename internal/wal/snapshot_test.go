@@ -588,7 +588,8 @@ func TestSparseSnapshotRoundTrip(t *testing.T) {
 
 // TestFormat1SnapshotRecovers: a data directory written before the
 // framed layout (one JSON snapshot frame) still recovers, to the same
-// state as its uninterrupted twins, and its next snapshot is format 2.
+// state as its uninterrupted twins, and its next snapshot is written in
+// the current format (snapshotFormat).
 func TestFormat1SnapshotRecovers(t *testing.T) {
 	dir := copyDir(t, filepath.Join("testdata", "format1"))
 	reg, st, stats := recoverInto(t, dir)
