@@ -20,10 +20,10 @@ lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/lemonvet -strict-suppress ./...
 
-## vet-fixtures: the lemonvet fixture suite only — every pass against its
-## testdata/src package
+## vet-fixtures: the lemonvet fixture suites only — every pass against its
+## testdata/src package, local and whole-program
 vet-fixtures:
-	$(GO) test ./internal/analysis/ -run 'TestAnalyzers$$' -v
+	$(GO) test ./internal/analysis/ -run 'TestAnalyzers$$|TestProgramAnalyzers$$' -v
 
 build:
 	$(GO) build ./...

@@ -43,52 +43,81 @@ func wantMarkers(pkgs []*Package) map[string]string {
 	return want
 }
 
-// TestAnalyzers runs each analyzer against its fixture tree and checks
-// the findings against the fixture's "// want" markers: every marked line
-// must be reported, no unmarked line may be, and each fixture's
-// //lemonvet:allow example must suppress exactly one finding.
+// programAnalyzers are the passes that follow the call graph across
+// package boundaries; the rest read one package at a time.
+var programAnalyzers = []*Analyzer{GuardedBy, LockOrder, LogAhead, CtxFlow}
+
+func isProgramAnalyzer(a *Analyzer) bool {
+	for _, p := range programAnalyzers {
+		if p == a {
+			return true
+		}
+	}
+	return false
+}
+
+// TestAnalyzers runs each per-package analyzer against its fixture tree;
+// TestProgramAnalyzers covers the rest of All().
+func TestAnalyzers(t *testing.T) {
+	for _, a := range All() {
+		if isProgramAnalyzer(a) {
+			continue
+		}
+		t.Run(a.Name, func(t *testing.T) { checkFixture(t, a) })
+	}
+}
+
+// TestProgramAnalyzers runs each whole-program analyzer against its
+// fixture tree.
 //
 // The Bad* cases of the logahead and lockorder fixtures double as
 // regression demonstrations: deleting the checked ticket wait before a
 // wear mutation (BadNoAppend / BadUncheckedAppend) makes logahead fire,
 // and swapping a lock order (BA, DC) makes lockorder fire.
-func TestAnalyzers(t *testing.T) {
-	for _, a := range All() {
-		t.Run(a.Name, func(t *testing.T) {
-			pkgs := loadFixture(t, a.Name)
-			findings, suppressed := Check(pkgs, []*Analyzer{a})
-			want := wantMarkers(pkgs)
-			if len(want) == 0 {
-				t.Fatalf("fixture %s has no // want markers", a.Name)
-			}
-			got := make(map[string]bool)
-			for _, f := range findings {
-				if f.Analyzer != a.Name {
-					t.Errorf("unexpected analyzer %q in finding %s", f.Analyzer, f)
-				}
-				key := fmt.Sprintf("%s:%d", f.Pos.Filename, f.Pos.Line)
-				if _, expected := want[key]; !expected {
-					t.Errorf("unexpected finding: %s", f)
-				}
-				got[key] = true
-			}
-			var missed []string
-			for key, wantAnalyzer := range want {
-				if wantAnalyzer != a.Name {
-					t.Errorf("%s wants %q, fixture belongs to %q", key, wantAnalyzer, a.Name)
-				}
-				if !got[key] {
-					missed = append(missed, key)
-				}
-			}
-			sort.Strings(missed)
-			for _, key := range missed {
-				t.Errorf("no finding at %s, want one", key)
-			}
-			if suppressed != 1 {
-				t.Errorf("suppressed = %d, want 1 (each fixture carries one //lemonvet:allow example)", suppressed)
-			}
-		})
+func TestProgramAnalyzers(t *testing.T) {
+	for _, a := range programAnalyzers {
+		t.Run(a.Name, func(t *testing.T) { checkFixture(t, a) })
+	}
+}
+
+// checkFixture runs one analyzer against its fixture tree and checks the
+// findings against the fixture's "// want" markers: every marked line
+// must be reported, no unmarked line may be, and the fixture's
+// //lemonvet:allow example must suppress exactly one finding.
+func checkFixture(t *testing.T, a *Analyzer) {
+	t.Helper()
+	pkgs := loadFixture(t, a.Name)
+	findings, suppressed := Check(pkgs, []*Analyzer{a})
+	want := wantMarkers(pkgs)
+	if len(want) == 0 {
+		t.Fatalf("fixture %s has no // want markers", a.Name)
+	}
+	got := make(map[string]bool)
+	for _, f := range findings {
+		if f.Analyzer != a.Name {
+			t.Errorf("unexpected analyzer %q in finding %s", f.Analyzer, f)
+		}
+		key := fmt.Sprintf("%s:%d", f.Pos.Filename, f.Pos.Line)
+		if _, expected := want[key]; !expected {
+			t.Errorf("unexpected finding: %s", f)
+		}
+		got[key] = true
+	}
+	var missed []string
+	for key, wantAnalyzer := range want {
+		if wantAnalyzer != a.Name {
+			t.Errorf("%s wants %q, fixture belongs to %q", key, wantAnalyzer, a.Name)
+		}
+		if !got[key] {
+			missed = append(missed, key)
+		}
+	}
+	sort.Strings(missed)
+	for _, key := range missed {
+		t.Errorf("no finding at %s, want one", key)
+	}
+	if suppressed != 1 {
+		t.Errorf("suppressed = %d, want 1 (each fixture carries one //lemonvet:allow example)", suppressed)
 	}
 }
 
@@ -121,6 +150,33 @@ func TestAnalyzersForConfig(t *testing.T) {
 		}
 		if got := strings.Join(names, ","); got != c.want {
 			t.Errorf("analyzersFor(%q, %q) = %q, want %q", c.path, c.pkgName, got, c.want)
+		}
+	}
+}
+
+// TestProgramAnalyzersForConfig pins the applicability rules of the
+// whole-program passes on their own.
+func TestProgramAnalyzersForConfig(t *testing.T) {
+	cases := []struct {
+		path    string
+		pkgName string
+		want    string
+	}{
+		{"lemonade/internal/registry", "registry", "guardedby,lockorder,logahead,ctxflow"},
+		{"lemonade/internal/wal", "wal", "guardedby,lockorder,logahead,ctxflow"},
+		{"lemonade/internal/montecarlo", "montecarlo", "guardedby,lockorder,ctxflow"},
+		{"lemonade/cmd/lemonaded", "main", "guardedby,lockorder"},
+		{"lemonade/internal/analysis/testdata/src/guardedby", "guardedby", ""},
+	}
+	for _, c := range cases {
+		var names []string
+		for _, a := range analyzersFor(c.path, c.pkgName) {
+			if isProgramAnalyzer(a) {
+				names = append(names, a.Name)
+			}
+		}
+		if got := strings.Join(names, ","); got != c.want {
+			t.Errorf("program analyzersFor(%q, %q) = %q, want %q", c.path, c.pkgName, got, c.want)
 		}
 	}
 }
