@@ -42,11 +42,11 @@ race:
 	$(GO) test -race ./internal/montecarlo/... ./internal/targeting/... ./internal/core/... ./internal/server/... ./internal/registry/... ./internal/cache/... ./internal/wal/... ./internal/fault/... ./internal/resilience/... ./internal/analysis/ ./internal/attack/... ./internal/nems/... ./internal/cluster/... ./api/...
 	$(GO) test -race -short ./...
 
-## repeat: the attack and cluster harness tests 50 times over, so an
+## repeat: the attack, cluster and registry tests 50 times over, so an
 ## interleaving-dependent failure shows up here rather than in tier-1
 ## (CI's attack job runs this target)
 repeat:
-	$(GO) test -count=50 ./internal/attack/ ./internal/cluster/
+	$(GO) test -count=50 ./internal/attack/ ./internal/cluster/ ./internal/registry/
 
 ## smoke: end-to-end daemon test (build, provision, lockout, metrics, drain)
 smoke:

@@ -73,7 +73,9 @@ func TestAnalyzers(t *testing.T) {
 // The Bad* cases of the logahead and lockorder fixtures double as
 // regression demonstrations: deleting the checked ticket wait before a
 // wear mutation (BadNoAppend / BadUncheckedAppend) makes logahead fire,
-// and swapping a lock order (BA, DC) makes lockorder fire.
+// and swapping a lock order (BA, DC) makes lockorder fire. The guardedby
+// fixture's branch cases (OKSwitchRelease through BadForPostLock) fail if
+// the flow walker lets a lock effect escape the branch it happens in.
 func TestProgramAnalyzers(t *testing.T) {
 	for _, a := range programAnalyzers {
 		t.Run(a.Name, func(t *testing.T) { checkFixture(t, a) })

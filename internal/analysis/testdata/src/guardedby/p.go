@@ -97,3 +97,67 @@ func NewBox() *Box {
 func (b *Box) Snapshot() int {
 	return b.n //lemonvet:allow guardedby fixture example: caller quiesces all writers first
 }
+
+// The cases below pin branch locality for every kind of branch the walker
+// enters: a lock released or taken inside one stays inside it. Each fails
+// if the walker lets the branch's effect reach the code after it.
+
+// OKSwitchRelease releases only in the case that returns; the read after
+// the switch still holds the lock.
+func (b *Box) OKSwitchRelease(mode int) int {
+	b.mu.Lock()
+	switch mode {
+	case 0:
+		b.mu.Unlock()
+		return -1
+	}
+	defer b.mu.Unlock()
+	return b.n
+}
+
+// OKSelectRelease releases only in the comm clause that returns.
+func (b *Box) OKSelectRelease(done <-chan struct{}) int {
+	b.mu.Lock()
+	select {
+	case <-done:
+		b.mu.Unlock()
+		return -1
+	default:
+	}
+	defer b.mu.Unlock()
+	return b.n
+}
+
+// OKTypeSwitchRelease releases only in the case of its type switch that
+// returns.
+func (b *Box) OKTypeSwitchRelease(v any) int {
+	b.mu.Lock()
+	switch x := v.(type) {
+	case int:
+		b.mu.Unlock()
+		return x
+	}
+	defer b.mu.Unlock()
+	return b.n
+}
+
+// BadElseIfLock takes the lock in an else-if's init statement, which runs
+// only when first is false: on the first branch the read is unlocked.
+func (b *Box) BadElseIfLock(first, second bool) int {
+	n := 0
+	if first {
+		n = 1
+	} else if b.mu.Lock(); second {
+		n = 2
+	}
+	return n + b.n // want guardedby
+}
+
+// BadForPostLock takes the lock in the loop's post statement, which never
+// runs when once is false: then the read is unlocked.
+func (b *Box) BadForPostLock(once bool) int {
+	for run := once; run; b.mu.Lock() {
+		run = false
+	}
+	return b.n // want guardedby
+}

@@ -28,8 +28,7 @@ func testConfig(t *testing.T) Config {
 
 // TestSuiteCoversHotPaths pins the metric inventory: the five hot paths
 // of ISSUE 5 (montecarlo, DSE cold+cached, the codec, the WAL's three
-// phases, HTTP) must all be present in a full run, and no measured
-// metric may also be retired.
+// phases, HTTP) must all be present in a full run.
 func TestSuiteCoversHotPaths(t *testing.T) {
 	rep, err := Run(context.Background(), testConfig(t))
 	if err != nil {
@@ -72,11 +71,6 @@ func TestSuiteCoversHotPaths(t *testing.T) {
 	}
 	if len(rep.Results) != len(want) {
 		t.Errorf("report has %d metrics, want %d", len(rep.Results), len(want))
-	}
-	for _, c := range Suite() {
-		if _, ok := retiredMetrics[c.Name]; ok {
-			t.Errorf("metric %q is both in Suite() and retired", c.Name)
-		}
 	}
 }
 
@@ -231,7 +225,7 @@ func report(results ...Result) *Report {
 
 // TestCompareSyntheticSlowdown covers the gate's decision table: a 2×
 // median slowdown fails naming the metric, jitter under every threshold
-// passes, improvements pass, missing metrics fail unless retired,
+// passes, improvements pass, missing metrics fail,
 // checksum mismatches at equal seeds fail.
 func TestCompareSyntheticSlowdown(t *testing.T) {
 	base := Result{Name: "wal/append", MedianNanos: 1e6, StddevNanos: 2e4,
@@ -297,25 +291,6 @@ func TestCompareSyntheticSlowdown(t *testing.T) {
 		}
 		if len(regs) != 1 || regs[0].Field != "coverage" {
 			t.Fatalf("got %v, want one coverage regression", regs)
-		}
-	})
-
-	t.Run("missing retired metric is listed, not regressed", func(t *testing.T) {
-		gone := Result{Name: "codec/rs-fast-path", MedianNanos: 1e6, Checksum: "abc"}
-		old, cur := report(base, gone), report(base)
-		regs, err := Compare(old, cur, CompareOpts{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(regs) != 0 {
-			t.Fatalf("retired metric flagged: %v", regs)
-		}
-		got := Retired(old, cur)
-		if len(got) != 1 || !strings.HasPrefix(got[0], "codec/rs-fast-path: ") {
-			t.Fatalf("Retired = %q, want the one retired metric with its reason", got)
-		}
-		if got := Retired(old, old); len(got) != 0 {
-			t.Fatalf("Retired lists a metric the new report still measures: %q", got)
 		}
 	})
 

@@ -49,33 +49,6 @@ var DefaultAllocCeilings = map[string]float64{
 	"core/build":                 4096, // measured floor 2220 (2663 with a slab per copy, 57091 with a heap object per switch)
 }
 
-// retiredMetrics are metrics the suite once measured and dropped on
-// purpose, each with the reason. A retired metric missing from the new
-// report is not lost coverage: Compare skips it and Retired lists it, so
-// a gate against a report from before the deletion still passes. Any
-// other missing metric regresses.
-var retiredMetrics = map[string]string{
-	"codec/rs_encode_decode": "the Reed-Solomon erasure codec had no production caller and was deleted",
-	"codec/rs-fast-path":     "the Reed-Solomon syndrome fast path went with the deleted codec",
-}
-
-// Retired returns, sorted, the retired metrics that old measured and cur
-// does not, each as "name: reason".
-func Retired(old, cur *Report) []string {
-	have := make(map[string]bool, len(cur.Results))
-	for _, r := range cur.Results {
-		have[r.Name] = true
-	}
-	var out []string
-	for _, o := range old.Results {
-		if reason, ok := retiredMetrics[o.Name]; ok && !have[o.Name] {
-			out = append(out, o.Name+": "+reason)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 func (o CompareOpts) withDefaults() CompareOpts {
 	if o.RelThreshold <= 0 {
 		o.RelThreshold = 0.10
@@ -112,7 +85,7 @@ func (r Regression) String() string {
 // — the noise-aware threshold: a shift must be both relatively large
 // and outside what the two runs' own spread explains. Improvements
 // never fail. Beyond timing: a metric present in old but missing from
-// new regresses (coverage loss) unless it is retired, allocs/op
+// new regresses (coverage loss), allocs/op
 // regresses past its own threshold, and — when both runs used the same
 // seed — a checksum mismatch regresses unconditionally, because it
 // means the workload computed different bytes, which is a determinism
@@ -131,9 +104,6 @@ func Compare(old, cur *Report, opts CompareOpts) ([]Regression, error) {
 	for _, o := range old.Results {
 		n, ok := newByName[o.Name]
 		if !ok {
-			if _, retired := retiredMetrics[o.Name]; retired {
-				continue
-			}
 			regs = append(regs, Regression{Metric: o.Name, Field: "coverage",
 				Detail: "metric present in old report but missing from new"})
 			continue

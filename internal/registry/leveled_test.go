@@ -1,8 +1,11 @@
 package registry
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -74,7 +77,7 @@ func TestStressLogAhead(t *testing.T) {
 	if got := e.Arch.Stressed(); got != before {
 		t.Errorf("failed stress consumed budget: %d -> %d", before, got)
 	}
-	// A failed commit must not wedge the turn queue.
+	// A failed commit must not wedge the entry lock.
 	if _, err := e.Stress(ctx, hot, []int{0}, 1); err != nil {
 		t.Fatalf("stress after failed commit: %v", err)
 	}
@@ -271,5 +274,90 @@ func TestLeveledEntryOutlivesTargetedStress(t *testing.T) {
 	if leveledOK <= plainOK {
 		t.Fatalf("leveled entry served %d reveals under attack, unleveled %d; want strictly more",
 			leveledOK, plainOK)
+	}
+}
+
+// TestConcurrentOpsOnOneEntry races 8 goroutines of alternating
+// hot-stress and access ops on one leveled entry, then replays the
+// recorded batches one at a time into a fresh registry. Every maintenance
+// batch must change the copy's remap table or retirement set — a batch
+// that does not was planned against state another op's maintenance had
+// already rotated, and logging it bumps the remap count and resets the
+// epoch for nothing — and the replayed state must equal the live one.
+func TestConcurrentOpsOnOneEntry(t *testing.T) {
+	st := &recordingStore{}
+	r := NewWithStore(4, st)
+	e := mustProvision(t, r, buildLeveledArch(t, 71, core.Leveling{Spares: 4, Epoch: 1}), 71)
+
+	ctx := context.Background()
+	hot := nems.Environment{TempCelsius: 400}
+	const workers, perWorker = 8, 40
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				var err error
+				if (w+i)%2 == 0 {
+					_, err = e.Stress(ctx, hot, []int{0}, 1)
+				} else {
+					_, err = e.Access(ctx, nems.RoomTemp)
+				}
+				if err != nil && !errors.Is(err, core.ErrTransient) && !errors.Is(err, core.ErrExhausted) {
+					t.Errorf("worker %d op %d: %v", w, i, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	replica := New(4)
+	maintenance := 0
+	for bi, batch := range st.batches {
+		copyIdx := -1
+		for _, rec := range batch {
+			if rec.Remap != nil {
+				copyIdx = rec.Remap.Copy
+			}
+		}
+		var before core.State
+		if copyIdx >= 0 {
+			maintenance++
+			re, _ := replica.Get(e.ID)
+			before = re.Arch.State()
+		}
+		for _, rec := range batch {
+			if err := replica.Replay(rec); err != nil {
+				t.Fatalf("batch %d: %v", bi, err)
+			}
+		}
+		if copyIdx >= 0 {
+			re, _ := replica.Get(e.ID)
+			after := re.Arch.State()
+			if reflect.DeepEqual(before.Assign[copyIdx], after.Assign[copyIdx]) &&
+				reflect.DeepEqual(before.Retired[copyIdx], after.Retired[copyIdx]) {
+				t.Errorf("batch %d: maintenance batch on copy %d changed neither its remap table nor its retirements", bi, copyIdx)
+			}
+		}
+	}
+	if maintenance == 0 {
+		t.Fatal("no maintenance batch was logged")
+	}
+	re, ok := replica.Get(e.ID)
+	if !ok {
+		t.Fatal("replay did not provision the entry")
+	}
+	live, err := json.Marshal(e.Arch.State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed, err := json.Marshal(re.Arch.State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(live, replayed) {
+		t.Fatal("replaying the recorded batches does not reproduce the live state")
 	}
 }

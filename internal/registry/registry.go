@@ -7,9 +7,10 @@
 // serving scenarios (a fleet of phones unlocking, a targeting system
 // answering key requests) are many independent architectures hammered
 // concurrently, so the registry must never serialize traffic across
-// unrelated architectures. Access serialization *within* one architecture
-// is the architecture's own job (its accesses are mutex-ordered, mirroring
-// the single physical structure); the registry only guards the map.
+// unrelated architectures. Within one architecture ops are serial, as
+// they are on the single physical structure: each entry's one lock covers
+// an op from its context check through its commit and the wear-leveling
+// maintenance that follows it.
 //
 // IDs are assigned from a process-local counter, so a fixed provisioning
 // sequence yields a fixed ID sequence — the golden HTTP determinism test
@@ -118,10 +119,10 @@ type RetireRecord struct {
 }
 
 // RemapRecord durably installs a complete remap assignment on a copy. The
-// record carries the full table, not a delta: the planning decision is
-// advisory and may race concurrent wear, but the recorded effect replays
-// verbatim, so live apply order (= turn order = log order) and recovery
-// produce bit-identical tables.
+// record carries the full table, not a delta: the plan is read and
+// committed under the entry lock, and the recorded effect replays
+// verbatim, so live apply order (= log order) and recovery produce
+// bit-identical tables.
 type RemapRecord struct {
 	ID     string `json:"id"`
 	Copy   int    `json:"copy"`
@@ -225,20 +226,12 @@ type Entry struct {
 
 	store Store
 	reg   *Registry // owning registry; carries the remap observer
-	// seqMu orders append submission within the entry: holding it across
-	// the Store.Append call and the turn claim makes the WAL's
-	// per-architecture record order equal the turn order — the property
-	// that makes replay bit-identical. It is NOT held across the fsync
-	// wait, so an entry's encode work overlaps other entries' commits.
-	seqMu    sync.Mutex
-	nextTurn uint64 // guarded by seqMu; next apply-stage turn to hand out
-
-	// applyMu orders the apply stage: turn k's in-memory effect fires
-	// only after turns 0..k-1 have applied (or been skipped by a failed
-	// commit), matching the durable record order exactly.
-	applyMu   sync.Mutex
-	applyCond sync.Cond // signals applied advancing; shares applyMu
-	applied   uint64    // guarded by applyMu; turns applied or skipped so far
+	// mu makes the entry's ops one at a time: Access and Stress hold it
+	// from the context check through commit and maintain, so the log's
+	// per-architecture record order equals the apply order (what makes
+	// replay bit-identical) and a remap plan is read and committed with no
+	// other op in between. Other entries' commits share fsyncs freely.
+	mu sync.Mutex
 
 	evMu    sync.Mutex
 	events  []core.AccessEvent // guarded by evMu; ring of the EventRingSize most recent events
@@ -246,12 +239,13 @@ type Entry struct {
 }
 
 // Access durably records then performs one wearout-consuming access
-// through commit, the log-ahead pipeline. If staging or the commit
-// fails, the access fails closed: no wearout is consumed and no key
-// bytes are revealed. After the commit succeeds the access runs to
-// completion even if ctx is cancelled mid-flight, because a durable
-// record with no matching wear would replay into *extra* consumed budget
-// on recovery, never less, and the architecture must agree with its log.
+// through commit, the log-ahead path, holding the entry lock throughout.
+// If staging or the commit fails, the access fails closed: no wearout is
+// consumed and no key bytes are revealed. After the commit succeeds the
+// access runs to completion even if ctx is cancelled mid-flight, because
+// a durable record with no matching wear would replay into *extra*
+// consumed budget on recovery, never less, and the architecture must
+// agree with its log.
 //
 // After the access completes, wear-leveling maintenance runs, even when
 // ctx was cancelled: if the rotation schedule calls for a remap, the
@@ -259,14 +253,13 @@ type Entry struct {
 // affect the access result — they surface through the registry's remap
 // observer.
 func (e *Entry) Access(ctx context.Context, env nems.Environment) ([]byte, error) {
-	secret, _, err := e.commit(ctx, []Record{{Access: &AccessRecord{ID: e.ID, TempCelsius: env.TempCelsius}}})
-	e.maintain(ctx)
+	secret, _, err := e.op(ctx, Record{Access: &AccessRecord{ID: e.ID, TempCelsius: env.TempCelsius}})
 	return secret, err
 }
 
 // Stress durably records then serves one adversarial stress burst against
 // the entry's architecture: pulses actuations of each targeted share
-// index under env. It follows the exact log-ahead pipeline of Access —
+// index under env. It follows the exact log-ahead path of Access —
 // stress consumes wearout, so a crash must replay it, never refund it —
 // and, like Access, it triggers wear-leveling maintenance afterwards. The
 // returned count is how many actuations conducted; no key bytes are ever
@@ -274,56 +267,56 @@ func (e *Entry) Access(ctx context.Context, env nems.Environment) ([]byte, error
 func (e *Entry) Stress(ctx context.Context, env nems.Environment, indices []int, pulses int) (int, error) {
 	dup := make([]int, len(indices))
 	copy(dup, indices)
-	_, conducted, err := e.commit(ctx, []Record{{Stress: &StressRecord{
+	_, conducted, err := e.op(ctx, Record{Stress: &StressRecord{
 		ID: e.ID, TempCelsius: env.TempCelsius, Indices: dup, Pulses: pulses,
-	}}})
-	e.maintain(ctx)
+	}})
 	return conducted, err
 }
 
-// commit is the entry's one log-ahead pipeline: check the context, stage
-// recs with the store, claim an apply turn, then block on the commit
-// ticket — the barrier that proves the records are fsynced — and only
-// then apply them in order, in turn order. If staging or the commit
-// fails, nothing applies. An apply error stops the batch at that record.
-// It returns the secret of an access record and the conducted count of a
-// stress record.
-//
-// Holding seqMu across Append and the turn claim makes the log's
-// per-architecture record order equal the apply order, which is what
-// makes replay bit-identical. Decoupling the ticket wait from seqMu is
-// what lets independent requests pipeline: request B's record is encoded
-// and staged while request A's group is still inside its fsync.
+// op serves one wear-consuming op: under the entry lock, it commits rec
+// and then runs maintenance. The maintenance outcome reaches the remap
+// observer only after the lock is released, because the observer is
+// caller code.
+func (e *Entry) op(ctx context.Context, rec Record) (secret []byte, conducted int, err error) {
+	var ev *RemapEvent
+	// Deferred before the unlock, so it runs after it.
+	defer func() {
+		if ev != nil {
+			e.emitRemap(*ev)
+		}
+	}()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	secret, conducted, err = e.commit(ctx, []Record{rec})
+	ev = e.maintain(ctx)
+	return secret, conducted, err
+}
+
+// commit is the entry's one log-ahead path: check the context, stage
+// recs with the store, block on the commit ticket — the barrier that
+// proves the records are fsynced — and only then apply them in order. If
+// staging or the commit fails, nothing applies. An apply error stops the
+// batch at that record. It returns the secret of an access record and
+// the conducted count of a stress record. The caller holds e.mu, so the
+// log's per-architecture record order is the apply order.
 func (e *Entry) commit(ctx context.Context, recs []Record) (secret []byte, conducted int, err error) {
-	e.seqMu.Lock()
 	if err := ctx.Err(); err != nil {
-		e.seqMu.Unlock()
 		return nil, 0, err
 	}
 	tkt, err := e.store.Append(recs)
 	if err != nil {
-		e.seqMu.Unlock()
 		// Double-wrap so callers can classify both the fact that the store
 		// failed (ErrStore) and why (e.g. resilience.ErrOpen ⇒ 503, not 500).
 		return nil, 0, fmt.Errorf("%w: %w", ErrStore, err)
 	}
-	turn := e.nextTurn
-	e.nextTurn++
-	e.seqMu.Unlock()
-
 	if werr := tkt.Wait(); werr != nil {
 		// The commit group failed: the records never became durable, so the
-		// op fails closed — but the turn was claimed and must be skipped, or
-		// every later op on this entry would wait forever.
-		e.skipTurn(turn)
+		// op fails closed.
 		return nil, 0, fmt.Errorf("%w: %w", ErrStore, werr)
 	}
-	e.beginTurn(turn)
 	// Deferred, not inline: a panic inside the architecture must still
-	// retire the turn (or every later op on this entry blocks in beginTurn
-	// forever) and release the ticket's snapshot-barrier share (or every
-	// future Snapshot wedges on a hold nobody can drop).
-	defer e.endTurn()
+	// release the ticket's snapshot-barrier share, or every future
+	// Snapshot wedges on a hold nobody can drop.
 	defer tkt.Done()
 	for _, rec := range recs {
 		switch {
@@ -355,18 +348,16 @@ type RemapEvent struct {
 // maintain runs the wear-leveling schedule after a wear-consuming op: if
 // the architecture reports a pending rotation, the full plan
 // (retirements, then the complete new assignment) is committed as one
-// atomic batch under its own turn — so the durable record order equals
-// the live apply order, and recovery replays the rotation bit-identically.
-//
-// The plan decision itself is advisory: it may be computed against state
-// that concurrent ops immediately age further. That is safe, because the
-// record carries the decision's full effect, not its inputs. Failures are
-// reported to the remap observer and otherwise swallowed — maintenance
-// must never turn a served access into an error after the fact.
-func (e *Entry) maintain(ctx context.Context) {
+// atomic batch, so recovery replays the rotation bit-identically. The
+// caller holds e.mu, so no other op on the entry can apply the same plan
+// or age the state between PendingRemap and the commit. It returns the
+// attempt for the remap observer, or nil when no rotation was due.
+// Failures are otherwise swallowed — maintenance must never turn a
+// served access into an error after the fact.
+func (e *Entry) maintain(ctx context.Context) *RemapEvent {
 	plan, ok := e.Arch.PendingRemap()
 	if !ok {
-		return
+		return nil
 	}
 	recs := make([]Record, 0, len(plan.Retire)+1)
 	for _, p := range plan.Retire {
@@ -376,7 +367,7 @@ func (e *Entry) maintain(ctx context.Context) {
 	// The op that triggered maintenance may have been cancelled; its wear
 	// is spent all the same, so the rotation it made due must still run.
 	_, _, err := e.commit(context.WithoutCancel(ctx), recs)
-	e.emitRemap(RemapEvent{ID: e.ID, Plan: plan, Err: err})
+	return &RemapEvent{ID: e.ID, Plan: plan, Err: err}
 }
 
 // emitRemap delivers ev to the registry's remap observer, if any.
@@ -390,33 +381,6 @@ func (e *Entry) emitRemap(ev RemapEvent) {
 	if fn != nil {
 		fn(ev)
 	}
-}
-
-// beginTurn blocks until every earlier turn has applied (or been
-// skipped). It returns with applyMu released: turns are unique, so only
-// the goroutine holding turn == applied proceeds — mutual exclusion for
-// the in-memory effect comes from the turn order itself (a ticket
-// lock), ending at the matching endTurn.
-func (e *Entry) beginTurn(turn uint64) {
-	e.applyMu.Lock()
-	for e.applied != turn {
-		e.applyCond.Wait()
-	}
-	e.applyMu.Unlock()
-}
-
-// endTurn marks the current turn applied and wakes the next one.
-func (e *Entry) endTurn() {
-	e.applyMu.Lock()
-	e.applied++
-	e.applyCond.Broadcast()
-	e.applyMu.Unlock()
-}
-
-// skipTurn retires a turn whose commit failed without applying anything.
-func (e *Entry) skipTurn(turn uint64) {
-	e.beginTurn(turn)
-	e.endTurn()
 }
 
 // observe appends ev to the entry's ring buffer; installed as the
@@ -670,7 +634,6 @@ func RebuildArch(design dse.Design, secret []byte, seed uint64, spares int, epoc
 
 func (r *Registry) insert(id string, arch *core.Architecture, seed uint64, secret []byte) *Entry {
 	e := &Entry{ID: id, Arch: arch, Seed: seed, Secret: secret, store: r.store, reg: r}
-	e.applyCond.L = &e.applyMu
 	arch.SetObserver(e.observe)
 	s := r.shardFor(id)
 	s.mu.Lock()

@@ -254,8 +254,8 @@ func TestLogAheadOrdering(t *testing.T) {
 		t.Errorf("failed commit consumed wearout: (%d,%d) -> (%d,%d)",
 			totalBefore, okBefore, totalAfter, okAfter)
 	}
-	// And the failed commit must not wedge the entry's apply stage: the
-	// next access takes the next turn and succeeds.
+	// And the failed commit must not wedge the entry: it released the
+	// entry lock, so the next access succeeds.
 	if _, err := e.Access(context.Background(), nems.RoomTemp); err != nil {
 		t.Fatalf("access after failed commit: %v", err)
 	}
