@@ -98,7 +98,7 @@ func (w *flowWalker[S]) stmt(s ast.Stmt, st S) {
 		w.branches(s.Body.List, st)
 	case *ast.TypeSwitchStmt:
 		w.stmt(s.Init, st)
-		w.branch(s.Assign, st)
+		w.stmt(s.Assign, st)
 		w.branches(s.Body.List, st)
 	case *ast.CaseClause:
 		w.exprs(s.List, st)

@@ -32,11 +32,12 @@ type Leveling struct {
 	Epoch uint64
 }
 
-// RemapPlan is one durable wear-leveling decision: retire the listed
-// physical switches of the copy, then install the assignment. Callers
-// (internal/registry) write the plan log-ahead and apply it through
-// Retire and ApplyRemap; WAL recovery replays those records verbatim, so
-// the live table and the recovered table are bit-identical.
+// RemapPlan is one wear-leveling decision: retire the listed physical
+// switches of the copy, then install the assignment. Callers
+// (internal/registry) apply it through Retire and ApplyRemap right after
+// the durable op that made it due, and WAL recovery derives the same plan
+// after the same replayed op, so the live table and the recovered table
+// are bit-identical.
 type RemapPlan struct {
 	Copy   int
 	Assign []int
@@ -127,8 +128,8 @@ func (a *Architecture) Stressed() uint64 {
 // itself is nems.Bank.PlanRemap — a pure function of observable wear — so
 // equal histories yield equal plans.
 //
-// PendingRemap only inspects; durable callers append the plan to the log
-// first and then apply it via Retire + ApplyRemap.
+// PendingRemap only inspects; callers apply the plan via Retire +
+// ApplyRemap.
 func (a *Architecture) PendingRemap() (RemapPlan, bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -150,9 +151,9 @@ func (a *Architecture) PendingRemap() (RemapPlan, bool) {
 }
 
 // Retire permanently removes a physical switch of the given copy from
-// wear-leveling service. It is idempotent, and must be written log-ahead
-// by durable callers: retirement changes which switches future rotations
-// may use, so recovery has to replay it in log order.
+// wear-leveling service. It is idempotent. Retirement changes which
+// switches future rotations may use, so durable callers apply it only as
+// part of a plan that recovery derives at the same point in the log.
 func (a *Architecture) Retire(copy, physical int) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -167,9 +168,8 @@ func (a *Architecture) Retire(copy, physical int) error {
 
 // ApplyRemap installs a remap assignment on the given copy and resets the
 // epoch counter. The assignment is validated for shape (width, range,
-// distinctness) but not for the health of its targets — recovery must be
-// able to reinstall any table that was ever durably recorded. Durable
-// callers write the plan log-ahead before applying it.
+// distinctness) but not for the health of its targets, so any table a
+// plan produces can be installed.
 func (a *Architecture) ApplyRemap(copy int, assign []int) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -160,6 +160,20 @@ type Registry struct {
 	mu       sync.Mutex
 	families []*family          // guarded by mu; registration order
 	byName   map[string]*family // guarded by mu
+
+	scrapeMu sync.Mutex
+	onScrape []func() // guarded by scrapeMu
+}
+
+// OnScrape registers fn to run at the start of every WriteText, before
+// any family is read, so series computed from state the registry does
+// not own are refreshed once per scrape instead of on every change.
+// Scrapes run their hooks one at a time; fn may register and update
+// metrics of r.
+func (r *Registry) OnScrape(fn func()) {
+	r.scrapeMu.Lock()
+	defer r.scrapeMu.Unlock()
+	r.onScrape = append(r.onScrape, fn)
 }
 
 // NewRegistry returns an empty registry.
@@ -216,6 +230,11 @@ func (r *Registry) Histogram(name, labels, help string, bounds []float64) *Histo
 
 // WriteText renders every family in the Prometheus text exposition format.
 func (r *Registry) WriteText(w io.Writer) error {
+	r.scrapeMu.Lock()
+	for _, fn := range r.onScrape {
+		fn()
+	}
+	r.scrapeMu.Unlock()
 	// Snapshot the families AND their series lists under the lock:
 	// lookup appends to f.series concurrently, so iterating the live
 	// slice outside r.mu would race with registration.

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -25,6 +26,28 @@ func TestCounterGauge(t *testing.T) {
 	// Re-registering the same (name, labels) returns the same metric.
 	if r.Counter("requests_total", "", "total requests") != c {
 		t.Error("re-registration returned a different counter")
+	}
+}
+
+// TestOnScrape: hooks run at the start of every scrape, before any
+// family is read, so a series a hook registers or updates shows in that
+// same scrape.
+func TestOnScrape(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("first_total", "", "")
+	scrapes := 0
+	r.OnScrape(func() {
+		scrapes++
+		r.Gauge("computed", `id="a"`, "set at scrape time").Set(int64(10 * scrapes))
+	})
+	for want := 1; want <= 2; want++ {
+		var sb strings.Builder
+		if err := r.WriteText(&sb); err != nil {
+			t.Fatal(err)
+		}
+		if line := fmt.Sprintf("computed{id=%q} %d\n", "a", 10*want); !strings.Contains(sb.String(), line) {
+			t.Fatalf("scrape %d:\n%s\nwant the line %q", want, sb.String(), line)
+		}
 	}
 }
 

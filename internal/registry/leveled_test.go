@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -115,128 +114,8 @@ func TestProvisionRecordCarriesLeveling(t *testing.T) {
 	}
 }
 
-// TestMaintenanceLogsAtomicPlan drives a leveled entry past its remap
-// epoch and checks the maintenance contract: the whole plan (retirements
-// then the full assignment) is appended as ONE batch, the rotation is
-// applied live, and the remap observer sees a success event.
-func TestMaintenanceLogsAtomicPlan(t *testing.T) {
-	st := &recordingStore{}
-	r := NewWithStore(4, st)
-	lv := core.Leveling{Spares: 4, Epoch: 2}
-	e := mustProvision(t, r, buildLeveledArch(t, 41, lv), 41)
-
-	var mu sync.Mutex
-	var events []RemapEvent
-	r.SetRemapObserver(func(ev RemapEvent) {
-		mu.Lock()
-		events = append(events, ev)
-		mu.Unlock()
-	})
-
-	ctx := context.Background()
-	hot := nems.Environment{TempCelsius: 400}
-	for i := 0; i < 30 && e.Arch.Remaps() == 0; i++ {
-		if _, err := e.Stress(ctx, hot, []int{0}, 1); err != nil {
-			t.Fatalf("stress %d: %v", i, err)
-		}
-	}
-	if e.Arch.Remaps() == 0 {
-		t.Fatal("maintenance never rotated a leveled entry past its epoch")
-	}
-	if len(st.remaps) == 0 {
-		t.Fatal("no remap record appended")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(events) == 0 {
-		t.Fatal("remap observer saw nothing")
-	}
-	for _, ev := range events {
-		if ev.Err != nil {
-			t.Fatalf("maintenance reported error: %v", ev.Err)
-		}
-		if ev.ID != e.ID {
-			t.Fatalf("remap event for %q, want %q", ev.ID, e.ID)
-		}
-	}
-	// Every batch containing a remap or retire record is a pure
-	// maintenance batch: retires (if any) strictly before its remap, and
-	// exactly one remap per batch.
-	for _, batch := range st.batches {
-		remapAt := -1
-		for i, rec := range batch {
-			switch {
-			case rec.Remap != nil:
-				if remapAt != -1 {
-					t.Fatalf("batch has two remap records: %+v", batch)
-				}
-				remapAt = i
-			case rec.Retire != nil:
-				if remapAt != -1 {
-					t.Fatalf("retire after remap in batch: %+v", batch)
-				}
-			case rec.Access != nil || rec.Stress != nil || rec.Provision != nil:
-				if remapAt != -1 {
-					t.Fatalf("maintenance batch mixes op records: %+v", batch)
-				}
-			}
-		}
-		if remapAt != -1 && remapAt != len(batch)-1 {
-			t.Fatalf("remap record not last in its batch: %+v", batch)
-		}
-	}
-}
-
-// TestMaintenanceFailureDoesNotFailTheAccess: a store that dies during
-// maintenance leaves the access result intact and surfaces the failure
-// through the observer; the rotation simply retries after the next op.
-func TestMaintenanceFailureDoesNotFailTheAccess(t *testing.T) {
-	st := &recordingStore{}
-	r := NewWithStore(4, st)
-	lv := core.Leveling{Spares: 4, Epoch: 1}
-	e := mustProvision(t, r, buildLeveledArch(t, 51, lv), 51)
-
-	var mu sync.Mutex
-	var errs []error
-	r.SetRemapObserver(func(ev RemapEvent) {
-		mu.Lock()
-		if ev.Err != nil {
-			errs = append(errs, ev.Err)
-		}
-		mu.Unlock()
-	})
-
-	ctx := context.Background()
-	// Age slot 0 so the epoch-1 schedule has a real rotation to do, then
-	// make the append AFTER the stress's own — the maintenance batch —
-	// fail.
-	if _, err := e.Stress(ctx, nems.RoomTemp, []int{0}, 1); err != nil {
-		t.Fatal(err)
-	}
-	st.mu.Lock()
-	st.failSkip, st.failNext = 1, errors.New("disk full")
-	st.mu.Unlock()
-	if _, err := e.Stress(ctx, nems.RoomTemp, []int{1}, 1); err != nil {
-		t.Fatalf("stress failed because maintenance failed: %v", err)
-	}
-	mu.Lock()
-	n := len(errs)
-	mu.Unlock()
-	if n == 0 {
-		t.Fatal("maintenance store failure never reached the observer")
-	}
-	// The schedule is still pending; the next op retries and succeeds.
-	remapsBefore := e.Arch.Remaps()
-	if _, err := e.Stress(ctx, nems.RoomTemp, []int{1}, 1); err != nil {
-		t.Fatal(err)
-	}
-	if e.Arch.Remaps() <= remapsBefore {
-		t.Fatal("maintenance did not retry after a store failure")
-	}
-}
-
 // TestLeveledEntryOutlivesTargetedStress is the end-to-end defense check
-// at the registry layer: with durable maintenance in the loop, a leveled
+// at the registry layer: with derived rotations in the loop, a leveled
 // entry under a targeted hot-stress pattern keeps revealing strictly
 // longer than an unleveled entry under the identical pattern.
 func TestLeveledEntryOutlivesTargetedStress(t *testing.T) {
@@ -279,11 +158,11 @@ func TestLeveledEntryOutlivesTargetedStress(t *testing.T) {
 
 // TestConcurrentOpsOnOneEntry races 8 goroutines of alternating
 // hot-stress and access ops on one leveled entry, then replays the
-// recorded batches one at a time into a fresh registry. Every maintenance
-// batch must change the copy's remap table or retirement set — a batch
-// that does not was planned against state another op's maintenance had
-// already rotated, and logging it bumps the remap count and resets the
-// epoch for nothing — and the replayed state must equal the live one.
+// recorded batches into a fresh registry. Each batch must be one op
+// record — rotations are derived, never logged — and the replayed state
+// must equal the live one. A rotation applied outside the entry lock
+// could be applied twice by two racing ops, which the replay, deriving
+// each rotation once after the op that made it due, does not reproduce.
 func TestConcurrentOpsOnOneEntry(t *testing.T) {
 	st := &recordingStore{}
 	r := NewWithStore(4, st)
@@ -312,42 +191,37 @@ func TestConcurrentOpsOnOneEntry(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-
+	if e.Arch.Remaps() == 0 {
+		t.Fatal("the ops never rotated the entry")
+	}
 	replica := New(4)
-	maintenance := 0
-	for bi, batch := range st.batches {
-		copyIdx := -1
-		for _, rec := range batch {
-			if rec.Remap != nil {
-				copyIdx = rec.Remap.Copy
-			}
+	replayAll(t, replica, st.batches)
+	assertReplayEqualsLive(t, replica, e)
+}
+
+// replayAll checks that every batch is a single provision, access or
+// stress record, and replays it into reg.
+func replayAll(t *testing.T, reg *Registry, batches [][]Record) {
+	t.Helper()
+	for bi, batch := range batches {
+		if len(batch) != 1 {
+			t.Fatalf("batch %d holds %d records, want one op record", bi, len(batch))
 		}
-		var before core.State
-		if copyIdx >= 0 {
-			maintenance++
-			re, _ := replica.Get(e.ID)
-			before = re.Arch.State()
+		if batch[0].Retire != nil || batch[0].Remap != nil {
+			t.Fatalf("batch %d appended a rotation record %+v; only op records may be", bi, batch[0])
 		}
-		for _, rec := range batch {
-			if err := replica.Replay(rec); err != nil {
-				t.Fatalf("batch %d: %v", bi, err)
-			}
-		}
-		if copyIdx >= 0 {
-			re, _ := replica.Get(e.ID)
-			after := re.Arch.State()
-			if reflect.DeepEqual(before.Assign[copyIdx], after.Assign[copyIdx]) &&
-				reflect.DeepEqual(before.Retired[copyIdx], after.Retired[copyIdx]) {
-				t.Errorf("batch %d: maintenance batch on copy %d changed neither its remap table nor its retirements", bi, copyIdx)
-			}
+		if err := reg.Replay(batch[0]); err != nil {
+			t.Fatalf("batch %d: %v", bi, err)
 		}
 	}
-	if maintenance == 0 {
-		t.Fatal("no maintenance batch was logged")
-	}
+}
+
+// assertReplayEqualsLive compares e's State JSON with its twin in replica.
+func assertReplayEqualsLive(t *testing.T, replica *Registry, e *Entry) {
+	t.Helper()
 	re, ok := replica.Get(e.ID)
 	if !ok {
-		t.Fatal("replay did not provision the entry")
+		t.Fatalf("replay did not provision %s", e.ID)
 	}
 	live, err := json.Marshal(e.Arch.State())
 	if err != nil {
@@ -358,6 +232,110 @@ func TestConcurrentOpsOnOneEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(live, replayed) {
-		t.Fatal("replaying the recorded batches does not reproduce the live state")
+		t.Fatalf("%s: replaying the committed records does not reproduce the live state:\n  live %s\nreplay %s", e.ID, live, replayed)
+	}
+}
+
+// TestDerivedRotationReplaysLive drives three leveled entries through a
+// seeded mix of access and stress at mixed temperatures while a seeded
+// subset of appends fails, at Append or at Wait, until every entry is
+// worn out. After every op the log must hold op records only, and
+// replaying the committed records into a fresh registry must give the
+// op's entry's State JSON byte for byte (and every entry's at the end):
+// the rotations that live ops made due are exactly the ones replay
+// derives, after ops that failed in the hardware included.
+func TestDerivedRotationReplaysLive(t *testing.T) {
+	st := &recordingStore{}
+	r := NewWithStore(4, st)
+	// A pool of at least k spares keeps a copy whose in-service switches
+	// all wear out together in service, so the access that finds them
+	// dead fails transiently and makes a repair rotation due.
+	n := buildArch(t, 80).Design().N
+	var entries []*Entry
+	for i, lv := range []core.Leveling{{Spares: n, Epoch: 1}, {Spares: n / 2, Epoch: 3}, {Spares: 4, Epoch: 2}} {
+		seed := uint64(81 + i)
+		entries = append(entries, mustProvision(t, r, buildLeveledArch(t, seed, lv), seed))
+	}
+	replica := New(4)
+	replayed := 0
+
+	src := rng.New(31)
+	temps := []float64{-40, 25, 150, 400}
+	ctx := context.Background()
+	var failed, rotations, afterTransient int
+	alive := func() bool {
+		for _, e := range entries {
+			if e.Arch.Alive() {
+				return true
+			}
+		}
+		return false
+	}
+	for op := 0; op < 1000 && alive(); op++ {
+		e := entries[src.Intn(len(entries))]
+		switch src.Intn(8) {
+		case 0:
+			st.failNext = errors.New("disk full")
+		case 1:
+			st.failWait = errors.New("fsync failed")
+		}
+		env := nems.Environment{TempCelsius: temps[src.Intn(len(temps))]}
+		before := e.Arch.Remaps()
+		var err error
+		if src.Intn(3) == 0 {
+			_, err = e.Stress(ctx, env, []int{src.Intn(n), src.Intn(n)}, 1+src.Intn(3))
+		} else {
+			_, err = e.Access(ctx, env)
+		}
+		switch {
+		case errors.Is(err, ErrStore):
+			failed++
+		case err != nil && !errors.Is(err, core.ErrTransient) && !errors.Is(err, core.ErrDecodeFailed) &&
+			!errors.Is(err, core.ErrExhausted):
+			t.Fatalf("op %d: %v", op, err)
+		}
+		if e.Arch.Remaps() > before {
+			rotations++
+			if errors.Is(err, core.ErrTransient) {
+				afterTransient++
+			}
+		}
+
+		replayAll(t, replica, st.batches[replayed:])
+		replayed = len(st.batches)
+		assertReplayEqualsLive(t, replica, e)
+	}
+	for _, e := range entries {
+		assertReplayEqualsLive(t, replica, e)
+	}
+	// The seed must cover what the checks are for.
+	if failed == 0 || rotations == 0 || afterTransient == 0 {
+		t.Fatalf("seeded run covered %d failed commits, %d rotations, %d rotations after a transient access; want each > 0",
+			failed, rotations, afterTransient)
+	}
+	t.Logf("%d failed commits, %d rotations, %d after a transient access", failed, rotations, afterTransient)
+}
+
+// TestReplayAcceptsLoggedRotations: retire and remap records, which only
+// earlier versions wrote, still decode and name their architecture, but
+// apply nothing of what they recorded — not even a table the hardware
+// would refuse.
+func TestReplayAcceptsLoggedRotations(t *testing.T) {
+	st := &recordingStore{}
+	r := NewWithStore(4, st)
+	e := mustProvision(t, r, buildLeveledArch(t, 91, core.Leveling{Spares: 2, Epoch: 4}), 91)
+	replica := New(4)
+	replayAll(t, replica, st.batches)
+	for _, rec := range []Record{
+		{Retire: &RetireRecord{ID: e.ID, Copy: 0, Physical: 1 << 20}},
+		{Remap: &RemapRecord{ID: e.ID, Copy: 0, Assign: []int{-1}}},
+	} {
+		if err := replica.Replay(rec); err != nil {
+			t.Fatalf("replaying a logged %+v: %v", rec, err)
+		}
+	}
+	assertReplayEqualsLive(t, replica, e)
+	if err := replica.Replay(Record{Remap: &RemapRecord{ID: "arch-999999"}}); err == nil {
+		t.Fatal("a remap record for an unknown architecture replayed")
 	}
 }

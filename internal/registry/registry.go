@@ -9,8 +9,8 @@
 // concurrently, so the registry must never serialize traffic across
 // unrelated architectures. Within one architecture ops are serial, as
 // they are on the single physical structure: each entry's one lock covers
-// an op from its context check through its commit and the wear-leveling
-// maintenance that follows it.
+// an op from its context check through its commit, its apply and the
+// wear-leveling rotation that apply makes due.
 //
 // IDs are assigned from a process-local counter, so a fixed provisioning
 // sequence yields a fixed ID sequence — the golden HTTP determinism test
@@ -34,6 +34,15 @@
 //     record is durable the access runs to completion even if the client
 //     has gone — the log is the commitment point, so a crash replays the
 //     access and the budget can only ever be consumed, never refunded.
+//   - Stress: the same path as Access; stress is wear, so it is logged
+//     ahead exactly like an access.
+//
+// Wear-leveling rotations are not logged. The plan is a pure function of
+// the wear the op records already pin, so the live path applies it right
+// after the op that made it due, inside that op's commit, and Replay
+// re-derives it at the same point. Retire and remap records are read,
+// never written: logs from earlier versions still carry them, and Replay
+// accepts them without applying what they recorded.
 //
 // The default NullStore keeps the pre-durability behaviour (everything in
 // memory, nothing survives a restart); internal/wal provides the
@@ -110,19 +119,18 @@ type StressRecord struct {
 	Pulses      int     `json:"pulses"`
 }
 
-// RetireRecord durably removes one physical switch of a copy from
-// wear-leveling service. Replay is idempotent (retiring twice is a no-op).
+// RetireRecord is the retirement half of a wear-leveling plan, as earlier
+// versions logged it. It is read, never written: Replay re-derives the
+// plan instead of applying the record.
 type RetireRecord struct {
 	ID       string `json:"id"`
 	Copy     int    `json:"copy"`
 	Physical int    `json:"physical"`
 }
 
-// RemapRecord durably installs a complete remap assignment on a copy. The
-// record carries the full table, not a delta: the plan is read and
-// committed under the entry lock, and the recorded effect replays
-// verbatim, so live apply order (= log order) and recovery produce
-// bit-identical tables.
+// RemapRecord is the assignment half of a wear-leveling plan, as earlier
+// versions logged it. It is read, never written: Replay re-derives the
+// plan instead of applying the record.
 type RemapRecord struct {
 	ID     string `json:"id"`
 	Copy   int    `json:"copy"`
@@ -130,10 +138,9 @@ type RemapRecord struct {
 }
 
 // Record is one registry mutation submitted to a Store: exactly one of
-// the pointer fields is set. Batching is first-class — a Store may frame
-// many Records (from many callers) into a single durable write, and the
-// wear-leveling maintenance path relies on it to commit a retire+remap
-// plan atomically.
+// the pointer fields is set. A Store may frame many Records (from many
+// callers) into a single durable write. Remap and Retire appear only in
+// logs written by earlier versions.
 type Record struct {
 	Provision *ProvisionRecord `json:"p,omitempty"`
 	Access    *AccessRecord    `json:"a,omitempty"`
@@ -225,12 +232,11 @@ type Entry struct {
 	Secret []byte
 
 	store Store
-	reg   *Registry // owning registry; carries the remap observer
-	// mu makes the entry's ops one at a time: Access and Stress hold it
-	// from the context check through commit and maintain, so the log's
+	// mu makes the entry's ops one at a time: commit holds it from the
+	// context check through the apply and the rotation, so the log's
 	// per-architecture record order equals the apply order (what makes
-	// replay bit-identical) and a remap plan is read and committed with no
-	// other op in between. Other entries' commits share fsyncs freely.
+	// replay bit-identical) and each rotation follows the op that made it
+	// due, as it does in replay. Other entries' commits share fsyncs freely.
 	mu sync.Mutex
 
 	evMu    sync.Mutex
@@ -245,15 +251,10 @@ type Entry struct {
 // access runs to completion even if ctx is cancelled mid-flight, because
 // a durable record with no matching wear would replay into *extra*
 // consumed budget on recovery, never less, and the architecture must
-// agree with its log.
-//
-// After the access completes, wear-leveling maintenance runs, even when
-// ctx was cancelled: if the rotation schedule calls for a remap, the
-// plan is committed as one atomic batch. Maintenance failures never
-// affect the access result — they surface through the registry's remap
-// observer.
+// agree with its log. A wear-leveling rotation the access makes due is
+// applied before the lock is released.
 func (e *Entry) Access(ctx context.Context, env nems.Environment) ([]byte, error) {
-	secret, _, err := e.op(ctx, Record{Access: &AccessRecord{ID: e.ID, TempCelsius: env.TempCelsius}})
+	secret, _, err := e.commit(ctx, Record{Access: &AccessRecord{ID: e.ID, TempCelsius: env.TempCelsius}})
 	return secret, err
 }
 
@@ -261,56 +262,44 @@ func (e *Entry) Access(ctx context.Context, env nems.Environment) ([]byte, error
 // the entry's architecture: pulses actuations of each targeted share
 // index under env. It follows the exact log-ahead path of Access —
 // stress consumes wearout, so a crash must replay it, never refund it —
-// and, like Access, it triggers wear-leveling maintenance afterwards. The
-// returned count is how many actuations conducted; no key bytes are ever
-// derived on this path.
+// including the rotation it makes due. The returned count is how many
+// actuations conducted; no key bytes are ever derived on this path.
 func (e *Entry) Stress(ctx context.Context, env nems.Environment, indices []int, pulses int) (int, error) {
 	dup := make([]int, len(indices))
 	copy(dup, indices)
-	_, conducted, err := e.op(ctx, Record{Stress: &StressRecord{
+	_, conducted, err := e.commit(ctx, Record{Stress: &StressRecord{
 		ID: e.ID, TempCelsius: env.TempCelsius, Indices: dup, Pulses: pulses,
 	}})
 	return conducted, err
 }
 
-// op serves one wear-consuming op: under the entry lock, it commits rec
-// and then runs maintenance. The maintenance outcome reaches the remap
-// observer only after the lock is released, because the observer is
-// caller code.
-func (e *Entry) op(ctx context.Context, rec Record) (secret []byte, conducted int, err error) {
-	var ev *RemapEvent
-	// Deferred before the unlock, so it runs after it.
-	defer func() {
-		if ev != nil {
-			e.emitRemap(*ev)
-		}
-	}()
+// commit is the entry's one log-ahead path. Under the entry lock it
+// checks the context, stages rec with the store, blocks on the commit
+// ticket — the barrier that proves the record is fsynced — and only then
+// applies it. If staging or the commit fails, nothing applies. It returns
+// the secret of an access record and the conducted count of a stress
+// record.
+//
+// After the apply, whatever its outcome, commit applies the rotation the
+// wear-leveling schedule now calls for, if any, without logging it: the
+// plan is a pure function of the wear the log already pins, and Replay
+// derives the same one after the same record. Its cause, the op record,
+// is durable by now, and the rotation lands before tkt.Done releases the
+// snapshot barrier, so no snapshot holds an op without its rotation.
+func (e *Entry) commit(ctx context.Context, rec Record) (secret []byte, conducted int, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	secret, conducted, err = e.commit(ctx, []Record{rec})
-	ev = e.maintain(ctx)
-	return secret, conducted, err
-}
-
-// commit is the entry's one log-ahead path: check the context, stage
-// recs with the store, block on the commit ticket — the barrier that
-// proves the records are fsynced — and only then apply them in order. If
-// staging or the commit fails, nothing applies. An apply error stops the
-// batch at that record. It returns the secret of an access record and
-// the conducted count of a stress record. The caller holds e.mu, so the
-// log's per-architecture record order is the apply order.
-func (e *Entry) commit(ctx context.Context, recs []Record) (secret []byte, conducted int, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
-	tkt, err := e.store.Append(recs)
+	tkt, err := e.store.Append([]Record{rec})
 	if err != nil {
 		// Double-wrap so callers can classify both the fact that the store
 		// failed (ErrStore) and why (e.g. resilience.ErrOpen ⇒ 503, not 500).
 		return nil, 0, fmt.Errorf("%w: %w", ErrStore, err)
 	}
 	if werr := tkt.Wait(); werr != nil {
-		// The commit group failed: the records never became durable, so the
+		// The commit group failed: the record never became durable, so the
 		// op fails closed.
 		return nil, 0, fmt.Errorf("%w: %w", ErrStore, werr)
 	}
@@ -318,69 +307,21 @@ func (e *Entry) commit(ctx context.Context, recs []Record) (secret []byte, condu
 	// release the ticket's snapshot-barrier share, or every future
 	// Snapshot wedges on a hold nobody can drop.
 	defer tkt.Done()
-	for _, rec := range recs {
-		switch {
-		case rec.Access != nil:
-			secret, err = e.Arch.Access(nems.Environment{TempCelsius: rec.Access.TempCelsius})
-		case rec.Stress != nil:
-			conducted, err = e.Arch.Stress(nems.Environment{TempCelsius: rec.Stress.TempCelsius}, rec.Stress.Indices, rec.Stress.Pulses)
-		case rec.Retire != nil:
-			err = e.Arch.Retire(rec.Retire.Copy, rec.Retire.Physical)
-		case rec.Remap != nil:
-			err = e.Arch.ApplyRemap(rec.Remap.Copy, rec.Remap.Assign)
+	switch {
+	case rec.Access != nil:
+		secret, err = e.Arch.Access(nems.Environment{TempCelsius: rec.Access.TempCelsius})
+	case rec.Stress != nil:
+		conducted, err = e.Arch.Stress(nems.Environment{TempCelsius: rec.Stress.TempCelsius}, rec.Stress.Indices, rec.Stress.Pulses)
+	}
+	if plan, ok := e.Arch.PendingRemap(); ok {
+		// The plan was just read from this state under the entry lock, so
+		// it always fits the hardware; these cannot fail.
+		for _, p := range plan.Retire {
+			_ = e.Arch.Retire(plan.Copy, p)
 		}
-		if err != nil {
-			break
-		}
+		_ = e.Arch.ApplyRemap(plan.Copy, plan.Assign)
 	}
 	return secret, conducted, err
-}
-
-// RemapEvent reports one wear-leveling maintenance attempt to the
-// registry's remap observer. Err is nil when the plan was durably
-// recorded and applied.
-type RemapEvent struct {
-	ID   string
-	Plan core.RemapPlan
-	Err  error
-}
-
-// maintain runs the wear-leveling schedule after a wear-consuming op: if
-// the architecture reports a pending rotation, the full plan
-// (retirements, then the complete new assignment) is committed as one
-// atomic batch, so recovery replays the rotation bit-identically. The
-// caller holds e.mu, so no other op on the entry can apply the same plan
-// or age the state between PendingRemap and the commit. It returns the
-// attempt for the remap observer, or nil when no rotation was due.
-// Failures are otherwise swallowed — maintenance must never turn a
-// served access into an error after the fact.
-func (e *Entry) maintain(ctx context.Context) *RemapEvent {
-	plan, ok := e.Arch.PendingRemap()
-	if !ok {
-		return nil
-	}
-	recs := make([]Record, 0, len(plan.Retire)+1)
-	for _, p := range plan.Retire {
-		recs = append(recs, Record{Retire: &RetireRecord{ID: e.ID, Copy: plan.Copy, Physical: p}})
-	}
-	recs = append(recs, Record{Remap: &RemapRecord{ID: e.ID, Copy: plan.Copy, Assign: plan.Assign}})
-	// The op that triggered maintenance may have been cancelled; its wear
-	// is spent all the same, so the rotation it made due must still run.
-	_, _, err := e.commit(context.WithoutCancel(ctx), recs)
-	return &RemapEvent{ID: e.ID, Plan: plan, Err: err}
-}
-
-// emitRemap delivers ev to the registry's remap observer, if any.
-func (e *Entry) emitRemap(ev RemapEvent) {
-	if e.reg == nil {
-		return
-	}
-	e.reg.remapMu.RLock()
-	fn := e.reg.remapObs
-	e.reg.remapMu.RUnlock()
-	if fn != nil {
-		fn(ev)
-	}
 }
 
 // observe appends ev to the entry's ring buffer; installed as the
@@ -433,19 +374,6 @@ type Registry struct {
 	// fail on a log the live process accepted. Minted-ID provisions don't
 	// take it; their IDs are unique by construction.
 	provMu sync.Mutex
-
-	remapMu  sync.RWMutex
-	remapObs func(RemapEvent) // guarded by remapMu
-}
-
-// SetRemapObserver installs a callback invoked after every wear-leveling
-// maintenance attempt (successful or failed) on any entry. A nil observer
-// disables it. The callback may run concurrently from many entries and
-// must not call back into the entry that emitted it.
-func (r *Registry) SetRemapObserver(fn func(RemapEvent)) {
-	r.remapMu.Lock()
-	defer r.remapMu.Unlock()
-	r.remapObs = fn
 }
 
 // New returns a registry with the given stripe count (0 → DefaultShards)
@@ -565,12 +493,17 @@ func (r *Registry) Restore(id string, arch *core.Architecture, seed uint64, secr
 
 // Replay applies one record that is already durable in the log, without
 // appending it again: a provision rebuilds its architecture and Restores
-// it, and every other kind fires the same architecture mutation commit
-// fires live. Replay discards access and stress outcomes, which the
-// state fully determines, exactly as it did the first time. It fails on
-// a record that does not fit the registry — an unknown architecture, or
-// a retire or remap the rebuilt hardware refuses — because the live path
-// only logs what it applies.
+// it, and an access or stress fires the same architecture mutation commit
+// fires live. Replay discards access and stress outcomes, which the state
+// fully determines, exactly as it did the first time. It fails on a
+// record that names an unknown architecture.
+//
+// After every record but a provision, Replay applies the rotation the
+// schedule then calls for, as commit does live. A retire or remap record,
+// which only earlier versions wrote, applies nothing itself: the rotation
+// it recorded was re-derived after the op that made it due. The check at
+// the record matters only when a snapshot of such a version captured that
+// op without its rotation; the rotation then lands here, where it did.
 func (r *Registry) Replay(rec Record) error {
 	k, err := rec.Kind()
 	if err != nil {
@@ -606,18 +539,14 @@ func (r *Registry) Replay(rec Record) error {
 	case rec.Stress != nil:
 		//lemonvet:allow logahead replay applies a record already durable in the log; appending again would double-count
 		_, _ = e.Arch.Stress(nems.Environment{TempCelsius: rec.Stress.TempCelsius}, rec.Stress.Indices, rec.Stress.Pulses)
-	case rec.Retire != nil:
-		//lemonvet:allow logahead replay applies a record already durable in the log; appending again would double-count
-		err = e.Arch.Retire(rec.Retire.Copy, rec.Retire.Physical)
-	case rec.Remap != nil:
-		// The record carries the full assignment the live path installed,
-		// so recovery agrees bit for bit even if the planning heuristic
-		// changes between versions.
-		//lemonvet:allow logahead replay applies a record already durable in the log; appending again would double-count
-		err = e.Arch.ApplyRemap(rec.Remap.Copy, rec.Remap.Assign)
 	}
-	if err != nil {
-		return fmt.Errorf("registry: %s record does not apply to %s: %w", RecordKinds[k], id, err)
+	if plan, ok := e.Arch.PendingRemap(); ok {
+		for _, p := range plan.Retire {
+			//lemonvet:allow logahead a derived rotation follows from the durable record just replayed; it has no record of its own
+			_ = e.Arch.Retire(plan.Copy, p)
+		}
+		//lemonvet:allow logahead a derived rotation follows from the durable record just replayed; it has no record of its own
+		_ = e.Arch.ApplyRemap(plan.Copy, plan.Assign)
 	}
 	return nil
 }
@@ -633,7 +562,7 @@ func RebuildArch(design dse.Design, secret []byte, seed uint64, spares int, epoc
 }
 
 func (r *Registry) insert(id string, arch *core.Architecture, seed uint64, secret []byte) *Entry {
-	e := &Entry{ID: id, Arch: arch, Seed: seed, Secret: secret, store: r.store, reg: r}
+	e := &Entry{ID: id, Arch: arch, Seed: seed, Secret: secret, store: r.store}
 	arch.SetObserver(e.observe)
 	s := r.shardFor(id)
 	s.mu.Lock()

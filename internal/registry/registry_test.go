@@ -145,8 +145,6 @@ type recordingStore struct {
 	provisions []ProvisionRecord
 	accesses   []AccessRecord
 	stresses   []StressRecord
-	remaps     []RemapRecord
-	retires    []RetireRecord
 	batches    [][]Record // every successful Append call, in order
 	failNext   error      // next Append returns this error
 	failSkip   int        // appends to let through before failNext/failWait applies
@@ -193,12 +191,6 @@ func (s *recordingStore) Append(recs []Record) (Ticket, error) {
 		}
 		if rec.Stress != nil {
 			s.stresses = append(s.stresses, *rec.Stress)
-		}
-		if rec.Remap != nil {
-			s.remaps = append(s.remaps, *rec.Remap)
-		}
-		if rec.Retire != nil {
-			s.retires = append(s.retires, *rec.Retire)
 		}
 	}
 	s.batches = append(s.batches, append([]Record(nil), recs...))

@@ -157,7 +157,6 @@ func (s *Server) handleProvision(w http.ResponseWriter, r *http.Request) {
 	}
 	if lv != nil {
 		resp.Spares, resp.RemapEpoch = lv.Spares, lv.Epoch
-		s.updateWearGauges(e)
 	}
 	s.writeJSON(w, http.StatusCreated, resp)
 }
@@ -340,7 +339,6 @@ func (s *Server) handleStress(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mStressPulses.Add(uint64(pulses))
-	s.updateWearGauges(e)
 	s.writeJSON(w, http.StatusOK, StressResponse{
 		Conducted: conducted,
 		Pulses:    pulses,

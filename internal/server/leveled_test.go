@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -208,6 +209,11 @@ func TestStressEndpoint(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics exposition missing %q", want)
 		}
+	}
+	// The rotation count is summed over the fleet at scrape time, and
+	// this architecture is the fleet's only leveled one.
+	if want := fmt.Sprintf("lemonaded_wearout_remaps_total %d\n", last.Remaps); !strings.Contains(out, want) {
+		t.Errorf("metrics exposition lacks %q", want)
 	}
 }
 

@@ -125,9 +125,8 @@ type Server struct {
 	mEncodeFailures *metrics.Counter
 	mStoreFailures  *metrics.Counter
 	// Adversarial wearout and the wear-leveling defense.
-	mStressPulses  *metrics.Counter
-	mRemaps        *metrics.Counter
-	mRemapFailures *metrics.Counter
+	mStressPulses *metrics.Counter
+	mRemaps       *metrics.Counter
 }
 
 // New builds a Server from cfg.
@@ -168,24 +167,9 @@ func New(cfg Config) *Server {
 		mEncodeFailures: m.Counter("lemonaded_encode_failures_total", "", "responses that failed to marshal (server bug)"),
 		mStoreFailures:  m.Counter("lemonaded_store_failures_total", "", "operations refused because the durable store failed (failed closed)"),
 		mStressPulses:   m.Counter("lemonaded_stress_pulses_total", "", "adversarial stress pulses applied across the fleet"),
-		mRemaps:         m.Counter("lemonaded_wearout_remaps_total", "", "wear-leveling rotations durably applied"),
-		mRemapFailures:  m.Counter("lemonaded_wearout_remap_failures_total", "", "wear-leveling rotations refused because the durable store failed"),
+		mRemaps:         m.Counter("lemonaded_wearout_remaps_total", "", "wear-leveling rotations applied over the fleet's lifetime"),
 	}
-	// Wear-leveling maintenance happens inside the registry's access path;
-	// the observer is how its outcomes reach operators. Success refreshes
-	// the per-architecture wear gauges; failure is a store fault that did
-	// NOT fail the triggering operation (the rotation retries after the
-	// next one), so it gets its own counter.
-	reg.SetRemapObserver(func(ev registry.RemapEvent) {
-		if ev.Err != nil {
-			s.mRemapFailures.Inc()
-			return
-		}
-		s.mRemaps.Inc()
-		if e, ok := s.reg.Get(ev.ID); ok {
-			s.updateWearGauges(e)
-		}
-	})
+	m.OnScrape(s.scrapeWear)
 	s.mux = http.NewServeMux()
 	s.route("POST /v1/architectures", "provision", s.handleProvision)
 	s.route("GET /v1/architectures", "list", s.handleList)
@@ -226,20 +210,31 @@ func (s *Server) Metrics() *metrics.Registry { return s.met }
 // loop (a snapshot captures the registry through the store's barrier).
 func (s *Server) Registry() *registry.Registry { return s.reg }
 
-// updateWearGauges refreshes the per-architecture wear-leveling gauges:
-// remaining spare switches and wear skew (max−min wear over the active
-// copy's serviceable pool, in milli-units because gauges are integral).
-// Only leveled architectures export them; plain ones have no rotation
-// story to observe.
-func (s *Server) updateWearGauges(e *registry.Entry) {
-	if _, ok := e.Arch.Leveling(); !ok {
-		return
+// scrapeWear computes the wear-leveling series from the fleet, once per
+// scrape, so no request pays for them: the lifetime rotation count summed
+// over the fleet, and per leveled architecture its remaining spare
+// switches and its wear skew (max−min wear over the active copy's
+// serviceable pool, in milli-units because gauges are integral). Plain
+// architectures export no gauges; they have no rotation story to observe.
+func (s *Server) scrapeWear() {
+	var remaps uint64
+	s.reg.Range(func(e *registry.Entry) bool {
+		if _, ok := e.Arch.Leveling(); !ok {
+			return true
+		}
+		remaps += e.Arch.Remaps()
+		label := `arch="` + e.ID + `"`
+		s.met.Gauge("lemonaded_spares_remaining", label,
+			"usable unassigned spare switches, by architecture").Set(int64(e.Arch.SparesRemaining()))
+		s.met.Gauge("lemonaded_wear_skew_millis", label,
+			"wear skew (max-min wear over the serviceable pool, x1000), by architecture").Set(int64(e.Arch.WearSkew() * 1000))
+		return true
+	})
+	// Every architecture's count only grows and the fleet only grows, so
+	// the sum never falls below what the counter already shows.
+	if shown := s.mRemaps.Value(); remaps > shown {
+		s.mRemaps.Add(remaps - shown)
 	}
-	label := `arch="` + e.ID + `"`
-	s.met.Gauge("lemonaded_spares_remaining", label,
-		"usable unassigned spare switches, by architecture").Set(int64(e.Arch.SparesRemaining()))
-	s.met.Gauge("lemonaded_wear_skew_millis", label,
-		"wear skew (max-min wear over the serviceable pool, x1000), by architecture").Set(int64(e.Arch.WearSkew() * 1000))
 }
 
 // route mounts an instrumented handler: per-route request counter and

@@ -2,8 +2,10 @@ package wal
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,18 +15,20 @@ import (
 
 	"lemonade/internal/core"
 	"lemonade/internal/metrics"
+	"lemonade/internal/nems"
 	"lemonade/internal/registry"
 	"lemonade/internal/rng"
 )
 
 // goldenRun drives the seeded leveled schedule that the on-disk golden
 // pins: one leveled provision, then the mixed schedule of accesses and
-// hot stress bursts, whose maintenance plans retire worn switches and
-// remap, so the segment holds all five record kinds. The store runs on a counter clock
-// and reports into m; the run ends with a crash (Close, no snapshot),
-// a recovery into a second store on the same metrics registry, and a
-// snapshot of the recovered state. It returns the directory, the bytes
-// of segment 1 as the first store left it, and the recovery stats.
+// hot stress bursts, whose derived rotations retire worn switches and
+// remap without writing a record, so the segment holds the three op
+// record kinds only. The store runs on a counter clock and reports into
+// m; the run ends with a crash (Close, no snapshot), a recovery into a
+// second store on the same metrics registry, and a snapshot of the
+// recovered state. It returns the directory, the bytes of segment 1 as
+// the first store left it, and the recovery stats.
 func goldenRun(t *testing.T, m *metrics.Registry) (string, []byte, RecoveryStats) {
 	t.Helper()
 	dir := t.TempDir()
@@ -39,12 +43,6 @@ func goldenRun(t *testing.T, m *metrics.Registry) (string, []byte, RecoveryStats
 
 	st := open()
 	reg := registry.NewWithStore(4, st)
-	retired := 0
-	reg.SetRemapObserver(func(ev registry.RemapEvent) {
-		if ev.Err == nil {
-			retired += len(ev.Plan.Retire)
-		}
-	})
 	if _, err := st.Recover(reg); err != nil {
 		t.Fatal(err)
 	}
@@ -57,8 +55,8 @@ func goldenRun(t *testing.T, m *metrics.Registry) (string, []byte, RecoveryStats
 		t.Fatal(err)
 	}
 	driveLeveled(t, e, 0, 24)
-	if retired == 0 {
-		t.Fatal("the schedule never retired a switch; the run would not cover retire records")
+	if retired(e.Arch.State()) == 0 {
+		t.Fatal("the schedule never retired a switch; the run would not cover derived retirements")
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -91,8 +89,8 @@ func goldenRun(t *testing.T, m *metrics.Registry) (string, []byte, RecoveryStats
 func TestOnDiskBytesGolden(t *testing.T) {
 	dir, seg, stats := goldenRun(t, metrics.NewRegistry())
 	if stats.ReplayedProvisions == 0 || stats.ReplayedAccesses == 0 || stats.ReplayedStresses == 0 ||
-		stats.ReplayedRetires == 0 || stats.ReplayedRemaps == 0 {
-		t.Fatalf("recovery stats %+v: the run must write all five record kinds", stats)
+		stats.ReplayedRetires != 0 || stats.ReplayedRemaps != 0 {
+		t.Fatalf("recovery stats %+v: the run must write the three op record kinds and no rotation record", stats)
 	}
 	snap, err := os.ReadFile(filepath.Join(dir, snapName(2)))
 	if err != nil {
@@ -130,8 +128,9 @@ func TestOnDiskBytesGolden(t *testing.T) {
 // TestRecordKindMetrics pins the per-kind WAL series: after the golden
 // run and its recovery, the exposition carries exactly the five type
 // labels for both the append and the replay counters, with the counts
-// the run wrote. Everything appended is replayed, because the run
-// crashes before any snapshot.
+// the run wrote — zero for retire and remap, which are read, never
+// written. Everything appended is replayed, because the run crashes
+// before any snapshot.
 func TestRecordKindMetrics(t *testing.T) {
 	m := metrics.NewRegistry()
 	_, _, stats := goldenRun(t, m)
@@ -142,7 +141,7 @@ func TestRecordKindMetrics(t *testing.T) {
 		"retire":    uint64(stats.ReplayedRetires),
 		"remap":     uint64(stats.ReplayedRemaps),
 	}
-	if fmt.Sprint(want) != "map[access:18 provision:1 remap:14 retire:59 stress:6]" {
+	if fmt.Sprint(want) != "map[access:18 provision:1 remap:0 retire:0 stress:6]" {
 		t.Fatalf("replayed counts %v differ from the seeded run's", want)
 	}
 	var sb strings.Builder
@@ -173,6 +172,136 @@ func TestRecordKindMetrics(t *testing.T) {
 			t.Errorf("%s = %v, want %v", family, got, want)
 		}
 	}
+}
+
+// TestLoggedRotationsRecover: the golden run's segment as the previous
+// version wrote it, with its 59 retire and 14 remap records, recovers to
+// the state of an uninterrupted twin byte for byte. The logged rotations
+// are decoded and counted but not applied; each is re-derived after the
+// op that made it due.
+func TestLoggedRotationsRecover(t *testing.T) {
+	dir := copyDir(t, filepath.Join("testdata", "logged-rotations"))
+	reg, _, stats := recoverInto(t, dir)
+	if stats.ReplayedRetires != 59 || stats.ReplayedRemaps != 14 {
+		t.Fatalf("recovery stats %+v: want the fixture's 59 retire and 14 remap records read", stats)
+	}
+	e, ok := reg.Get("arch-000001")
+	if !ok {
+		t.Fatal("fixture architecture missing")
+	}
+	got, err := json.Marshal(e.Arch.State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(leveledTwin(t, 24).Arch.State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("logged-rotation segment recovers\n%s\nwant the twin's\n%s", got, want)
+	}
+}
+
+// TestSnapshotBeforeLoggedRotation: an earlier version could snapshot
+// between an op and the maintenance commit that logged the rotation the
+// op made due. Recovery restores the op without its rotation, reads the
+// logged retire and remap records that follow, derives the rotation
+// there, where it was applied live, and ends at the uninterrupted
+// twin's state byte for byte.
+func TestSnapshotBeforeLoggedRotation(t *testing.T) {
+	arch, err := core.BuildLeveled(testDesign(t), testSecret(), testLeveling(), rng.New(testSeed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ops = 24
+	id := "arch-000001"
+	opRecord := func(i int) registry.Record {
+		if i%4 == 1 {
+			return registry.Record{Stress: &registry.StressRecord{ID: id, TempCelsius: 400, Indices: []int{0, 1}, Pulses: 1}}
+		}
+		return registry.Record{Access: &registry.AccessRecord{ID: id, TempCelsius: accessEnv(i).TempCelsius}}
+	}
+	// Serve ops on the bare architecture until the first rotation is due;
+	// none is due before it, so nothing is skipped on the way.
+	next := 0
+	plan, due := arch.PendingRemap()
+	for ; !due && next < ops; next++ {
+		if rec := opRecord(next); rec.Stress != nil {
+			_, _ = arch.Stress(nems.Environment{TempCelsius: rec.Stress.TempCelsius}, rec.Stress.Indices, rec.Stress.Pulses)
+		} else {
+			_, _ = arch.Access(accessEnv(next))
+		}
+		plan, due = arch.PendingRemap()
+	}
+	if !due {
+		t.Fatal("the schedule never made a rotation due")
+	}
+
+	dir := t.TempDir()
+	lv := testLeveling()
+	snap, err := encodeSnapshot(snapshotHeader{Format: snapshotFormat, Epoch: 2, CreatedUnixNanos: 1}, []snapshotArch{{
+		ID: id, Seed: testSeed, Secret: testSecret(), Design: testDesign(t), State: arch.State(),
+		Spares: lv.Spares, RemapEpoch: lv.Epoch,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, snapName(2)), snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var seg []byte
+	frame := func(rec registry.Record) {
+		k, err := rec.Kind()
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, err := json.Marshal(record{Type: registry.RecordKinds[k], Record: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seg, err = appendFrame(seg, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range plan.Retire {
+		frame(registry.Record{Retire: &registry.RetireRecord{ID: id, Copy: plan.Copy, Physical: p}})
+	}
+	frame(registry.Record{Remap: &registry.RemapRecord{ID: id, Copy: plan.Copy, Assign: plan.Assign}})
+	for i := next; i < ops; i++ {
+		frame(opRecord(i))
+	}
+	if err := os.WriteFile(filepath.Join(dir, segName(2)), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	reg, _, stats := recoverInto(t, dir)
+	if stats.SnapshotEpoch != 2 || stats.ReplayedRemaps != 1 {
+		t.Fatalf("recovery stats %+v: want the epoch-2 snapshot and the logged remap read", stats)
+	}
+	e, ok := reg.Get(id)
+	if !ok {
+		t.Fatal("snapshot architecture missing")
+	}
+	got, err := json.Marshal(e.Arch.State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(leveledTwin(t, ops).Arch.State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("snapshot before a logged rotation recovers\n%s\nwant the twin's\n%s", got, want)
+	}
+}
+
+// retired counts the retired switches across every copy of st.
+func retired(st core.State) int {
+	n := 0
+	for _, r := range st.Retired {
+		n += len(r)
+	}
+	return n
 }
 
 func sha256Hex(b []byte) string {

@@ -23,7 +23,7 @@ import (
 
 // testLeveling is the wear-leveling variant used across the crash tests:
 // a modest spare complement and a short rotation epoch so a handful of
-// operations exercises the full retire/remap record path.
+// operations exercises derived retirements and remaps.
 func testLeveling() core.Leveling { return core.Leveling{Spares: 8, Epoch: 3} }
 
 // provisionLeveledVia recovers st into a fresh registry and provisions
@@ -46,9 +46,9 @@ func provisionLeveledVia(t *testing.T, st *DiskStore) (*registry.Registry, *regi
 }
 
 // leveledTwin builds the uninterrupted reference: the same leveled
-// architecture behind an in-memory registry (maintenance decisions are
-// deterministic functions of wear state, so the same schedule produces
-// the same rotations), played through ops [0, n).
+// architecture behind an in-memory registry (rotations are deterministic
+// functions of wear state, so the same schedule produces the same
+// rotations), played through ops [0, n).
 func leveledTwin(t *testing.T, n int) *registry.Entry {
 	t.Helper()
 	reg := registry.New(4)
@@ -86,8 +86,9 @@ func driveLeveled(t *testing.T, e *registry.Entry, from, n int) {
 // TestLeveledCrashRecoveryGolden is the wear-leveling acceptance test:
 // drive a leveled architecture through a mixed access/attack schedule
 // (rotations included), crash without shutdown, restart — and the
-// recovered architecture is bit-identical to an uninterrupted twin, both
-// at the crash point and through further shared traffic.
+// recovered architecture, its rotations re-derived from the op records,
+// is bit-identical to an uninterrupted twin, both at the crash point and
+// through further shared traffic.
 func TestLeveledCrashRecoveryGolden(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir, 0)
@@ -101,8 +102,8 @@ func TestLeveledCrashRecoveryGolden(t *testing.T) {
 	// Crash: the store is abandoned mid-life, never Closed or snapshotted.
 
 	reg2, _, stats := recoverInto(t, dir)
-	if stats.ReplayedStresses == 0 || stats.ReplayedRemaps == 0 {
-		t.Fatalf("recovery stats %+v: want stress and remap records replayed", stats)
+	if stats.ReplayedStresses == 0 || stats.ReplayedRetires != 0 || stats.ReplayedRemaps != 0 {
+		t.Fatalf("recovery stats %+v: want stress records replayed and no rotation record", stats)
 	}
 	e2, ok := reg2.Get(e.ID)
 	if !ok {
@@ -128,12 +129,12 @@ func TestLeveledCrashRecoveryGolden(t *testing.T) {
 	}
 }
 
-// TestCrashMidRemapRecoversIdentically pins the torn-maintenance
-// contract: a crash that tears the remap record off the end of a
-// maintenance batch leaves its retirements durable and the rotation
-// gone. Recovery repairs the tail, replays deterministically — twice,
-// bit-identically — never mints wear budget, and the interrupted
-// rotation is re-planned and completed by the next live operation.
+// TestCrashMidRemapRecoversIdentically pins the torn-op contract for a
+// rotation: the rotation has no record of its own, so a crash that tears
+// the op record whose apply made it due takes the rotation with it.
+// Recovery repairs the tail, replays deterministically — twice,
+// bit-identically — never mints wear budget, and replaying the lost op
+// live makes the same rotation due again and applies it.
 func TestCrashMidRemapRecoversIdentically(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir, 0)
@@ -149,16 +150,20 @@ func TestCrashMidRemapRecoversIdentically(t *testing.T) {
 		t.Fatal("targeted stress never triggered a rotation")
 	}
 	preStressed := e.Arch.Stressed()
+	preState, err := json.Marshal(e.Arch.State())
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// The loop stops the moment the first rotation lands, so the final
-	// frame of the segment is that maintenance batch's remap record. Tear
-	// it mid-frame, as a crash between write and fsync would.
+	// frame of the segment is the stress record that made it due. Tear it
+	// mid-frame, as a crash between write and fsync would.
 	seg := filepath.Join(dir, segName(1))
 	data, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	remapStart := int64(-1)
+	lastStart, lastType := int64(-1), ""
 	for off := int64(0); off+frameHeader <= int64(len(data)); {
 		n := int64(binary.LittleEndian.Uint32(data[off : off+4]))
 		end := off + frameHeader + n
@@ -166,24 +171,22 @@ func TestCrashMidRemapRecoversIdentically(t *testing.T) {
 			break
 		}
 		var r record
-		if json.Unmarshal(data[off+frameHeader:end], &r) == nil && r.Type == "remap" {
-			remapStart = off
+		if err := json.Unmarshal(data[off+frameHeader:end], &r); err != nil {
+			t.Fatal(err)
 		}
+		lastStart, lastType = off, r.Type
 		off = end
 	}
-	if remapStart < 0 {
-		t.Fatal("no remap frame in the segment")
+	if lastType != "stress" {
+		t.Fatalf("last frame of the segment is a %q record, want the stress that made the rotation due", lastType)
 	}
-	if err := os.Truncate(seg, remapStart+5); err != nil {
+	if err := os.Truncate(seg, lastStart+5); err != nil {
 		t.Fatal(err)
 	}
 
 	reg2, _, stats2 := recoverInto(t, dir)
 	if stats2.TornBytesTruncated != 5 {
 		t.Fatalf("TornBytesTruncated = %d, want 5", stats2.TornBytesTruncated)
-	}
-	if stats2.ReplayedRemaps != 0 {
-		t.Fatalf("torn rotation replayed: %d remaps", stats2.ReplayedRemaps)
 	}
 	e2, ok := reg2.Get(e.ID)
 	if !ok {
@@ -209,21 +212,26 @@ func TestCrashMidRemapRecoversIdentically(t *testing.T) {
 	}
 
 	// Recovery can only ever drop the torn suffix, never mint budget: every
-	// stress durably logged before the crash is present, and no more.
-	if got := e3.Arch.Stressed(); got != preStressed {
-		t.Fatalf("recovered stress budget %d != logged %d", got, preStressed)
+	// stress durably logged before the crash is present, the torn one is
+	// not, and its rotation went with it.
+	if got := e3.Arch.Stressed(); got != preStressed-1 {
+		t.Fatalf("recovered stress budget %d, want the %d logged before the torn record", got, preStressed-1)
 	}
 	if e3.Arch.Remaps() != 0 {
-		t.Fatal("the torn rotation came back from the dead")
+		t.Fatal("the torn op's rotation came back from the dead")
 	}
 
-	// The interrupted rotation is advisory state, not lost state: the next
-	// live operation re-plans against the recovered wear and completes it.
+	// Serving the lost op again makes the same rotation due, and the live
+	// path applies it: the state is the one the crash interrupted.
 	if _, err := e3.Stress(ctx, hot, []int{0, 1}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if e3.Arch.Remaps() == 0 {
-		t.Fatal("maintenance never resumed the interrupted rotation")
+	again, err := json.Marshal(e3.Arch.State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, preState) {
+		t.Fatalf("re-serving the torn op gives\n%s\nwant the pre-crash state\n%s", again, preState)
 	}
 }
 
@@ -268,12 +276,13 @@ func TestSnapshotCarriesLeveling(t *testing.T) {
 	}
 }
 
-// wearFuzzSegment builds a well-formed one-segment WAL exercising every
-// wear-leveling record type: a leveled provision, a hot targeted stress,
-// an access, then a maintenance batch (retire + full-assignment remap).
-// It returns the segment and the byte offset of the remap frame so seeds
+// wearFuzzSegment builds a well-formed one-segment WAL in the format
+// earlier versions wrote: a leveled provision, a hot targeted stress, an
+// access, then a maintenance batch (retire + full-assignment remap),
+// which the current version reads but never writes. It returns the
+// segment and the byte offsets of the retire and remap frames, so seeds
 // can model crashes inside the maintenance batch.
-func wearFuzzSegment(tb testing.TB) ([]byte, int) {
+func wearFuzzSegment(tb testing.TB) ([]byte, int, int) {
 	tb.Helper()
 	spec := dse.Spec{
 		Dist:        weibull.MustNew(6, 8),
@@ -307,6 +316,7 @@ func wearFuzzSegment(tb testing.TB) ([]byte, int) {
 	frame(record{Type: "provision", Record: registry.Record{Provision: &prov}})
 	frame(record{Type: "stress", Record: registry.Record{Stress: &registry.StressRecord{ID: prov.ID, TempCelsius: 400, Indices: []int{0, 1}, Pulses: 2}}})
 	frame(record{Type: "access", Record: registry.Record{Access: &registry.AccessRecord{ID: prov.ID, TempCelsius: 25}}})
+	retireStart := len(buf)
 	frame(record{Type: "retire", Record: registry.Record{Retire: &registry.RetireRecord{ID: prov.ID, Copy: 0, Physical: 0}}})
 	remapStart := len(buf)
 	assign := make([]int, design.N)
@@ -315,21 +325,22 @@ func wearFuzzSegment(tb testing.TB) ([]byte, int) {
 	}
 	assign[0] = design.N // rotate logical slot 0 onto the first spare
 	frame(record{Type: "remap", Record: registry.Record{Remap: &registry.RemapRecord{ID: prov.ID, Copy: 0, Assign: assign}}})
-	return buf, remapStart
+	return buf, retireStart, remapStart
 }
 
 // FuzzWearRecordDecode feeds arbitrary bytes to WAL recovery with the
-// wear-leveling record types (stress/retire/remap) in the seed mix. The
-// contract is the same recover-or-refuse one as FuzzWALFrameDecode —
-// recovery never panics, a success is idempotent (recovering identical
-// bytes twice yields bit-identical wear state, so recovery can never
-// mint or refund wearout), and a refusal is a classified error — now
-// covering the records an adversarial wearout campaign writes.
+// wear-leveling record types (stress, and the retire/remap records of
+// earlier versions) in the seed mix. The contract is the same
+// recover-or-refuse one as FuzzWALFrameDecode — recovery never panics, a
+// success is idempotent (recovering identical bytes twice yields
+// bit-identical wear state, so recovery can never mint or refund
+// wearout), and a refusal is a classified error — now covering the
+// records an adversarial wearout campaign writes.
 func FuzzWearRecordDecode(f *testing.F) {
-	valid, remapStart := wearFuzzSegment(f)
+	valid, _, remapStart := wearFuzzSegment(f)
 	f.Add(valid)
-	f.Add(valid[:remapStart])   // crash between retire and remap: rotation never logged
-	f.Add(valid[:remapStart+5]) // crash mid-remap-frame: torn rotation
+	f.Add(valid[:remapStart])   // crash between retire and remap
+	f.Add(valid[:remapStart+5]) // crash mid-remap-frame: torn remap record
 	flipped := append([]byte(nil), valid...)
 	flipped[remapStart+4] ^= 0xff // remap frame CRC damage
 	f.Add(flipped)
@@ -362,9 +373,25 @@ func FuzzWearRecordDecode(f *testing.F) {
 // TestWearFuzzSeedCorpus pins the seed corpus outcomes so the fuzz
 // target's classification stays honest even when nobody runs the fuzzer,
 // and keeps the checked-in corpus files in sync with the generator
-// (regenerate with LEMONADE_UPDATE_FUZZ_CORPUS=1).
+// (regenerate with LEMONADE_UPDATE_FUZZ_CORPUS=1). Retire and remap
+// records are read, never written: recovery decodes and counts them but
+// applies nothing they recorded, so every prefix that keeps the op
+// records recovers the state those records alone give, rotation included.
 func TestWearFuzzSeedCorpus(t *testing.T) {
-	valid, remapStart := wearFuzzSegment(t)
+	valid, retireStart, remapStart := wearFuzzSegment(t)
+
+	regOps, _, err := recoverBytes(t, valid[:retireStart])
+	if err != nil {
+		t.Fatalf("op records alone refused: %v", err)
+	}
+	eo, ok := regOps.Get("arch-000001")
+	if !ok {
+		t.Fatal("op records alone: architecture missing")
+	}
+	if eo.Arch.Remaps() == 0 || eo.Arch.Stressed() != 2 {
+		t.Fatalf("op records alone: remaps %d stressed %d, want a derived rotation and 2", eo.Arch.Remaps(), eo.Arch.Stressed())
+	}
+	opsOnly := archStates(regOps)
 
 	reg, stats, err := recoverBytes(t, valid)
 	if err != nil {
@@ -374,16 +401,12 @@ func TestWearFuzzSeedCorpus(t *testing.T) {
 		stats.ReplayedStresses != 1 || stats.ReplayedRetires != 1 || stats.ReplayedRemaps != 1 {
 		t.Fatalf("valid segment stats %+v, want one record of each type replayed", stats)
 	}
-	e, ok := reg.Get("arch-000001")
-	if !ok {
-		t.Fatal("valid segment: architecture missing")
-	}
-	if e.Arch.Remaps() != 1 || e.Arch.Stressed() != 2 {
-		t.Fatalf("valid segment: remaps %d stressed %d, want 1 and 2", e.Arch.Remaps(), e.Arch.Stressed())
+	if !reflect.DeepEqual(archStates(reg), opsOnly) {
+		t.Fatal("the logged retire and remap changed the recovered state")
 	}
 
-	// Crash between retire and remap: the retirement is durable, the
-	// rotation is not, and recovery serves exactly that.
+	// Crash between retire and remap: the retire is read and changes
+	// nothing.
 	regBoundary, stats2, err := recoverBytes(t, valid[:remapStart])
 	if err != nil {
 		t.Fatalf("retire-without-remap prefix refused: %v", err)
@@ -391,13 +414,12 @@ func TestWearFuzzSeedCorpus(t *testing.T) {
 	if stats2.ReplayedRetires != 1 || stats2.ReplayedRemaps != 0 {
 		t.Fatalf("prefix stats %+v, want the retire without the remap", stats2)
 	}
-	eb, _ := regBoundary.Get("arch-000001")
-	if eb.Arch.Remaps() != 0 {
-		t.Fatal("prefix recovery invented a rotation")
+	if !reflect.DeepEqual(archStates(regBoundary), opsOnly) {
+		t.Fatal("retire-without-remap prefix recovers a state the op records alone do not give")
 	}
 
-	// Crash mid-remap-frame: the torn rotation truncates away and the
-	// state equals the clean-boundary crash exactly.
+	// Crash mid-remap-frame: the torn record truncates away and the state
+	// equals the clean-boundary crash exactly.
 	regTorn, stats3, err := recoverBytes(t, valid[:remapStart+5])
 	if err != nil {
 		t.Fatalf("torn remap refused: %v", err)

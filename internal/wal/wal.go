@@ -9,8 +9,9 @@
 // attack that motivates wearout over software counters. This package is
 // the simulator's non-volatile substrate: an append-only, CRC-framed,
 // fsync-on-commit write-ahead log of the registry's records (provision,
-// access, stress, retire, remap) plus periodic compacted snapshots, from
-// which a restarted daemon recovers bit-identical architecture state. The
+// access, stress; retire and remap only in logs of earlier versions)
+// plus periodic compacted snapshots, from which a restarted daemon
+// recovers bit-identical architecture state. The
 // registry owns what a record is and how it applies (registry.Record,
 // Registry.Replay); this package frames, counts and replays them.
 //

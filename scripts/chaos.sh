@@ -22,7 +22,8 @@
 # attacker (hot/cold cycled bursts on targeted shares) races them, with
 # chaos faults still injected. The invariants: no attacker-visible
 # response ever carries key bytes, total reveals stay within the seeded
-# hardware ceiling, and the wear-leveling metrics are live in /metrics.
+# hardware ceiling, the wear-leveling metrics are live in /metrics, and
+# the scraped rotation count equals the device's own.
 #
 # `chaos.sh cluster` runs the CLUSTER phase: three durable nodes form a
 # consistent-hash ring, a 2-of-3 share-split architecture is driven to
@@ -154,6 +155,17 @@ if [ "$mode" = attack ]; then
             esac
         done
         echo "chaos: seed $seed: wear metrics present"
+        # The rotation counter is the fleet's lifetime sum, computed at
+        # scrape time, and the attacked device is the daemon's only
+        # architecture: the two must agree.
+        status=$(curl -sf "$base/v1/architectures/$id")
+        want=$(echo "$status" | sed -n 's/.*"remaps": \([0-9]*\).*/\1/p')
+        got=$(echo "$metrics" | sed -n 's/^lemonaded_wearout_remaps_total \([0-9]*\)$/\1/p')
+        if [ -z "$want" ] || [ "$got" != "$want" ]; then
+            echo "chaos: FAIL — lemonaded_wearout_remaps_total '$got' != device status remaps '$want'"
+            exit 1
+        fi
+        echo "chaos: seed $seed: lemonaded_wearout_remaps_total $got matches the device status"
 
         kill -TERM "$pid"
         wait "$pid" || { echo "chaos: daemon exited nonzero"; exit 1; }
