@@ -39,7 +39,7 @@ test:
 ## race: race detector over the concurrency-sensitive packages, then the
 ## whole module in short mode (CI's race job runs this target)
 race:
-	$(GO) test -race ./internal/montecarlo/... ./internal/targeting/... ./internal/core/... ./internal/server/... ./internal/registry/... ./internal/cache/... ./internal/wal/... ./internal/fault/... ./internal/resilience/... ./internal/analysis/ ./internal/attack/... ./internal/nems/... ./internal/cluster/... ./api/...
+	$(GO) test -race ./internal/montecarlo/... ./internal/targeting/... ./internal/core/... ./internal/server/... ./internal/registry/... ./internal/cache/... ./internal/wal/... ./internal/fault/... ./internal/resilience/... ./internal/analysis/ ./internal/attack/... ./internal/nems/... ./internal/cluster/... ./internal/shamir/... ./internal/gf16/... ./api/...
 	$(GO) test -race -short ./...
 
 ## repeat: the attack, cluster and registry tests 50 times over, so an
@@ -66,7 +66,8 @@ bench-compare:
 
 ## fuzz-smoke: short native-fuzz runs of every fuzz target: the WAL frame,
 ## snapshot and wear-record decoders, both Shamir fields, Shamir split and
-## combine, and the survival-table lifetime draw (the CI check job runs this
+## combine, the wide split's additive FFT against Horner's rule, and the
+## survival-table lifetime draw (the CI check job runs this
 ## target; `go test -fuzz` for a long local run). The decoder targets run a
 ## fixed number of inputs: each input is a full recovery, and with a time
 ## budget the workers spend it minimizing the first new-coverage inputs.
@@ -78,6 +79,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzShamir16Reconstruct' -fuzztime 15s ./internal/shamir/
 	$(GO) test -run '^$$' -fuzz '^FuzzSplitCombine$$' -fuzztime 20000x ./internal/shamir/
 	$(GO) test -run '^$$' -fuzz '^FuzzSplitCombineInto$$' -fuzztime 20000x ./internal/shamir/
+	$(GO) test -run '^$$' -fuzz '^FuzzFFTEval$$' -fuzztime 20000x ./internal/gf16/
 	$(GO) test -run '^$$' -fuzz 'FuzzCycleTable' -fuzztime 15s ./internal/weibull/
 
 ## crash: crash-recovery test (SIGKILL mid-budget, restart, exact wear)

@@ -36,16 +36,6 @@ func MulSliceAdd(dst, src []uint16, c uint16) {
 	}
 }
 
-// MulPowersAdd adds Σ_j x^(j+1)·row_j into dst, rows laid out back to
-// back as in gf256: shamir's per-share evaluation.
-func MulPowersAdd(dst, rows []uint16, x uint16) {
-	pw := x
-	for n := len(dst); n > 0 && len(rows) > 0; rows = rows[n:] {
-		MulSliceAdd(dst, rows[:n], pw)
-		pw = Mul(pw, x)
-	}
-}
-
 // LagrangeCoeffs fills coeffs[i] with the weight L_i(0) of share i in the
 // value at 0 of the polynomial through the xs — the secret, for Shamir.
 // In characteristic 2, L_i(0) = (Π_j xs[j] / xs[i]) / Π_{j≠i}(xs[i]⊕xs[j]),

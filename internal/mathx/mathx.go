@@ -33,11 +33,13 @@ func LogChoose(n, k float64) float64 {
 	if k == 0 || k == n { //lemonvet:allow floateq exact endpoints have exact coefficient ln C = 0
 		return 0
 	}
-	lg := func(x float64) float64 {
-		v, _ := math.Lgamma(x)
-		return v
-	}
-	return lg(n+1) - lg(k+1) - lg(n-k+1)
+	return lgamma(n+1) - lgamma(k+1) - lgamma(n-k+1)
+}
+
+// lgamma is ln |Γ(x)|.
+func lgamma(x float64) float64 {
+	v, _ := math.Lgamma(x)
+	return v
 }
 
 // --- Regularized incomplete beta function ---------------------------------
@@ -163,9 +165,19 @@ func BinomTailGE(n, k int, p float64) float64 {
 		if k > hi {
 			return 0
 		}
+		// Each term is LogBinomPMF(n, i, p) — here 0 ≤ i < n and
+		// 0 < p < 1 — with the terms that do not depend on i computed
+		// once: the same operations on the same operands in the same
+		// order, so the sum is bit-identical to the per-term calls.
+		nf, lgN := float64(n), lgamma(float64(n)+1)
+		lp, lq := math.Log(p), math.Log1p(-p)
 		var s KahanSum
 		for i := 0; i < k; i++ {
-			s.Add(math.Exp(LogBinomPMF(n, i, p)))
+			kf, lc := float64(i), 0.0
+			if i > 0 {
+				lc = lgN - lgamma(kf+1) - lgamma(nf-kf+1)
+			}
+			s.Add(math.Exp(lc + kf*lp + (nf-kf)*lq))
 		}
 		return clamp01(1 - s.Sum())
 	}

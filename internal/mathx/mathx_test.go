@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"lemonade/internal/rng"
 )
 
 func almostEq(a, b, tol float64) bool {
@@ -127,6 +129,50 @@ func TestBinomTailGEAgainstBrute(t *testing.T) {
 		if !almostEq(got, want, 1e-9) {
 			t.Errorf("BinomTailGE(%d,%d,%g) = %g, want %g", c.n, c.k, c.p, got, want)
 		}
+	}
+}
+
+// perTermTailGE is BinomTailGE's exact sum for n > 200,000 as it was
+// first written, one LogBinomPMF call per term: the oracle for the
+// hoisted loop.
+func perTermTailGE(n, k int, p float64) float64 {
+	var s KahanSum
+	for i := 0; i < k; i++ {
+		s.Add(math.Exp(LogBinomPMF(n, i, p)))
+	}
+	return clamp01(1 - s.Sum())
+}
+
+// TestBinomTailHoistedSumBitIdentical: over a seeded grid of n > 200,000
+// in both summed regimes (mean ≤ 10,000 and n − mean ≤ 10,000), and k
+// from 1 to past the support cut-off, BinomTailGE returns exactly the bits
+// of the per-term sum. The figures rest on this: a hoist that moved one
+// rounding would move experiments_output.txt.
+func TestBinomTailHoistedSumBitIdentical(t *testing.T) {
+	r := rng.New(0xb1)
+	check := func(n, k int, p float64) {
+		t.Helper()
+		mean, sd := float64(n)*p, math.Sqrt(float64(n)*p*(1-p))
+		want := perTermTailGE(n, k, p)
+		if k > int(mean+40*sd+40) {
+			want = 0
+		}
+		if got := BinomTailGE(n, k, p); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("BinomTailGE(%d, %d, %v) = %v, per-term sum %v", n, k, p, got, want)
+		}
+	}
+	for trial := 0; trial < 60; trial++ {
+		n := 200_001 + r.Intn(20_000_000)
+		mean := 0.5 + 9_999*r.Float64()
+		p := mean / float64(n)
+		hi := int(mean + 40*math.Sqrt(mean) + 40)
+		check(n, 1, p)
+		check(n, 1+r.Intn(hi+50), p)
+	}
+	for trial := 0; trial < 4; trial++ {
+		n := 200_001 + r.Intn(300_000)
+		p := 1 - (0.5+9_999*r.Float64())/float64(n)
+		check(n, n-r.Intn(20_000), p)
 	}
 }
 

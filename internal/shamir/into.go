@@ -3,7 +3,10 @@ package shamir
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
+	"lemonade/internal/gf16"
+	"lemonade/internal/gf256"
 	"lemonade/internal/rng"
 )
 
@@ -20,6 +23,10 @@ type scratch[E Elem] struct {
 	coeffs []E
 	dist   []int
 	seen   [1 << 16 / 8]byte // X-coordinate bitset, one bit per possible X
+	// Wide's split: one word's coefficients, then its values at 0..2^m−1,
+	// and the FFT's tables for the last m and its buffers.
+	vals []E
+	fft  gf16.FFT
 }
 
 // getScratch takes an idle working set off the free list, or makes a
@@ -134,22 +141,47 @@ func (s *Scheme[E]) SplitInto(secret []byte, shares []ShareOf[E], k, n int, r *r
 		shares[i].Data = grow(shares[i].Data, len(words))
 		shares[i].Padded = padded
 	}
-	// Random coefficients land in per-degree rows (row j-1 holds the
-	// degree-j coefficient of every secret element), so each share is
-	// produced by one MulPowersAdd — k-1 slice passes instead of a
-	// per-element Horner loop.
+	// Random coefficients land in per-degree rows: row j-1 holds the
+	// degree-j coefficient of every secret element.
 	sc.rows = grow(sc.rows, (k-1)*len(words))
 	for w := range words {
 		for j := 1; j < k; j++ {
 			sc.rows[(j-1)*len(words)+w] = E(r.Intn(1 << s.bits))
 		}
 	}
+	s.evalShares(sc, shares, words, sc.rows)
+	return nil
+}
+
+// powersEval is Narrow's evalShares: each share is its words plus one
+// MulPowersAdd over the rows, k-1 slice passes per share.
+func powersEval(_ *scratch[uint8], shares []Share, words, rows []uint8) {
 	for i := range shares {
 		d := shares[i].Data
 		copy(d, words)
-		s.mulPowersAdd(d, sc.rows, shares[i].X)
+		gf256.MulPowersAdd(d, rows, shares[i].X)
 	}
-	return nil
+}
+
+// fftEval is Wide's evalShares: shares sit at X = 1..n, so each secret
+// word's polynomial is evaluated at every x below 2^m, m the bit length of
+// n, by one additive FFT (gf16.FFT) — about log₂k·2^(m−1) multiplies per
+// word where a per-share powers loop takes (k-1)·n — and the values at
+// 1..n are scattered into the shares.
+func fftEval(sc *scratch[uint16], shares []ShareOf[uint16], words, rows []uint16) {
+	k := len(rows)/len(words) + 1
+	vals := grow(sc.vals, 1<<bits.Len(uint(len(shares))))
+	sc.vals = vals
+	for w, c := range words {
+		vals[0] = c
+		for j := 1; j < k; j++ {
+			vals[j] = rows[(j-1)*len(words)+w]
+		}
+		sc.fft.Eval(vals, vals[:k])
+		for i := range shares {
+			shares[i].Data[w] = vals[i+1]
+		}
+	}
 }
 
 // CombineInto reconstructs the secret from at least k distinct shares into

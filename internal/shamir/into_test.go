@@ -3,6 +3,7 @@ package shamir
 import (
 	"bytes"
 	"slices"
+	"sync"
 	"testing"
 
 	"lemonade/internal/rng"
@@ -134,6 +135,47 @@ func testIntoNoAllocs[E Elem](t *testing.T, s *Scheme[E], secretLen, k, n int) {
 	}); a >= 1 {
 		t.Errorf("CombineInto steady state allocates %v times per call", a)
 	}
+}
+
+// TestWideSplitConcurrentWidths runs Wide splits of widths with different
+// FFT dimensions m (the bit length of n) on several goroutines at once, so
+// the scratch free list hands working sets, and the FFT tables in them,
+// back and forth between widths. Every split must equal the serial split
+// for its seed.
+func TestWideSplitConcurrentWidths(t *testing.T) {
+	shapes := []struct{ k, n int }{{1, 1}, {2, 3}, {5, 50}, {40, 300}, {114, 1131}, {64, 5000}}
+	secret := []byte("wide concurrent secret")
+	want := make([][]ShareOf[uint16], len(shapes))
+	for i, sh := range shapes {
+		var err error
+		if want[i], err = Wide.Split(secret, sh.k, sh.n, rng.New(uint64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const workers, rounds = 6, 12
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < rounds; round++ {
+				i := (g + round) % len(shapes)
+				sh := shapes[i]
+				got, err := Wide.Split(secret, sh.k, sh.n, rng.New(uint64(i)))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for j := range got {
+					if got[j].X != want[i][j].X || !slices.Equal(got[j].Data, want[i][j].Data) {
+						t.Errorf("worker %d, %d-of-%d: share %d differs from the serial split", g, sh.k, sh.n, j)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestSplitSharesOneBackingArray pins Split's allocation count at the

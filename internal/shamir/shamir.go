@@ -44,12 +44,13 @@ type ShareOf[E Elem] struct {
 type Share = ShareOf[uint8]
 
 // Scheme is Shamir sharing over one field. The generic code calls the
-// field's kernels once per share or per degree, never per element, so the
-// per-element loops run inside the monomorphic gf256/gf16 kernels.
+// field's kernels once per share, per secret element or per split, never
+// per field element, so the per-element loops run inside the monomorphic
+// gf256/gf16 kernels.
 type Scheme[E Elem] struct {
 	bits           int // element width
 	mulSliceAdd    func(dst, src []E, c E)
-	mulPowersAdd   func(dst, rows []E, x E)
+	evalShares     func(sc *scratch[E], shares []ShareOf[E], words, rows []E)
 	lagrangeCoeffs func(xs, coeffs []E) error
 
 	mu   sync.Mutex
@@ -62,13 +63,13 @@ var (
 	Narrow = &Scheme[uint8]{
 		bits:           8,
 		mulSliceAdd:    gf256.MulSliceAdd,
-		mulPowersAdd:   gf256.MulPowersAdd,
+		evalShares:     powersEval,
 		lagrangeCoeffs: gf256.LagrangeCoeffs,
 	}
 	Wide = &Scheme[uint16]{
 		bits:           16,
 		mulSliceAdd:    gf16.MulSliceAdd,
-		mulPowersAdd:   gf16.MulPowersAdd,
+		evalShares:     fftEval,
 		lagrangeCoeffs: gf16.LagrangeCoeffs,
 	}
 )
