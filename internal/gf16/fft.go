@@ -34,7 +34,6 @@ type FFT struct {
 	logBeta [16]uint16
 	// logG[t][i] is log G_i at level t for i ≥ 1 (G_0 = 0 has no log).
 	logG [16][]uint16
-	tabs []uint16 // backing array of logG
 	poly []uint16
 	odd  []uint16
 }
@@ -49,7 +48,7 @@ func (e *FFT) Eval(out, f []uint16) {
 		//lemonvet:allow panic mismatched kernel operand lengths are a caller bug, like out-of-range indexing
 		panic("gf16: FFT.Eval needs a power-of-two len(out) ≤ 2^16 and len(f) ≤ len(out)")
 	}
-	if m != e.m || e.tabs == nil {
+	if m != e.m || e.logG[0] == nil {
 		e.setup(m)
 	}
 	n := 1
@@ -66,17 +65,14 @@ func (e *FFT) Eval(out, f []uint16) {
 // setup builds the level tables for the subspace of dimension m.
 func (e *FFT) setup(m int) {
 	e.m = m
-	e.tabs = grow(e.tabs, 1<<m)
 	var basis [16]uint16
 	for j := range m {
 		basis[j] = 1 << j
 	}
-	off := 0
 	for t, d := 0, m; d >= 1; t, d = t+1, d-1 {
 		beta := basis[d-1]
 		e.logBeta[t] = logTable[beta]
-		g := e.tabs[off : off+1<<(d-1)]
-		off += len(g)
+		g := grow(e.logG[t], 1<<(d-1))
 		g[0] = 0
 		for j := 0; j < d-1; j++ {
 			gamma := Div(basis[j], beta)

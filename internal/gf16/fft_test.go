@@ -58,37 +58,6 @@ func TestFFTMatchesHorner(t *testing.T) {
 	checkFFT(t, &e, r, 2048, 2048)
 }
 
-// TestFFTNoAllocsSteadyState: repeated Evals at one size reuse the tables
-// and buffers.
-func TestFFTNoAllocsSteadyState(t *testing.T) {
-	var e FFT
-	f := patternWords(114, 0x5a5a)
-	out := make([]uint16, 2048)
-	e.Eval(out, f)
-	if a := testing.AllocsPerRun(50, func() { e.Eval(out, f) }); a != 0 {
-		t.Errorf("FFT.Eval steady state allocates %v times per call", a)
-	}
-}
-
-func TestFFTEvalBadShapePanics(t *testing.T) {
-	for name, shape := range map[string]struct{ out, f int }{
-		"not a power of two": {12, 3},
-		"empty out":          {0, 0},
-		"f longer than out":  {4, 5},
-		"beyond the field":   {1 << 17, 1},
-	} {
-		t.Run(name, func(t *testing.T) {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("Eval(len %d, len %d) did not panic", shape.out, shape.f)
-				}
-			}()
-			var e FFT
-			e.Eval(make([]uint16, shape.out), make([]uint16, shape.f))
-		})
-	}
-}
-
 // FuzzFFTEval runs TestFFTMatchesHorner's check on fuzzer-chosen shapes:
 // 2^0..2^12 points and up to 256 coefficients.
 func FuzzFFTEval(f *testing.F) {

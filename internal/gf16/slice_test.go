@@ -217,12 +217,16 @@ func TestSliceKernelsLengthMismatchPanics(t *testing.T) {
 		f    func()
 	}{
 		{"MulSliceAdd", func() { MulSliceAdd(make([]uint16, 3), make([]uint16, 4), 5) }},
+		{"FFT.Eval out not a power of two", func() { new(FFT).Eval(make([]uint16, 12), nil) }},
+		{"FFT.Eval empty out", func() { new(FFT).Eval(nil, nil) }},
+		{"FFT.Eval f longer than out", func() { new(FFT).Eval(make([]uint16, 4), make([]uint16, 5)) }},
+		{"FFT.Eval beyond the field", func() { new(FFT).Eval(make([]uint16, 1<<17), nil) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("%s did not panic on length mismatch", tc.name)
+					t.Fatalf("%s did not panic", tc.name)
 				}
 			}()
 			tc.f()

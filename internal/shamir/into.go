@@ -114,7 +114,9 @@ func unpack[E Elem](dst []byte, words []E, width int) {
 // have capacity and reallocated otherwise; X coordinates are (re)assigned
 // to 1..n. It draws from r in exactly Split's order — one coefficient per
 // (secret element, degree) pair, degree-major within each element — so
-// Split and SplitInto emit bit-identical shares from equal RNG states.
+// Split and SplitInto emit bit-identical shares from equal RNG states. The
+// field's evalShares then evaluates every polynomial at every share's X;
+// field arithmetic is exact, so how it does so never changes a share.
 func (s *Scheme[E]) SplitInto(secret []byte, shares []ShareOf[E], k, n int, r *rng.RNG) error {
 	if k < 1 {
 		return fmt.Errorf("shamir: threshold k must be >= 1, got %d", k)

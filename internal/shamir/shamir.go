@@ -12,7 +12,10 @@
 // element per secret byte) and Wide over GF(2^16) (up to 65,535 shares, as
 // the wide parallel structures of the paper's low-β designs need; secrets
 // are packed into 16-bit words). The per-field arithmetic kernels stay in
-// packages gf256 and gf16.
+// packages gf256 and gf16. The fields evaluate a split's polynomials
+// differently: Narrow share by share, k-1 slice passes each, and Wide,
+// whose n runs to thousands, with one additive FFT per secret word over
+// all x below the next power of two above n (gf16.FFT).
 //
 // Share x-coordinates are 1..n (x = 0 would leak the secret directly, since
 // the secret is the constant coefficient q(0)).
