@@ -46,7 +46,7 @@ var DefaultAllocCeilings = map[string]float64{
 	"codec/shamir_wide_combine":  8,    // measured floor 3
 	"montecarlo/run_parallel":    48,   // measured floor 12
 	"explore/parallel":           64,   // measured floor 22
-	"core/build":                 4096, // measured floor 2220 (2663 with a slab per copy, 57091 with a heap object per switch)
+	"core/build":                 1280, // measured floor 640 (676 with a scratch list per copy, 2220 with an allocation per share, 2663 with a slab per copy, 57091 with a heap object per switch)
 }
 
 func (o CompareOpts) withDefaults() CompareOpts {

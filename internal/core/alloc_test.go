@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"runtime"
 	"testing"
 
 	"lemonade/internal/dse"
@@ -31,8 +33,8 @@ func buildLongLived(t *testing.T, n, k int, secret []byte) *Architecture {
 
 // TestAccessAllocsSteadyState pins the access path's allocation budget:
 // after warmup, one access allocates only the returned secret (the
-// conducting scratch, share selection, and Shamir reconstruction all run
-// on reused or pooled buffers).
+// architecture's picked-slot scratch, share selection, and Shamir
+// reconstruction all run on reused or pooled buffers).
 func TestAccessAllocsSteadyState(t *testing.T) {
 	secret := []byte("the paper's limited-use secret")
 	for _, tc := range []struct {
@@ -110,5 +112,36 @@ func TestPendingRemapNotDueAllocatesNothing(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { a.PendingRemap() }); n != 0 {
 		t.Fatalf("PendingRemap allocates %.1f times per call when no plan is due, want 0", n)
+	}
+}
+
+// TestAccessAllocsWholeLife pins the access path's allocation budget over
+// an architecture's whole life, at the paper point (67 copies) and the
+// wide point (23 copies): driven to lockout, the accesses allocate the
+// secret of each success and at most a small fixed number of objects
+// besides. A scratch buffer kept per copy rather than per architecture
+// would be grown again on each copy's first access, which the one-copy
+// steady-state test above cannot see.
+func TestAccessAllocsWholeLife(t *testing.T) {
+	const slack = 16
+	for _, alpha := range []float64{14, 40} {
+		design := goldenDesign(t, alpha)
+		a, err := Build(design, []byte("the paper's limited-use secret"), rng.New(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for {
+			if _, err := a.Access(nems.RoomTemp); errors.Is(err, ErrExhausted) {
+				break
+			}
+		}
+		runtime.ReadMemStats(&after)
+		_, successes := a.Accesses()
+		if mallocs := after.Mallocs - before.Mallocs; mallocs > successes+slack {
+			t.Errorf("α=%v, %d copies: %d allocations over the accesses of a life with %d successes, want at most %d",
+				alpha, design.Copies, mallocs, successes, successes+slack)
+		}
 	}
 }

@@ -95,6 +95,7 @@ type Architecture struct {
 
 	mu       sync.Mutex // guards everything below
 	copies   []*archCopy
+	picked   []int // scratch: the first k slots that conducted in an access (capacity k)
 	cur      int
 	total    uint64 // accesses attempted
 	ok       uint64 // accesses that yielded the secret
@@ -122,17 +123,18 @@ func (a *Architecture) SetObserver(fn func(AccessEvent)) {
 	a.observer = fn
 }
 
-// decoder reconstructs the secret from the switch indices that conducted
-// during an access. Implementations: plain replication (k=1), Shamir over
-// GF(256) (k>1, n ≤ 255) and Shamir over GF(2^16) (wide structures).
+// decoder reconstructs the secret from the first k switch indices that
+// conducted during an access, in slot order. Implementations: plain
+// replication (k=1), Shamir over GF(256) (k>1, n ≤ 255) and Shamir over
+// GF(2^16) (wide structures).
 type decoder interface {
-	combine(conducting []int) ([]byte, error)
+	combine(picked []int) ([]byte, error)
 }
 
 // replicaDecoder: every switch guards a full copy of the secret.
 type replicaDecoder struct{ secret []byte }
 
-func (d replicaDecoder) combine(conducting []int) ([]byte, error) {
+func (d replicaDecoder) combine(picked []int) ([]byte, error) {
 	out := make([]byte, len(d.secret))
 	copy(out, d.secret)
 	return out, nil
@@ -157,13 +159,10 @@ func newShamirDecoder[E shamir.Elem](s *shamir.Scheme[E], secret []byte, k, n in
 	return &shamirDecoder[E]{scheme: s, shares: shares, k: k, got: make([]shamir.ShareOf[E], 0, k)}, nil
 }
 
-func (d *shamirDecoder[E]) combine(conducting []int) ([]byte, error) {
+func (d *shamirDecoder[E]) combine(picked []int) ([]byte, error) {
 	got := d.got[:0]
-	for _, i := range conducting {
+	for _, i := range picked {
 		got = append(got, d.shares[i])
-		if len(got) == d.k {
-			break
-		}
 	}
 	d.got = got
 	// Combine's output is the one allocation an access must make: the
@@ -179,11 +178,10 @@ func (d *shamirDecoder[E]) combine(conducting []int) ([]byte, error) {
 // routes each logical slot onto its currently assigned physical switch,
 // indexing the same window.
 type archCopy struct {
-	switches   []nems.Switch
-	bank       *nems.Bank // nil = unleveled: slot i fires switches[i]
-	dec        decoder
-	k          int
-	conducting []int // scratch, reused across accesses under the architecture lock
+	switches []nems.Switch
+	bank     *nems.Bank // nil = unleveled: slot i fires switches[i]
+	dec      decoder
+	k        int
 }
 
 // slots returns the copy's logical width (the share count n).
@@ -227,25 +225,29 @@ func (c *archCopy) alive() bool {
 
 // access actuates every logical slot (physically the whole parallel
 // structure fires on each access) and returns the recovered secret (nil on
-// failure) plus how many switches conducted. A non-nil error distinguishes
-// a decode failure (enough switches conducted, reconstruction failed) from
-// plain wearout below threshold.
-func (c *archCopy) access(accel float64) ([]byte, int, error) {
-	conducting := c.conducting[:0]
+// failure) plus how many switches conducted. It records the first k slots
+// that conducted in picked, the architecture's k-capacity scratch, which
+// is all a decoder reads. A non-nil error distinguishes a decode failure
+// (enough switches conducted, reconstruction failed) from plain wearout
+// below threshold.
+func (c *archCopy) access(accel float64, picked []int) ([]byte, int, error) {
+	picked, conducting := picked[:0], 0
 	for i, n := 0, c.slots(); i < n; i++ {
 		if c.actuate(i, accel) == nil {
-			conducting = append(conducting, i)
+			if conducting < c.k {
+				picked = append(picked, i)
+			}
+			conducting++
 		}
 	}
-	c.conducting = conducting
-	if len(conducting) < c.k {
-		return nil, len(conducting), nil
+	if conducting < c.k {
+		return nil, conducting, nil
 	}
-	secret, err := c.dec.combine(conducting)
+	secret, err := c.dec.combine(picked)
 	if err != nil {
-		return nil, len(conducting), fmt.Errorf("%w: %v", ErrDecodeFailed, err)
+		return nil, conducting, fmt.Errorf("%w: %v", ErrDecodeFailed, err)
 	}
-	return secret, len(conducting), nil
+	return secret, conducting, nil
 }
 
 // Build fabricates an architecture for the design, protecting secret.
@@ -291,7 +293,7 @@ func build(design dse.Design, secret []byte, lv *Leveling, r *rng.RNG) (*Archite
 	if err != nil {
 		return nil, err
 	}
-	a := &Architecture{design: design, copies: make([]*archCopy, design.Copies), r: r, leveling: lv}
+	a := &Architecture{design: design, copies: make([]*archCopy, design.Copies), picked: make([]int, 0, design.K), r: r, leveling: lv}
 	phys := design.N
 	if lv != nil {
 		phys += lv.Spares
@@ -337,7 +339,7 @@ func (a *Architecture) Access(env nems.Environment) ([]byte, error) {
 			a.cur++
 			continue
 		}
-		secret, conducting, decErr := c.access(env.Acceleration())
+		secret, conducting, decErr := c.access(env.Acceleration(), a.picked)
 		if secret == nil {
 			// The active copy could not serve this access: it degraded
 			// below threshold mid-access or its share state failed to

@@ -80,7 +80,8 @@ func (a *Architecture) State() State {
 // (design, secret, seed) triple that produced the state — Build is
 // deterministic, so the hidden lifetimes and share encoding line up and
 // replay after Restore is bit-identical to uninterrupted execution. The
-// shape of the state (copy and switch counts) is validated; its origin
+// shape of the state (copy and switch counts) is validated, and so is
+// every switch state (it must be nems.State.Reachable); its origin
 // cannot be, so callers (the WAL recovery path) are responsible for
 // pairing states with their provisioning records.
 //
@@ -103,6 +104,11 @@ func (a *Architecture) Restore(st State) error {
 		if sw != nil && len(sw) != len(a.copies[ci].switches) {
 			return fmt.Errorf("core: restore: copy %d has %d switch states, architecture has %d",
 				ci, len(sw), len(a.copies[ci].switches))
+		}
+		for i, s := range sw {
+			if !s.Reachable() {
+				return fmt.Errorf("core: restore: copy %d switch %d: no actuation history reaches %+v", ci, i, s)
+			}
 		}
 	}
 	if st.CurrentCopy < 0 || st.CurrentCopy > len(a.copies) {

@@ -161,6 +161,47 @@ func TestRestoreRejectsWrongShape(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsUnreachableSwitchState pins Restore's switch-state
+// check: a state no actuation history produces (a failure cycle other
+// than the final count, or a count with the top bit set) is refused, and
+// the refusal leaves the architecture byte-identical even when the rest
+// of the state, earlier copies included, would have restored.
+func TestRestoreRejectsUnreachableSwitchState(t *testing.T) {
+	design := stateTestDesign(t)
+	a, err := Build(design, []byte("0123456789abcdef"), rng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 9; i++ {
+		_, _ = a.Access(nems.RoomTemp)
+	}
+	before, err := json.Marshal(a.State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, unreachable := range []nems.State{
+		{FailCycle: 3},                       // failed without an actuation
+		{Wear: 5, Actuated: 5, FailCycle: 4}, // counted an actuation after failing
+		{Actuated: 1 << 63},                  // a count that reaches the failure mark
+	} {
+		st := a.State()
+		st.TotalAttempts, st.Successful = 100, 50
+		st.Copies[0][0] = nems.State{Wear: 7, Actuated: 7, FailCycle: 7}
+		last := st.Copies[len(st.Copies)-1]
+		last[len(last)-1] = unreachable
+		if err := a.Restore(st); err == nil {
+			t.Errorf("Restore accepted switch state %+v", unreachable)
+		}
+		after, err := json.Marshal(a.State())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(after) != string(before) {
+			t.Fatalf("a refused Restore of %+v changed the architecture", unreachable)
+		}
+	}
+}
+
 // TestOutcomeString pins the wire labels used by the events endpoint.
 func TestOutcomeString(t *testing.T) {
 	want := map[AccessOutcome]string{

@@ -78,15 +78,21 @@ var ErrFailed = errors.New("nems: switch has worn out")
 //
 // The hidden lifetime is fixed at fabrication; Actuate consumes it. Wear is
 // tracked in fractional cycles so environmental acceleration composes.
-// A Switch is 32 bytes and holds no pointers, so a structure's switches
+// A Switch is 24 bytes and holds no pointers, so a structure's switches
 // live in one slab (see FabricateInto) that the garbage collector never
-// scans.
+// scans. It keeps no separate failure cycle: a worn-out switch never
+// counts another actuation, so the cycle it failed on is its final
+// actuation count, and the top bit of actuated (failedBit) marks it.
 type Switch struct {
-	lifetime  float64 // hidden: cycles until failure at 25 °C
-	wear      float64 // accumulated (accelerated) cycles
-	actuated  uint64  // observable actuation count
-	failCycle uint64  // actuation index at which failure occurred (1-based); 0 = working
+	lifetime float64 // hidden: cycles until failure at 25 °C
+	wear     float64 // accumulated (accelerated) cycles
+	actuated uint64  // observable actuation count, | failedBit once worn out
 }
+
+// failedBit marks a worn-out switch in Switch.actuated. Actuations are
+// bounded by the lifetime draw, far below 2⁶³, so the bit is never part
+// of a count.
+const failedBit = 1 << 63
 
 // Fabricate draws a switch from the given lifetime distribution.
 func Fabricate(d weibull.Dist, r *rng.RNG) *Switch {
@@ -130,13 +136,13 @@ func (s *Switch) Actuate(env Environment) error { return s.ActuateBy(env.Acceler
 
 // ActuateBy is Actuate under an environment whose Acceleration is accel.
 func (s *Switch) ActuateBy(accel float64) error {
-	if s.failCycle != 0 {
+	if s.actuated&failedBit != 0 {
 		return ErrFailed
 	}
 	s.actuated++
 	s.wear += accel
 	if s.wear > s.lifetime {
-		s.failCycle = s.actuated
+		s.actuated |= failedBit
 		return ErrFailed
 	}
 	return nil
@@ -154,22 +160,34 @@ type State struct {
 	FailCycle uint64  `json:"fail_cycle,omitempty"` // 0 = still working
 }
 
+// Reachable reports whether some actuation history leaves a switch in
+// st: a failed switch failed on its last counted actuation, so FailCycle
+// is 0 or equal to Actuated, and no count reaches failedBit. A switch
+// holds nothing else, so RestoreState can only overlay reachable states
+// exactly.
+func (st State) Reachable() bool {
+	return st.Actuated&failedBit == 0 && (st.FailCycle == 0 || st.FailCycle == st.Actuated)
+}
+
 // State captures the switch's mutable wear state.
 func (s *Switch) State() State {
-	return State{Wear: s.wear, Actuated: s.actuated, FailCycle: s.failCycle}
+	return State{Wear: s.wear, Actuated: s.actuated &^ failedBit, FailCycle: s.FailedAt()}
 }
 
 // RestoreState overlays a previously captured wear state onto the switch.
 // The hidden lifetime is untouched — callers must restore onto a switch
-// fabricated from the same RNG stream, or wearout semantics are undefined.
+// fabricated from the same RNG stream, or wearout semantics are undefined
+// — and st must be Reachable, or State will not give it back.
 func (s *Switch) RestoreState(st State) {
 	s.wear = st.Wear
 	s.actuated = st.Actuated
-	s.failCycle = st.FailCycle
+	if st.FailCycle != 0 {
+		s.actuated |= failedBit
+	}
 }
 
 // Working reports whether the switch can still conduct.
-func (s *Switch) Working() bool { return s.failCycle == 0 }
+func (s *Switch) Working() bool { return s.actuated&failedBit == 0 }
 
 // Wear returns the accumulated (environment-accelerated) actuation cycles.
 // This is observable state, not a leak of the hidden lifetime: the
@@ -180,15 +198,20 @@ func (s *Switch) Wear() float64 { return s.wear }
 
 // FailedAt returns the 1-based actuation index at which the switch failed,
 // or 0 if it is still working.
-func (s *Switch) FailedAt() uint64 { return s.failCycle }
+func (s *Switch) FailedAt() uint64 {
+	if s.Working() {
+		return 0
+	}
+	return s.actuated &^ failedBit
+}
 
 // String implements fmt.Stringer without leaking the hidden lifetime.
 func (s *Switch) String() string {
 	state := "working"
-	if s.failCycle != 0 {
-		state = fmt.Sprintf("failed@%d", s.failCycle)
+	if at := s.FailedAt(); at != 0 {
+		state = fmt.Sprintf("failed@%d", at)
 	}
-	return fmt.Sprintf("nems.Switch{actuations=%d, %s}", s.actuated, state)
+	return fmt.Sprintf("nems.Switch{actuations=%d, %s}", s.actuated&^failedBit, state)
 }
 
 // --- Populations ----------------------------------------------------------------

@@ -26,8 +26,51 @@ func TestDeterministicSwitchLifetime(t *testing.T) {
 	if s.FailedAt() != 4 {
 		t.Errorf("FailedAt = %d, want 4", s.FailedAt())
 	}
-	if s.actuated != 4 {
-		t.Errorf("Actuations = %d, want 4", s.actuated)
+	if st := s.State(); st.Actuated != 4 || st.FailCycle != 4 {
+		t.Errorf("State = %+v, want 4 actuations failing on the 4th", st)
+	}
+}
+
+// TestStateRoundTrip pins the 24-byte layout's encoding of failure: a
+// captured state, working or failed, restores onto a fresh switch with
+// the same State, Working, FailedAt and String, and the restored switch
+// fails (or keeps failing) exactly as the original does.
+func TestStateRoundTrip(t *testing.T) {
+	for _, actuations := range []int{0, 2, 3, 5} {
+		s := FabricateDeterministic(3)
+		for i := 0; i < actuations; i++ {
+			_ = s.ActuateBy(1)
+		}
+		r := FabricateDeterministic(3)
+		r.RestoreState(s.State())
+		if r.State() != s.State() || r.Working() != s.Working() || r.FailedAt() != s.FailedAt() || r.String() != s.String() {
+			t.Fatalf("after %d actuations: restored %v %+v, original %v %+v", actuations, r, r.State(), s, s.State())
+		}
+		if errR, errS := r.ActuateBy(1), s.ActuateBy(1); errR != errS || r.State() != s.State() {
+			t.Fatalf("after %d actuations: next actuation diverged: %v %+v vs %v %+v", actuations, errR, r.State(), errS, s.State())
+		}
+	}
+}
+
+// TestStateReachable pins which states some actuation history produces:
+// a working switch at any count, or a failed one whose failure cycle is
+// its final count.
+func TestStateReachable(t *testing.T) {
+	for _, tc := range []struct {
+		st   State
+		want bool
+	}{
+		{State{}, true},
+		{State{Wear: 2.5, Actuated: 2}, true},
+		{State{Actuated: 4, FailCycle: 4}, true},
+		{State{Actuated: 0, FailCycle: 3}, false},
+		{State{Actuated: 5, FailCycle: 4}, false},
+		{State{Actuated: failedBit}, false},
+		{State{Actuated: failedBit | 4, FailCycle: failedBit | 4}, false},
+	} {
+		if got := tc.st.Reachable(); got != tc.want {
+			t.Errorf("%+v.Reachable() = %v, want %v", tc.st, got, tc.want)
+		}
 	}
 }
 
@@ -165,8 +208,8 @@ func TestFabricateIntoMatchesFabricate(t *testing.T) {
 	if a := testing.AllocsPerRun(100, func() { FabricateInto(got, d, r) }); a != 0 {
 		t.Fatalf("FabricateInto allocates %.1f times per call, want 0", a)
 	}
-	if size := unsafe.Sizeof(Switch{}); size != 32 {
-		t.Fatalf("Switch is %d bytes, want 32", size)
+	if size := unsafe.Sizeof(Switch{}); size != 24 {
+		t.Fatalf("Switch is %d bytes, want 24", size)
 	}
 }
 

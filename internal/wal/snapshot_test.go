@@ -440,6 +440,31 @@ func TestSnapshotCorruption(t *testing.T) {
 	}
 }
 
+// TestSnapshotRefusesUnreachableSwitchState pins recovery against a
+// switch state no actuation history produces: a frame whose CRC is valid
+// but whose fail-cycle column names a cycle past its switch's actuation
+// count fails recovery, naming the architecture, rather than restoring a
+// switch that State would report differently.
+func TestSnapshotRefusesUnreachableSwitchState(t *testing.T) {
+	src := t.TempDir()
+	snapshotFleet(t, src, 3, 0)
+	valid, err := os.ReadFile(filepath.Join(src, snapName(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := snapFrames(t, valid)
+	p := frames[3]
+	cols := p[4+binary.LittleEndian.Uint32(p):]
+	total := len(cols) / wearBytes
+	last := 8 * (total - 1)
+	act := binary.LittleEndian.Uint64(cols[8*total+last:])
+	binary.LittleEndian.PutUint64(cols[16*total+last:], act+1)
+	_, err = recoverSnapshotBytes(t, joinFrames(t, frames))
+	if err == nil || !strings.Contains(err.Error(), "arch-000003") || !strings.Contains(err.Error(), "no actuation history reaches") {
+		t.Fatalf("recovery of an unreachable switch state: got %v, want a refusal naming arch-000003", err)
+	}
+}
+
 // twinSnapshot encodes, in the current format, the twins of the format-2
 // fixture: arch-000001 is unleveled 17 accesses in (copies 0-2 touched),
 // arch-000002 leveled 16 mixed ops in (copies 0-1 touched); both have
@@ -482,7 +507,8 @@ func touchCopy(st *core.State, ci, kind, n int, r *rng.RNG) {
 		case 1:
 			s.Actuated = uint64(1 + r.Intn(40))
 		default:
-			s.FailCycle = uint64(1 + r.Intn(40))
+			c := uint64(1 + r.Intn(40))
+			s.Actuated, s.FailCycle = c, c // failed on its last actuation
 		}
 	}
 	if kind == assignOnly || kind == everyKind {
